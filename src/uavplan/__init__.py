@@ -86,7 +86,6 @@ from .planner import (
     offload_curve,
     plan_both_phases,
     random_plan,
-    realized_path_cost,
     realized_path_parts,
     solve_phase1,
     solve_phase2,

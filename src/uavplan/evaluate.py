@@ -26,14 +26,14 @@ from .planner import (
     NetworkInstance,
     Phase2Plan,
     PlanningError,
+    _tree_path_costs,
     evf_plan,
     exact_expected_cost,
     random_plan,
-    realized_path_parts,
     solve_phase1,
     solve_phase2,
 )
-from .scenario import ShortfallScenario, WeatherScenario, enumerate_terminal_paths
+from .scenario import ShortfallScenario, WeatherScenario
 
 __all__ = [
     "EvaluationReport",
@@ -131,29 +131,6 @@ class SweepResult:
         return out
 
 
-def _check_plan_covers(instance: NetworkInstance, plan: Phase2Plan) -> None:
-    """Shape check: the plan must carry a decision for every (slot,
-    demand scenario, station) and every recourse prefix of this tree."""
-    tree = instance.tree
-    for t in range(instance.time_slots):
-        for li in range(len(tree.demand)):
-            for y in range(len(instance.stations)):
-                if (t, li, y) not in plan.stage2:
-                    raise PlanningError(
-                        f"plan has no stage-2 decision for slot {t}, "
-                        f"demand scenario {li}, station index {y}"
-                    )
-    for path in enumerate_terminal_paths(tree):
-        for t in range(instance.time_slots):
-            for y in range(len(instance.stations)):
-                for zz in range(3, tree.z + 1):
-                    key = (t, zz, (path.demand_index, *path.loss_indices[: zz - 2]), y)
-                    if key not in plan.recourse:
-                        raise PlanningError(
-                            f"plan has no stage-{zz} decision for prefix {key!r}"
-                        )
-
-
 def evaluate_plan(
     plan: Phase2Plan,
     instance: NetworkInstance,
@@ -162,25 +139,20 @@ def evaluate_plan(
 ) -> EvaluationReport:
     """Monte Carlo estimate of the plan's expected cost.
 
-    Samples terminal scenario paths with their branch probabilities,
-    accrues the realized cost of the plan's frozen decisions on each
-    (terminal penalty included whenever a residual shortfall remains),
-    and reports the unbiased mean with its standard error. Same seed,
-    same report.
+    Samples terminal scenario paths with their branch probabilities and
+    reads each draw's realized cost from the plan's per-path stage costs:
+    the frozen decisions along the path, plus the completion penalty for
+    every (slot, station) whose cumulative copies fall short of the
+    threshold plus its offload-gated losses or whose residual flag is
+    set. Reports the unbiased mean with its standard error. Same seed,
+    same report. A plan that lacks a decision this tree needs raises
+    ``PlanningError``.
     """
     instance.require_valid()
-    _check_plan_covers(instance, plan)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    paths = enumerate_terminal_paths(instance.tree)
+    paths, stages, part_matrix = _tree_path_costs(instance, plan)
     probs = np.array([p.probability for p in paths])
-    # per-path realized cost split by stage, computed once
-    parts = [
-        realized_path_parts(instance, plan, p.demand_index, p.loss_indices)
-        for p in paths
-    ]
-    stages = tuple(parts[0].keys())
-    part_matrix = np.array([[pp[s] for s in stages] for pp in parts])
     totals = part_matrix.sum(axis=1)
 
     rng = np.random.default_rng(seed)

@@ -7,8 +7,7 @@ offloading to subscribed edge servers, as either a deterministic program
 (known demand/shortfall) or a z-stage stochastic program in extensive
 form over the scenario tree.
 
-Key structural choices (shared with the evaluator, so the model
-objective is identical to exact tree evaluation of the decoded plan):
+Key structural choices:
 
 - shortfall losses hit a station only on the offload route: a binary
   per (station, demand scenario) offload indicator gates the loss terms;
@@ -18,6 +17,17 @@ objective is identical to exact tree evaluation of the decoded plan):
 - the per-BS threshold rows require local + per-BS offload >= k for
   every base station, so any station that offloads needs every BS
   subscribed and provisioned to at least k - local copies.
+
+A plan's cost is priced in one place, a (terminal path x stage) cost
+array that the decoder's stage breakdown, ``exact_expected_cost``,
+``realized_path_parts`` and the Monte Carlo evaluator all read. Its one
+completion-penalty rule: a (slot, path, station) pays the penalty when
+its cumulative copies fall short of k + exposure * stage-2 offload
+indicator, or when the plan's residual flag is set there. Coverage
+alone prices a plan on another tree of the same shape; the flag keeps
+an incumbent that buys out coverage it already meets priced as its
+objective. On every plan the library returns for its own instance the
+two agree, so the model objective equals the exact tree expectation.
 """
 
 from __future__ import annotations
@@ -44,7 +54,9 @@ from .milp import IPModel, Solution, solve_exact
 from .physics import Environment, Position3D, UavType
 from .scenario import (
     ModelSize,
+    ScenarioPath,
     ScenarioTree,
+    _path_probability,
     enumerate_terminal_paths,
     flag_product_exposure,
     loss_prefixes,
@@ -73,7 +85,6 @@ __all__ = [
     "solve_phase2",
     "evf_plan",
     "random_plan",
-    "realized_path_cost",
     "exact_expected_cost",
     "offload_curve",
     "plan_both_phases",
@@ -253,15 +264,17 @@ def _cost_table(
 
 
 def _stage_cost_tables(
-    instance: NetworkInstance, type_ids: Sequence[int]
+    instance: NetworkInstance,
+    type_ids: Sequence[int],
+    demand_dims: Sequence[Sequence[int]],
 ) -> list[list[_CostTable]]:
-    """tables[demand_index][station_index]."""
+    """tables[demand_index][station_index], one row per demand vector."""
     tables = []
-    for dem in instance.tree.demand:
+    for dims in demand_dims:
         row = []
         for y, st in enumerate(instance.stations):
             uav = instance.uav_type_by_id(type_ids[y])
-            row.append(_cost_table(instance, st, uav, dem.dims[y]))
+            row.append(_cost_table(instance, st, uav, dims[y]))
         tables.append(row)
     return tables
 
@@ -476,6 +489,161 @@ def _resolve_type_ids(
     return ids
 
 
+class _Phase2Builder:
+    """An allocation model under construction and its variable-id maps;
+    the SIP and DIP builders share its stage-2 block."""
+
+    def __init__(self, instance: NetworkInstance, name: str) -> None:
+        self.instance = instance
+        self.model = IPModel(name)
+        self.sub_ids: dict[tuple[int, int], int] = {}
+        self.local_ids: dict[tuple, int] = {}
+        self.offload_ids: dict[tuple, int] = {}
+        self.indicator_ids: dict[tuple, int] = {}
+        self.residual_ids: dict[tuple, int] = {}
+
+    def add_subscriptions(self, t: int) -> None:
+        for fi, bs in enumerate(self.instance.base_stations):
+            vid = self.model.add_variable(f"M_s[slot={t}][bs={bs.id}]", kind="binary")
+            self.model.add_objective_term(vid, self.instance.costs.subscription_fee)
+            self.sub_ids[t, fi] = vid
+
+    def add_decision(
+        self,
+        key: tuple,
+        tag: str,
+        probability: float,
+        tab: _CostTable,
+        local_ub: int,
+        wait_gated: bool,
+    ) -> None:
+        """Local count, offload-route indicator and per-BS offload counts
+        of one station at one stage, priced at ``probability`` times its
+        cost table. The hover wait is an indicator term when
+        ``wait_gated``, a constant otherwise."""
+        model = self.model
+        lv = model.add_variable(f"M_L{tag}", kind="integer", upper=local_ub)
+        model.add_objective_term(lv, probability * tab.local)
+        self.local_ids[key] = lv
+        th = model.add_variable(f"M_TH{tag}", kind="binary")
+        self.indicator_ids[key] = th
+        if wait_gated:
+            model.add_objective_term(th, probability * tab.wait)
+        else:
+            model.add_objective_constant(probability * tab.wait)
+        for fi, bs in enumerate(self.instance.base_stations):
+            ov = model.add_variable(
+                f"M_O{tag}[bs={bs.id}]", kind="integer", upper=bs.servers
+            )
+            model.add_objective_term(ov, probability * tab.offload[fi])
+            self.offload_ids[(*key, fi)] = ov
+
+    def add_server_rows(self, prefix: tuple, tag: str) -> None:
+        """Subscription link and capacity per base station over the
+        offloads of every station under one (slot, stage, scenario
+        prefix)."""
+        n_y = len(self.instance.stations)
+        for fi, bs in enumerate(self.instance.base_stations):
+            terms = [(self.offload_ids[(*prefix, y, fi)], 1.0) for y in range(n_y)]
+            self.model.add_constraint(
+                terms + [(self.sub_ids[prefix[0], fi], -float(bs.servers))],
+                "<=",
+                0.0,
+                name=f"sub_link{tag}[bs={bs.id}]",
+            )
+            self.model.add_constraint(
+                terms, "<=", float(bs.servers), name=f"capacity{tag}[bs={bs.id}]"
+            )
+
+    def add_route_link(self, key: tuple, tag: str, fi: int) -> None:
+        """No offload to base station ``fi`` without the route indicator."""
+        bs = self.instance.base_stations[fi]
+        self.model.add_constraint(
+            [
+                (self.offload_ids[(*key, fi)], 1.0),
+                (self.indicator_ids[key], -float(bs.servers)),
+            ],
+            "<=",
+            0.0,
+            name=f"route_link{tag}[bs={bs.id}]",
+        )
+
+    def add_stage2_block(
+        self,
+        t: int,
+        li: int,
+        probability: float,
+        tables: Sequence[_CostTable],
+        local_ub: Sequence[int],
+    ) -> None:
+        """Stage-2 decisions and link rows for one (slot, demand scenario):
+        the subscription link and capacity per base station, then per
+        station the per-BS threshold and route links and the
+        local-or-route cut."""
+        instance, model = self.instance, self.model
+        k = instance.split.k
+        for y, st in enumerate(instance.stations):
+            self.add_decision(
+                (t, 2, li, y),
+                f"[stage=2][slot={t}][scenario={li}][station={st.id}]",
+                probability,
+                tables[y],
+                local_ub[y],
+                wait_gated=instance.wait_cost_gated_by_offload,
+            )
+            model.add_objective_constant(probability * tables[y].decode)
+
+        self.add_server_rows((t, 2, li), f"[stage=2][slot={t}][scenario={li}]")
+        for y in range(len(instance.stations)):
+            key = (t, 2, li, y)
+            route_tag = f"[stage=2][slot={t}][scenario={li}][station={y}]"
+            for fi, bs in enumerate(instance.base_stations):
+                model.add_constraint(
+                    [(self.local_ids[key], 1.0), (self.offload_ids[(*key, fi)], 1.0)],
+                    ">=",
+                    float(k),
+                    name=f"threshold[slot={t}][scenario={li}][station={y}][bs={bs.id}]",
+                )
+                self.add_route_link(key, route_tag, fi)
+            if instance.base_stations:
+                # implied for integer points (no route -> no offload ->
+                # threshold forces local >= k) but cuts fractional
+                # indicators, which otherwise wreck the LP bound
+                model.add_constraint(
+                    [(self.local_ids[key], 1.0), (self.indicator_ids[key], float(k))],
+                    ">=",
+                    float(k),
+                    name=f"local_or_route[slot={t}][scenario={li}][station={y}]",
+                )
+
+    def build(
+        self,
+        formulation: str,
+        shape: tuple[int, ...],
+        type_ids: tuple[int, ...],
+        tables: list[list[_CostTable]],
+        **dip_inputs,
+    ) -> Phase2Model:
+        """The finished model; ``dip_inputs`` records a DIP's known
+        demand and shortfall."""
+        return Phase2Model(
+            model=self.model,
+            formulation=formulation,
+            size=model_size_phase2(*shape),
+            shape=shape,
+            actual_vars=self.model.num_variables,
+            actual_cons=self.model.num_constraints,
+            type_ids=type_ids,
+            sub_ids=self.sub_ids,
+            local_ids=self.local_ids,
+            offload_ids=self.offload_ids,
+            indicator_ids=self.indicator_ids,
+            residual_ids=self.residual_ids,
+            tables=tables,
+            **dip_inputs,
+        )
+
+
 def build_phase2_sip(
     instance: NetworkInstance, type_ids: Sequence[int] | None = None
 ) -> Phase2Model:
@@ -485,95 +653,46 @@ def build_phase2_sip(
     if not tree.demand:
         raise ValueError("phase 2 requires at least one demand scenario")
     ids = _resolve_type_ids(instance, type_ids)
-    tables = _stage_cost_tables(instance, ids)
+    tables = _stage_cost_tables(instance, ids, [d.dims for d in tree.demand])
     k = instance.split.k
     n_y = len(instance.stations)
     n_f = len(instance.base_stations)
-    gated = instance.wait_cost_gated_by_offload
     sigma_hat = k + max_total_exposure(tree)
     l2_ub = instance.local_cap(k)
     lz_ub = instance.local_cap(sigma_hat)
 
-    model = IPModel("phase2_sip")
-    sub_ids: dict[tuple[int, int], int] = {}
-    local_ids: dict[tuple, int] = {}
-    offload_ids: dict[tuple, int] = {}
-    indicator_ids: dict[tuple, int] = {}
-    residual_ids: dict[tuple, int] = {}
+    builder = _Phase2Builder(instance, "phase2_sip")
+    model, residual_ids = builder.model, builder.residual_ids
+    local_ids, offload_ids = builder.local_ids, builder.offload_ids
+    indicator_ids = builder.indicator_ids
 
     stage_range = range(3, tree.z + 1)
     prefixes = {zz: loss_prefixes(tree, zz) for zz in stage_range}
     terminal = enumerate_terminal_paths(tree)
 
-    def prefix_prob(demand_index: int, combo: tuple[int, ...]) -> float:
-        p = tree.demand[demand_index].probability
-        for si, wi in enumerate(combo):
-            p *= tree.shortfall_stages[si][wi].probability
-        return p
-
     for t in range(instance.time_slots):
-        for fi, bs in enumerate(instance.base_stations):
-            vid = model.add_variable(f"M_s[slot={t}][bs={bs.id}]", kind="binary")
-            model.add_objective_term(vid, instance.costs.subscription_fee)
-            sub_ids[t, fi] = vid
-
+        builder.add_subscriptions(t)
         for li, dem in enumerate(tree.demand):
-            for y in range(n_y):
-                tab = tables[li][y]
-                lv = model.add_variable(
-                    f"M_L[stage=2][slot={t}][scenario={li}][station={instance.stations[y].id}]",
-                    kind="integer",
-                    upper=l2_ub,
-                )
-                model.add_objective_term(lv, dem.probability * tab.local)
-                local_ids[t, 2, li, y] = lv
-                th = model.add_variable(
-                    f"M_TH[stage=2][slot={t}][scenario={li}][station={instance.stations[y].id}]",
-                    kind="binary",
-                )
-                indicator_ids[t, 2, li, y] = th
-                if gated:
-                    model.add_objective_term(th, dem.probability * tab.wait)
-                else:
-                    model.add_objective_constant(dem.probability * tab.wait)
-                model.add_objective_constant(dem.probability * tab.decode)
-                for fi, bs in enumerate(instance.base_stations):
-                    ov = model.add_variable(
-                        f"M_O[stage=2][slot={t}][scenario={li}]"
-                        f"[station={instance.stations[y].id}][bs={bs.id}]",
-                        kind="integer",
-                        upper=bs.servers,
-                    )
-                    model.add_objective_term(ov, dem.probability * tab.offload[fi])
-                    offload_ids[t, 2, li, y, fi] = ov
+            builder.add_stage2_block(t, li, dem.probability, tables[li], [l2_ub] * n_y)
 
         for zz in stage_range:
             for combo in prefixes[zz]:
                 for li in range(len(tree.demand)):
-                    prob = prefix_prob(li, combo)
+                    prob = _path_probability(tree, li, combo)
                     for y in range(n_y):
-                        tab = tables[li][y]
                         tag = (
                             f"[stage={zz}][slot={t}][scenario={li}]"
                             f"[path={','.join(map(str, combo)) or '-'}]"
                             f"[station={instance.stations[y].id}]"
                         )
-                        lv = model.add_variable(
-                            f"M_L{tag}", kind="integer", upper=lz_ub
+                        builder.add_decision(
+                            (t, zz, li, combo, y),
+                            tag,
+                            prob,
+                            tables[li][y],
+                            lz_ub,
+                            wait_gated=True,
                         )
-                        model.add_objective_term(lv, prob * tab.local)
-                        local_ids[t, zz, li, combo, y] = lv
-                        th = model.add_variable(f"M_TH{tag}", kind="binary")
-                        model.add_objective_term(th, prob * tab.wait)
-                        indicator_ids[t, zz, li, combo, y] = th
-                        for fi, bs in enumerate(instance.base_stations):
-                            ov = model.add_variable(
-                                f"M_O{tag}[bs={bs.id}]",
-                                kind="integer",
-                                upper=bs.servers,
-                            )
-                            model.add_objective_term(ov, prob * tab.offload[fi])
-                            offload_ids[t, zz, li, combo, y, fi] = ov
 
         for path in terminal:
             for y in range(n_y):
@@ -590,94 +709,15 @@ def build_phase2_sip(
 
         # -- rows -------------------------------------------------------
 
-        for li in range(len(tree.demand)):
-            for fi, bs in enumerate(instance.base_stations):
-                stage2_terms = [
-                    (offload_ids[t, 2, li, y, fi], 1.0) for y in range(n_y)
-                ]
-                model.add_constraint(
-                    stage2_terms + [(sub_ids[t, fi], -float(bs.servers))],
-                    "<=",
-                    0.0,
-                    name=f"sub_link[stage=2][slot={t}][scenario={li}][bs={bs.id}]",
-                )
-                model.add_constraint(
-                    stage2_terms,
-                    "<=",
-                    float(bs.servers),
-                    name=f"capacity[stage=2][slot={t}][scenario={li}][bs={bs.id}]",
-                )
-            for y in range(n_y):
-                for fi, bs in enumerate(instance.base_stations):
-                    model.add_constraint(
-                        [
-                            (local_ids[t, 2, li, y], 1.0),
-                            (offload_ids[t, 2, li, y, fi], 1.0),
-                        ],
-                        ">=",
-                        float(k),
-                        name=f"threshold[slot={t}][scenario={li}][station={y}][bs={bs.id}]",
-                    )
-                    model.add_constraint(
-                        [
-                            (offload_ids[t, 2, li, y, fi], 1.0),
-                            (indicator_ids[t, 2, li, y], -float(bs.servers)),
-                        ],
-                        "<=",
-                        0.0,
-                        name=f"route_link[stage=2][slot={t}][scenario={li}]"
-                        f"[station={y}][bs={bs.id}]",
-                    )
-                if n_f:
-                    # implied for integer points (no route -> no offload ->
-                    # threshold forces local >= k) but cuts fractional
-                    # indicators, which otherwise wreck the LP bound
-                    model.add_constraint(
-                        [
-                            (local_ids[t, 2, li, y], 1.0),
-                            (indicator_ids[t, 2, li, y], float(k)),
-                        ],
-                        ">=",
-                        float(k),
-                        name=f"local_or_route[slot={t}][scenario={li}][station={y}]",
-                    )
-
         for zz in stage_range:
             for combo in prefixes[zz]:
                 for li in range(len(tree.demand)):
                     ptag = f"[slot={t}][scenario={li}][path={','.join(map(str, combo)) or '-'}]"
-                    for fi, bs in enumerate(instance.base_stations):
-                        terms = [
-                            (offload_ids[t, zz, li, combo, y, fi], 1.0)
-                            for y in range(n_y)
-                        ]
-                        model.add_constraint(
-                            terms + [(sub_ids[t, fi], -float(bs.servers))],
-                            "<=",
-                            0.0,
-                            name=f"sub_link[stage={zz}]{ptag}[bs={bs.id}]",
-                        )
-                        model.add_constraint(
-                            terms,
-                            "<=",
-                            float(bs.servers),
-                            name=f"capacity[stage={zz}]{ptag}[bs={bs.id}]",
-                        )
+                    builder.add_server_rows((t, zz, li, combo), f"[stage={zz}]{ptag}")
                     for y in range(n_y):
-                        for fi, bs in enumerate(instance.base_stations):
-                            model.add_constraint(
-                                [
-                                    (offload_ids[t, zz, li, combo, y, fi], 1.0),
-                                    (
-                                        indicator_ids[t, zz, li, combo, y],
-                                        -float(bs.servers),
-                                    ),
-                                ],
-                                "<=",
-                                0.0,
-                                name=f"route_link[stage={zz}]{ptag}"
-                                f"[station={y}][bs={bs.id}]",
-                            )
+                        route_tag = f"[stage={zz}]{ptag}[station={y}]"
+                        for fi in range(n_f):
+                            builder.add_route_link((t, zz, li, combo, y), route_tag, fi)
 
         for path in terminal:
             li = path.demand_index
@@ -714,22 +754,7 @@ def build_phase2_sip(
         len(tree.demand),
         *[len(s) for s in tree.shortfall_stages],
     )
-    size = model_size_phase2(*shape)
-    return Phase2Model(
-        model=model,
-        formulation="sip",
-        size=size,
-        shape=shape,
-        actual_vars=model.num_variables,
-        actual_cons=model.num_constraints,
-        type_ids=ids,
-        sub_ids=sub_ids,
-        local_ids=local_ids,
-        offload_ids=offload_ids,
-        indicator_ids=indicator_ids,
-        residual_ids=residual_ids,
-        tables=tables,
-    )
+    return builder.build("sip", shape, ids, tables)
 
 
 def build_phase2_dip(
@@ -757,134 +782,41 @@ def build_phase2_dip(
 
     ids = _resolve_type_ids(instance, type_ids)
     k = instance.split.k
-    gated = instance.wait_cost_gated_by_offload
-    tables = [
-        [
-            _cost_table(
-                instance,
-                st,
-                instance.uav_type_by_id(ids[y]),
-                int(demand[y]),
-            )
-            for y, st in enumerate(instance.stations)
-        ]
-    ]
+    tables = _stage_cost_tables(instance, ids, [[int(d) for d in demand]])
+    local_ub = [instance.local_cap(k + math.ceil(s)) for s in shortfall]
 
-    model = IPModel("phase2_dip")
-    sub_ids: dict[tuple[int, int], int] = {}
-    local_ids: dict[tuple, int] = {}
-    offload_ids: dict[tuple, int] = {}
-    indicator_ids: dict[tuple, int] = {}
+    builder = _Phase2Builder(instance, "phase2_dip")
+    model = builder.model
+    local_ids, offload_ids = builder.local_ids, builder.offload_ids
 
     for t in range(instance.time_slots):
-        for fi, bs in enumerate(instance.base_stations):
-            vid = model.add_variable(f"M_s[slot={t}][bs={bs.id}]", kind="binary")
-            model.add_objective_term(vid, instance.costs.subscription_fee)
-            sub_ids[t, fi] = vid
+        builder.add_subscriptions(t)
+        builder.add_stage2_block(t, 0, 1.0, tables[0], local_ub)
         for y in range(n_y):
-            tab = tables[0][y]
-            l_ub = instance.local_cap(k + math.ceil(shortfall[y]))
-            lv = model.add_variable(
-                f"M_L[stage=2][slot={t}][scenario=0][station={instance.stations[y].id}]",
-                kind="integer",
-                upper=l_ub,
-            )
-            model.add_objective_term(lv, tab.local)
-            local_ids[t, 2, 0, y] = lv
-            th = model.add_variable(
-                f"M_TH[stage=2][slot={t}][scenario=0]"
-                f"[station={instance.stations[y].id}]",
-                kind="binary",
-            )
-            indicator_ids[t, 2, 0, y] = th
-            if gated:
-                model.add_objective_term(th, tab.wait)
-            else:
-                model.add_objective_constant(tab.wait)
-            model.add_objective_constant(tab.decode)
-            for fi, bs in enumerate(instance.base_stations):
-                ov = model.add_variable(
-                    f"M_O[stage=2][slot={t}][scenario=0]"
-                    f"[station={instance.stations[y].id}][bs={bs.id}]",
-                    kind="integer",
-                    upper=bs.servers,
-                )
-                model.add_objective_term(ov, tab.offload[fi])
-                offload_ids[t, 2, 0, y, fi] = ov
-
-        for fi, bs in enumerate(instance.base_stations):
-            terms = [(offload_ids[t, 2, 0, y, fi], 1.0) for y in range(n_y)]
-            model.add_constraint(
-                terms + [(sub_ids[t, fi], -float(bs.servers))],
-                "<=",
-                0.0,
-                name=f"sub_link[slot={t}][bs={bs.id}]",
-            )
-            model.add_constraint(
-                terms, "<=", float(bs.servers), name=f"capacity[slot={t}][bs={bs.id}]"
-            )
-        for y in range(n_y):
-            for fi, bs in enumerate(instance.base_stations):
-                model.add_constraint(
-                    [(local_ids[t, 2, 0, y], 1.0), (offload_ids[t, 2, 0, y, fi], 1.0)],
-                    ">=",
-                    float(k),
-                    name=f"threshold[slot={t}][station={y}][bs={bs.id}]",
-                )
-                model.add_constraint(
-                    [
-                        (offload_ids[t, 2, 0, y, fi], 1.0),
-                        (indicator_ids[t, 2, 0, y], -float(bs.servers)),
-                    ],
-                    "<=",
-                    0.0,
-                    name=f"route_link[slot={t}][station={y}][bs={bs.id}]",
-                )
-            if n_f:
-                # same strengthening row as the stochastic build
-                model.add_constraint(
-                    [
-                        (local_ids[t, 2, 0, y], 1.0),
-                        (indicator_ids[t, 2, 0, y], float(k)),
-                    ],
-                    ">=",
-                    float(k),
-                    name=f"local_or_route[slot={t}][station={y}]",
-                )
+            provided = [(local_ids[t, 2, 0, y], 1.0)]
+            provided += [(offload_ids[t, 2, 0, y, fi], 1.0) for fi in range(n_f)]
             # coverage with the known shortfall, loss gated by the
             # offload-route indicator
-            cov = [(local_ids[t, 2, 0, y], 1.0)]
-            cov += [(offload_ids[t, 2, 0, y, fi], 1.0) for fi in range(n_f)]
+            cov = list(provided)
             if shortfall[y]:
-                cov.append((indicator_ids[t, 2, 0, y], -float(shortfall[y])))
+                cov.append((builder.indicator_ids[t, 2, 0, y], -float(shortfall[y])))
             model.add_constraint(
                 cov, ">=", float(k), name=f"coverage[slot={t}][station={y}]"
             )
             # literal restoration row: offloads must make up whatever the
             # known shortfall exceeds the local count by
             model.add_constraint(
-                [(offload_ids[t, 2, 0, y, fi], 1.0) for fi in range(n_f)]
-                + [(local_ids[t, 2, 0, y], 1.0)],
+                provided,
                 ">=",
                 float(shortfall[y]),
                 name=f"restoration[slot={t}][station={y}]",
             )
 
-    shape = (instance.time_slots, n_f, n_y, 1)
-    return Phase2Model(
-        model=model,
-        formulation="dip",
-        size=model_size_phase2(*shape),
-        shape=shape,
-        actual_vars=model.num_variables,
-        actual_cons=model.num_constraints,
-        type_ids=ids,
-        sub_ids=sub_ids,
-        local_ids=local_ids,
-        offload_ids=offload_ids,
-        indicator_ids=indicator_ids,
-        residual_ids={},
-        tables=tables,
+    return builder.build(
+        "dip",
+        (instance.time_slots, n_f, n_y, 1),
+        ids,
+        tables,
         dip_demand=tuple(int(d) for d in demand),
         dip_shortfall=tuple(float(s) for s in shortfall),
     )
@@ -904,28 +836,19 @@ def decode_phase2(
     stage2: dict[tuple[int, int, int], StageDecision] = {}
     recourse: dict[tuple[int, int, tuple[int, ...], int], StageDecision] = {}
     for key, lv in built.local_ids.items():
+        dec = StageDecision(
+            local=int(round(x[lv])),
+            offload=tuple(
+                int(round(x[built.offload_ids[(*key, fi)]])) for fi in range(n_f)
+            ),
+            offload_indicator=int(round(x[built.indicator_ids[key]])),
+        )
         if key[1] == 2:
             t, _, li, y = key
-            stage2[t, li, y] = StageDecision(
-                local=int(round(x[lv])),
-                offload=tuple(
-                    int(round(x[built.offload_ids[t, 2, li, y, fi]]))
-                    for fi in range(n_f)
-                ),
-                offload_indicator=int(round(x[built.indicator_ids[t, 2, li, y]])),
-            )
+            stage2[t, li, y] = dec
         else:
             t, zz, li, combo, y = key
-            recourse[t, zz, (li, *combo), y] = StageDecision(
-                local=int(round(x[lv])),
-                offload=tuple(
-                    int(round(x[built.offload_ids[t, zz, li, combo, y, fi]]))
-                    for fi in range(n_f)
-                ),
-                offload_indicator=int(
-                    round(x[built.indicator_ids[t, zz, li, combo, y]])
-                ),
-            )
+            recourse[t, zz, (li, *combo), y] = dec
     residuals = {
         (t, (li, *combo), y): int(round(x[vid]))
         for (t, li, combo, y), vid in built.residual_ids.items()
@@ -938,67 +861,19 @@ def decode_phase2(
         expected_cost=float(sol.objective),
         optimal=sol.status == "optimal",
     )
-    plan.stage_breakdown = _plan_breakdown(instance, built, plan)
+    if built.formulation == "sip":
+        paths = enumerate_terminal_paths(instance.tree)
+    else:
+        paths = [ScenarioPath(0, (), 1.0)]
+    _, plan.stage_breakdown = _expectation(
+        paths, *_path_costs(instance, plan, built.tables, paths)
+    )
     total = sum(plan.stage_breakdown.values())
     if abs(total - plan.expected_cost) > 1e-6:
         raise PlanningError(
             f"stage breakdown {total} disagrees with objective {plan.expected_cost}"
         )
     return plan
-
-
-def _plan_breakdown(
-    instance: NetworkInstance, built: Phase2Model, plan: Phase2Plan
-) -> dict[str, float]:
-    """Expected cost split by stage, recomputed from the decoded plan."""
-    tree = instance.tree
-    gated = instance.wait_cost_gated_by_offload
-    out: dict[str, float] = {}
-    out["stage1"] = instance.costs.subscription_fee * plan.subscription_count()
-
-    if built.formulation == "dip":
-        probs = [1.0]
-    else:
-        probs = [d.probability for d in tree.demand]
-    stage2 = 0.0
-    for (t, li, y), dec in plan.stage2.items():
-        tab = built.tables[li][y]
-        cost = tab.local * dec.local + sum(
-            c * o for c, o in zip(tab.offload, dec.offload)
-        )
-        cost += tab.wait * (dec.offload_indicator if gated else 1.0)
-        cost += tab.decode
-        stage2 += probs[li] * cost
-    out["stage2"] = stage2
-
-    if built.formulation == "sip":
-        for zz in range(3, tree.z + 1):
-            total = 0.0
-            for (t, stage, path_key, y), dec in plan.recourse.items():
-                if stage != zz:
-                    continue
-                li, combo = path_key[0], path_key[1:]
-                prob = tree.demand[li].probability
-                for si, wi in enumerate(combo):
-                    prob *= tree.shortfall_stages[si][wi].probability
-                tab = built.tables[li][y]
-                cost = tab.local * dec.local + sum(
-                    c * o for c, o in zip(tab.offload, dec.offload)
-                )
-                cost += tab.wait * dec.offload_indicator
-                total += prob * cost
-            out[f"stage{zz}"] = total
-        terminal = 0.0
-        for (t, path_key, y), r in plan.residuals.items():
-            if not r:
-                continue
-            li, combo = path_key[0], path_key[1:]
-            prob = tree.demand[li].probability
-            for si, wi in enumerate(combo):
-                prob *= tree.shortfall_stages[si][wi].probability
-            terminal += prob * instance.costs.completion_penalty
-        out["terminal"] = terminal
-    return out
 
 
 def _phase2_warm_start(
@@ -1041,11 +916,8 @@ def _phase2_warm_start(
         provided = x[built.local_ids[t, 2, li, y]] + sum(
             x[built.offload_ids[t, 2, li, y, fi]] for fi in range(n_f)
         )
-        exposure = 0.0
-        if x[built.indicator_ids[t, 2, li, y]]:
-            exposure = flag_product_exposure(tree, combo, y)
-        if provided < k + exposure - 1e-9:
-            x[rv] = 1.0
+        indicator = x[built.indicator_ids[t, 2, li, y]]
+        x[rv] = float(_falls_short(tree, k, provided, indicator, combo, y))
     return x
 
 
@@ -1237,10 +1109,10 @@ def _freeze_stage2_plan(
         for path in enumerate_terminal_paths(tree):
             for y in range(n_y):
                 dec = stage2[t, path.demand_index, y]
-                exposure = flag_product_exposure(tree, path.loss_indices, y)
-                need = k + exposure * dec.offload_indicator
                 residuals[t, (path.demand_index, *path.loss_indices), y] = int(
-                    dec.total < need
+                    _falls_short(
+                        tree, k, dec.total, dec.offload_indicator, path.loss_indices, y
+                    )
                 )
     plan = Phase2Plan(
         subscriptions=subscriptions,
@@ -1256,8 +1128,101 @@ def _freeze_stage2_plan(
 
 
 # ---------------------------------------------------------------------------
-# canonical realized-cost accounting (shared with the evaluator)
+# cost accounting: one (path x stage) array per plan
 # ---------------------------------------------------------------------------
+
+
+def _falls_short(
+    tree: ScenarioTree,
+    k: int,
+    provided: float,
+    offload_indicator: float,
+    loss_indices: Sequence[int],
+    station: int,
+) -> bool:
+    """Coverage test of one (slot, path, station): the copies provided
+    along the path fall short of k plus the losses that hit the station
+    while it offloads."""
+    exposure = flag_product_exposure(tree, loss_indices, station)
+    return provided < k + exposure * offload_indicator
+
+
+def _decision(decisions: Mapping, key: tuple, stage: int) -> StageDecision:
+    try:
+        return decisions[key]
+    except KeyError:
+        raise PlanningError(f"plan has no stage-{stage} decision for {key!r}") from None
+
+
+def _decision_cost(tab: _CostTable, dec: StageDecision, wait: float) -> float:
+    cost = tab.local * dec.local
+    cost += sum(c * o for c, o in zip(tab.offload, dec.offload))
+    return cost + tab.wait * wait
+
+
+def _path_costs(
+    instance: NetworkInstance,
+    plan: Phase2Plan,
+    tables: Sequence[Sequence[_CostTable]],
+    paths: Sequence[ScenarioPath],
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The cost the plan pays on each path, split by stage.
+
+    Returns the stage labels (stage1, stage2, stage3.., terminal) and a
+    paths x stages array with one row per path, in the given order.
+    Subscriptions are charged on every path; the terminal column follows
+    the completion-penalty rule in the module docstring."""
+    tree = instance.tree
+    k = instance.split.k
+    gated = instance.wait_cost_gated_by_offload
+    penalty = instance.costs.completion_penalty
+    n_recourse = len(paths[0].loss_indices) if paths else 0
+    labels = (
+        "stage1",
+        *(f"stage{zz}" for zz in range(2, n_recourse + 3)),
+        "terminal",
+    )
+    stage1 = instance.costs.subscription_fee * plan.subscription_count()
+    rows = []
+    for path in paths:
+        li, losses = path.demand_index, path.loss_indices
+        row = [stage1] + [0.0] * (n_recourse + 2)
+        for t in range(instance.time_slots):
+            for y, tab in enumerate(tables[li]):
+                dec = _decision(plan.stage2, (t, li, y), 2)
+                wait = dec.offload_indicator if gated else 1.0
+                row[1] += _decision_cost(tab, dec, wait) + tab.decode
+                provided = dec.total
+                for zz in range(3, n_recourse + 3):
+                    key = (t, zz, (li, *losses[: zz - 2]), y)
+                    rdec = _decision(plan.recourse, key, zz)
+                    row[zz - 1] += _decision_cost(tab, rdec, rdec.offload_indicator)
+                    provided += rdec.total
+                if plan.residuals.get((t, (li, *losses), y)) or _falls_short(
+                    tree, k, provided, dec.offload_indicator, losses, y
+                ):
+                    row[-1] += penalty
+        rows.append(row)
+    return labels, np.array(rows, dtype=float).reshape(len(paths), len(labels))
+
+
+def _tree_path_costs(
+    instance: NetworkInstance, plan: Phase2Plan, type_ids: Sequence[int] | None = None
+) -> tuple[list[ScenarioPath], tuple[str, ...], np.ndarray]:
+    """The tree's terminal paths and the plan's cost array over them."""
+    paths = enumerate_terminal_paths(instance.tree)
+    ids = _resolve_type_ids(instance, type_ids)
+    tables = _stage_cost_tables(instance, ids, [d.dims for d in instance.tree.demand])
+    return (paths, *_path_costs(instance, plan, tables, paths))
+
+
+def _expectation(
+    paths: Sequence[ScenarioPath], labels: tuple[str, ...], costs: np.ndarray
+) -> tuple[float, dict[str, float]]:
+    """Probability-weighted path costs, in total and per stage."""
+    probs = np.array([p.probability for p in paths])
+    total = float(probs @ costs.sum(axis=1))
+    return total, dict(zip(labels, (probs @ costs).tolist()))
 
 
 def realized_path_parts(
@@ -1266,64 +1231,22 @@ def realized_path_parts(
     demand_index: int,
     loss_indices: tuple[int, ...],
     type_ids: Sequence[int] | None = None,
-    tables: list[list[_CostTable]] | None = None,
 ) -> dict[str, float]:
     """Per-stage cost the plan actually pays on one terminal path.
 
     Subscriptions are charged in full (they are path-independent), then
-    the stage-2 decision for the path's demand scenario, the recourse
-    decisions along the path's prefixes, and the completion penalty for
-    any station whose cumulative copies fall short of the threshold plus
-    its offload-gated losses. Keys: stage1, stage2, stage3.., terminal.
+    the stage-2 decision for the path's demand scenario and the recourse
+    decisions along the path's prefixes. A station pays the completion
+    penalty in a slot when its cumulative copies fall short of the
+    threshold plus its offload-gated losses, or when the plan's residual
+    flag is set there. Keys: stage1, stage2, stage3.., terminal.
     """
-    tree = instance.tree
-    ids = _resolve_type_ids(instance, type_ids)
-    if tables is None:
-        tables = _stage_cost_tables(instance, ids)
-    gated = instance.wait_cost_gated_by_offload
-    k = instance.split.k
-    parts = {"stage1": instance.costs.subscription_fee * plan.subscription_count()}
-    parts["stage2"] = 0.0
-    for zz in range(3, tree.z + 1):
-        parts[f"stage{zz}"] = 0.0
-    parts["terminal"] = 0.0
-    for t in range(instance.time_slots):
-        for y in range(len(instance.stations)):
-            tab = tables[demand_index][y]
-            dec = plan.stage2[t, demand_index, y]
-            cost2 = tab.local * dec.local
-            cost2 += sum(c * o for c, o in zip(tab.offload, dec.offload))
-            cost2 += tab.wait * (dec.offload_indicator if gated else 1.0)
-            cost2 += tab.decode
-            parts["stage2"] += cost2
-            provided = dec.total
-            for zz in range(3, tree.z + 1):
-                rdec = plan.recourse[t, zz, (demand_index, *loss_indices[: zz - 2]), y]
-                costz = tab.local * rdec.local
-                costz += sum(c * o for c, o in zip(tab.offload, rdec.offload))
-                costz += tab.wait * rdec.offload_indicator
-                parts[f"stage{zz}"] += costz
-                provided += rdec.total
-            exposure = flag_product_exposure(tree, loss_indices, y)
-            if provided < k + exposure * dec.offload_indicator:
-                parts["terminal"] += instance.costs.completion_penalty
-    return parts
-
-
-def realized_path_cost(
-    instance: NetworkInstance,
-    plan: Phase2Plan,
-    demand_index: int,
-    loss_indices: tuple[int, ...],
-    type_ids: Sequence[int] | None = None,
-    tables: list[list[_CostTable]] | None = None,
-) -> float:
-    """Total cost the plan actually pays on one terminal path."""
-    return sum(
-        realized_path_parts(
-            instance, plan, demand_index, loss_indices, type_ids, tables
-        ).values()
-    )
+    paths, labels, costs = _tree_path_costs(instance, plan, type_ids)
+    wanted = (demand_index, tuple(loss_indices))
+    for path, row in zip(paths, costs):
+        if (path.demand_index, path.loss_indices) == wanted:
+            return dict(zip(labels, row.tolist()))
+    raise ValueError(f"no terminal path ({demand_index}, {loss_indices}) in the tree")
 
 
 def exact_expected_cost(
@@ -1334,62 +1257,8 @@ def exact_expected_cost(
 ):
     """Exact expectation of the plan's realized cost over all terminal
     paths (no sampling)."""
-    ids = _resolve_type_ids(instance, type_ids)
-    tables = _stage_cost_tables(instance, ids)
-    total = 0.0
-    for path in enumerate_terminal_paths(instance.tree):
-        total += path.probability * realized_path_cost(
-            instance, plan, path.demand_index, path.loss_indices, ids, tables
-        )
-    if not with_breakdown:
-        return total
-    breakdown = _frozen_breakdown(instance, plan, tables)
-    return total, breakdown
-
-
-def _frozen_breakdown(
-    instance: NetworkInstance, plan: Phase2Plan, tables: list[list[_CostTable]]
-) -> dict[str, float]:
-    tree = instance.tree
-    gated = instance.wait_cost_gated_by_offload
-    out = {"stage1": instance.costs.subscription_fee * plan.subscription_count()}
-    stage2 = 0.0
-    for (t, li, y), dec in plan.stage2.items():
-        tab = tables[li][y]
-        cost = tab.local * dec.local + sum(
-            c * o for c, o in zip(tab.offload, dec.offload)
-        )
-        cost += tab.wait * (dec.offload_indicator if gated else 1.0)
-        cost += tab.decode
-        stage2 += tree.demand[li].probability * cost
-    out["stage2"] = stage2
-    for zz in range(3, tree.z + 1):
-        total = 0.0
-        for (t, stage, path_key, y), dec in plan.recourse.items():
-            if stage != zz:
-                continue
-            li, combo = path_key[0], path_key[1:]
-            prob = tree.demand[li].probability
-            for si, wi in enumerate(combo):
-                prob *= tree.shortfall_stages[si][wi].probability
-            tab = tables[li][y]
-            cost = tab.local * dec.local + sum(
-                c * o for c, o in zip(tab.offload, dec.offload)
-            )
-            cost += tab.wait * dec.offload_indicator
-            total += prob * cost
-        out[f"stage{zz}"] = total
-    terminal = 0.0
-    for (t, path_key, y), r in plan.residuals.items():
-        if not r:
-            continue
-        li, combo = path_key[0], path_key[1:]
-        prob = tree.demand[li].probability
-        for si, wi in enumerate(combo):
-            prob *= tree.shortfall_stages[si][wi].probability
-        terminal += prob * instance.costs.completion_penalty
-    out["terminal"] = terminal
-    return out
+    total, breakdown = _expectation(*_tree_path_costs(instance, plan, type_ids))
+    return (total, breakdown) if with_breakdown else total
 
 
 # ---------------------------------------------------------------------------

@@ -179,15 +179,22 @@ def loss_prefixes(tree: ScenarioTree, upto_stage: int) -> list[tuple[int, ...]]:
     return [tuple(c) for c in itertools.product(*(range(len(s)) for s in sets))]
 
 
+def _path_probability(
+    tree: ScenarioTree, demand_index: int, loss_indices: Sequence[int]
+) -> float:
+    """Probability of a demand pick followed by a shortfall prefix."""
+    p = tree.demand[demand_index].probability
+    for si, wi in enumerate(loss_indices):
+        p *= tree.shortfall_stages[si][wi].probability
+    return p
+
+
 def enumerate_terminal_paths(tree: ScenarioTree) -> list[ScenarioPath]:
-    paths = []
-    for di, dem in enumerate(tree.demand):
-        for combo in loss_prefixes(tree, tree.z):
-            p = dem.probability
-            for si, wi in enumerate(combo):
-                p *= tree.shortfall_stages[si][wi].probability
-            paths.append(ScenarioPath(di, combo, p))
-    return paths
+    return [
+        ScenarioPath(di, combo, _path_probability(tree, di, combo))
+        for di in range(len(tree.demand))
+        for combo in loss_prefixes(tree, tree.z)
+    ]
 
 
 def flag_product_exposure(

@@ -262,6 +262,25 @@ class TestRealizedCosts:
             for p in enumerate_terminal_paths(inst.tree)
         )
         assert et == pytest.approx(plan.expected_cost, abs=1e-9)
+        with pytest.raises(ValueError, match="no terminal path"):
+            realized_path_parts(inst, plan, 0, ())
+
+    def test_residual_flag_charges_penalty_where_coverage_holds(self):
+        inst = small_instance(z3_tree())
+        plan = evf_plan(inst)
+        calm = next(
+            p for p in enumerate_terminal_paths(inst.tree) if p.loss_indices == (1,)
+        )
+        key = (0, (calm.demand_index, *calm.loss_indices), 0)
+        assert plan.residuals[key] == 0
+        flagged = dataclasses.replace(plan, residuals={**plan.residuals, key: 1})
+        total, breakdown = exact_expected_cost(inst, flagged, with_breakdown=True)
+        rise = calm.probability * inst.costs.completion_penalty
+        assert total == pytest.approx(plan.expected_cost + rise, abs=1e-9)
+        assert breakdown["terminal"] == pytest.approx(
+            plan.stage_breakdown["terminal"] + rise, abs=1e-9
+        )
+        assert sum(breakdown.values()) == pytest.approx(total, abs=1e-9)
 
 
 class TestOffloadCurve:
@@ -302,6 +321,12 @@ class TestNodeLimits:
         plan = solve_phase2(z4, "sip", node_limit=1)
         assert not plan.optimal
         assert plan.expected_cost > 0.0
+        assert sum(plan.stage_breakdown.values()) == pytest.approx(
+            plan.expected_cost, abs=1e-9
+        )
+        assert exact_expected_cost(z4, plan) == pytest.approx(
+            plan.expected_cost, abs=1e-9
+        )
 
 
 class TestComposition:
