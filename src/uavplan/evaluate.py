@@ -237,7 +237,7 @@ def _sweep_point(
         inst = dataclasses.replace(
             instance, costs=dataclasses.replace(costs, crash_penalty=float(value))
         )
-        plan = solve_phase1(inst, node_limit=node_limit)
+        plan = solve_phase1(inst)
         return plan.expected_cost, _phase1_summary(plan), {}
 
     if parameter == "weather_prob":
@@ -263,7 +263,7 @@ def _sweep_point(
         inst = dataclasses.replace(
             instance, tree=dataclasses.replace(tree, weather=weather)
         )
-        plan = solve_phase1(inst, node_limit=node_limit)
+        plan = solve_phase1(inst)
         return plan.expected_cost, _phase1_summary(plan), {}
 
     if parameter == "z":

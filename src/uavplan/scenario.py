@@ -326,9 +326,11 @@ def model_size_phase2(
         2 t f (P2+..+Pz) + 2 t y f (P3+..+Pz) + t y (P3+..+Pz)
         + t y f P2 + 2 t y f Pz
 
-    With no recourse stages the P3.. sums are empty and Pz = P2. The
-    builder derives the same shape tuple from its actual index sets, so
-    formula and builder stay cross-checked.
+    With no recourse stages the P3.. sums are empty and Pz = P2. This
+    is the paper's count, whose variables are the subscription and
+    offload variables; it is not the size of the model
+    ``build_phase2_sip`` builds, which also carries local-copy counts,
+    route indicators and residual binaries, and covers one slot.
     """
     for name, v in (
         ("n_slots", n_slots),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uavplan.coding import CodeSplit
@@ -133,6 +134,40 @@ def small_instance(
         split=kw.pop("split", CodeSplit.from_slices(2, 1, 2)),
         tree=tree,
         **kw,
+    )
+
+
+def phase1_instance(rng, t, y, x, w):
+    """Instance whose first-phase model has shape (t, y, x, w)."""
+    types = UAV_TYPES[:x]
+    weather = tuple(
+        WeatherScenario(
+            strong_wind=tuple(int(f) for f in rng.integers(0, 2, size=y)),
+            probability=float(p),
+        )
+        for p in rng.dirichlet(np.ones(w))
+    )
+    tree = ScenarioTree(
+        weather=weather,
+        demand=(DemandScenario(dims=(240,) * y, probability=1.0),),
+    )
+    stations = tuple(
+        Station(id=i + 1, a=60.0, b=350.0 + 60.0 * i, uav_type=types[-1].id)
+        for i in range(y)
+    )
+    bss = tuple(
+        BaseStation(id=f + 1, a=300.0 + 50.0 * f, b=400.0, height=20.0, servers=6)
+        for f in range(2)
+    )
+    return NetworkInstance(
+        time_slots=t,
+        stations=stations,
+        uav_types=types,
+        base_stations=bss,
+        environment=ENV,
+        costs=make_costs(),
+        split=CodeSplit.from_slices(2, 1, 2),
+        tree=tree,
     )
 
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from uavplan.coding import (
-    CodeSplit,
     fractional_split,
     optimal_split,
     recovery_threshold,
@@ -29,9 +28,6 @@ from uavplan.evaluate import (
 from uavplan.milp import IPModel, solve_enumerate, solve_exact
 from uavplan.physics import GRAVITY, Position3D, hover_power, link_rate
 from uavplan.planner import (
-    BaseStation,
-    NetworkInstance,
-    Station,
     build_phase1,
     exact_expected_cost,
     offload_curve,
@@ -50,6 +46,7 @@ from conftest import (
     UAV_TYPES,
     guaranteed_stage,
     make_costs,
+    phase1_instance,
     small_instance,
     tree_z2,
     zero_stage,
@@ -65,52 +62,18 @@ def test_1_recovery_identities():
     print("ACCEPT 1/9 recovery identities: PASS")
 
 
-def _phase1_instance(rng, t, y, x, w):
-    """Instance whose first-phase model has shape (t, y, x, w)."""
-    types = UAV_TYPES[:x]
-    weather = tuple(
-        WeatherScenario(
-            strong_wind=tuple(int(f) for f in rng.integers(0, 2, size=y)),
-            probability=float(p),
-        )
-        for p in rng.dirichlet(np.ones(w))
-    )
-    tree = ScenarioTree(
-        weather=weather,
-        demand=(DemandScenario(dims=(240,) * y, probability=1.0),),
-    )
-    stations = tuple(
-        Station(id=i + 1, a=60.0, b=350.0 + 60.0 * i, uav_type=types[-1].id)
-        for i in range(y)
-    )
-    bss = tuple(
-        BaseStation(id=f + 1, a=300.0 + 50.0 * f, b=400.0, height=20.0, servers=6)
-        for f in range(2)
-    )
-    return NetworkInstance(
-        time_slots=t,
-        stations=stations,
-        uav_types=types,
-        base_stations=bss,
-        environment=ENV,
-        costs=make_costs(),
-        split=CodeSplit.from_slices(2, 1, 2),
-        tree=tree,
-    )
-
-
 def test_2_reservation_model_size_formula():
     """Closed-form first-phase model size against the built model,
     on the documented shape and on 50 random shapes.  Exact match."""
     rng = np.random.default_rng(2)
-    inst = _phase1_instance(rng, 6, 6, 3, 10)
+    inst = phase1_instance(rng, 6, 6, 3, 10)
     assert build_phase1(inst).size == model_size_phase1(6, 6, 3, 10) == (468, 864)
     for _ in range(50):
         t = int(rng.integers(1, 6))
         y = int(rng.integers(1, 5))
         x = int(rng.integers(2, 4))
         w = int(rng.integers(1, 5))
-        inst = _phase1_instance(rng, t, y, x, w)
+        inst = phase1_instance(rng, t, y, x, w)
         assert build_phase1(inst).size == model_size_phase1(t, y, x, w)
     print("ACCEPT 2/9 first-phase model size formula: PASS")
 

@@ -69,6 +69,22 @@ class TestPlan:
         assert "composed expected cost" in summary
         assert capsys.readouterr().out.startswith("composed expected cost")
 
+    def test_multislot_entries_name_their_slot(self, tmp_path):
+        inst = small_instance(tree_z2(1, [(240,)], [1.0], p_strong=0.3), time_slots=2)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, instance=write_instance(tmp_path, inst), out=str(out))
+        assert cli.main(["plan", "--config", cfg]) == 0
+        p2 = json.loads((out / "phase2_plan.json").read_text())
+        assert {e["slot"] for e in p2["plans"]} == {0, 1}
+        for entry in p2["plans"]:
+            names = [
+                v["variable"]
+                for part in ("subscriptions", "stage2", "recourse", "residuals")
+                for v in entry[part]
+            ]
+            assert names
+            assert all(f"[slot={entry['slot']}]" in name for name in names)
+
     def test_missing_instance_file_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, instance="missing.json")
         assert cli.main(["plan", "--config", cfg]) == 2
