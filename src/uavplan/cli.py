@@ -199,7 +199,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     path = out / f"sweep_{result.parameter}.csv"
     write_csv_atomic(path, header, [[row.get(h, "") for h in header] for row in rows])
     print(f"wrote {path} ({len(rows)} grid points)")
-    return EXIT_OK
+    cut = [v for v, ok in zip(result.grid, result.optimal) if not ok]
+    return _report_node_limit(result.parameter, cut)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -212,7 +213,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     n_seeds = int(section.get("n_seeds", 30))
     seeds = [config.seed + i for i in range(n_seeds)]
     try:
-        rows = offload_price_comparison(instance, multipliers, seeds)
+        rows = offload_price_comparison(
+            instance, multipliers, seeds, node_limit=config.node_limit
+        )
     except ValueError as exc:
         raise InputError(f"compare: {exc}") from exc
 
@@ -220,7 +223,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     path = out / "compare.csv"
     write_csv_atomic(path, header, [[row[h] for h in header] for row in rows])
     print(f"wrote {path} ({len(rows)} grid points)")
-    return EXIT_OK
+    cut = [row["multiplier"] for row in rows if not row["optimal"]]
+    return _report_node_limit("multiplier", cut)
+
+
+def _report_node_limit(label: str, cut: Sequence[float]) -> int:
+    """Exit code of a grid command: resource-limited when a node limit
+    cut any grid point's phase-2 solve short, which stdout names."""
+    if not cut:
+        return EXIT_OK
+    values = ", ".join(f"{v:g}" for v in cut)
+    print(
+        f"node limit reached at {label} {values}: "
+        "plans there are feasible, not proven optimal"
+    )
+    return EXIT_RESOURCE
 
 
 def cmd_size(args: argparse.Namespace) -> int:

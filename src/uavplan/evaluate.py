@@ -26,10 +26,9 @@ from .planner import (
     NetworkInstance,
     Phase2Plan,
     PlanningError,
-    _tree_path_costs,
+    _draw_random_plan,
+    _Pricing,
     evf_plan,
-    exact_expected_cost,
-    random_plan,
     solve_phase1,
     solve_phase2,
 )
@@ -98,13 +97,15 @@ class EvaluationReport:
 @dataclass(frozen=True)
 class SweepResult:
     """One sensitivity sweep: objective and decision summary per grid
-    point, in grid order."""
+    point, in grid order. ``optimal`` is false at a point whose phase-2
+    solve a node limit cut short (phase-1 points are always proven)."""
 
     parameter: str
     grid: tuple[float, ...]
     objectives: tuple[float, ...]
     summaries: tuple[str, ...]
     breakdowns: tuple[dict, ...]
+    optimal: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         if not self.grid:
@@ -112,7 +113,8 @@ class SweepResult:
         if any(b >= a for a, b in zip(self.grid[1:], self.grid)):
             raise ValueError("sweep grid must be strictly increasing")
         n = len(self.grid)
-        if not (len(self.objectives) == len(self.summaries) == len(self.breakdowns) == n):
+        columns = (self.objectives, self.summaries, self.breakdowns, self.optimal)
+        if any(len(column) != n for column in columns):
             raise ValueError("sweep result columns have mismatched lengths")
 
     def rows(self) -> list[dict]:
@@ -151,7 +153,9 @@ def evaluate_plan(
     instance.require_valid()
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    paths, stages, part_matrix = _tree_path_costs(instance, plan)
+    pricing = _Pricing.of(instance)
+    paths = pricing.paths
+    stages, part_matrix = pricing.path_costs(plan)
     probs = np.array([p.probability for p in paths])
     totals = part_matrix.sum(axis=1)
 
@@ -200,6 +204,13 @@ def _phase2_summary(plan: Phase2Plan) -> str:
     )
 
 
+def _phase2_point(plan: Phase2Plan, **extra) -> tuple[float, str, dict, bool]:
+    """A phase-2 grid point: objective, summary, the stage breakdown
+    followed by the ``extra`` columns, and whether the solve was proven."""
+    breakdown = {**plan.stage_breakdown, **extra}
+    return plan.expected_cost, _phase2_summary(plan), breakdown, plan.optimal
+
+
 def _guaranteed_stages(
     n_stations: int, z: int, magnitudes: Sequence[int]
 ) -> tuple[tuple[ShortfallScenario, ...], ...]:
@@ -228,7 +239,7 @@ def _sweep_point(
     value: float,
     spec: Mapping,
     node_limit: int | None,
-) -> tuple[float, str, dict]:
+) -> tuple[float, str, dict, bool]:
     costs = instance.costs
     tree = instance.tree
     n_y = len(instance.stations)
@@ -238,7 +249,7 @@ def _sweep_point(
             instance, costs=dataclasses.replace(costs, crash_penalty=float(value))
         )
         plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan), {}
+        return plan.expected_cost, _phase1_summary(plan), {}, True
 
     if parameter == "weather_prob":
         if len(tree.weather) != 2:
@@ -264,7 +275,7 @@ def _sweep_point(
             instance, tree=dataclasses.replace(tree, weather=weather)
         )
         plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan), {}
+        return plan.expected_cost, _phase1_summary(plan), {}, True
 
     if parameter == "z":
         zi = int(value)
@@ -276,7 +287,7 @@ def _sweep_point(
             instance, tree=dataclasses.replace(tree, shortfall_stages=stages)
         )
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return plan.expected_cost, _phase2_summary(plan), dict(plan.stage_breakdown)
+        return _phase2_point(plan)
 
     if parameter == "hover_multiplier":
         if value <= 0:
@@ -288,7 +299,7 @@ def _sweep_point(
             ),
         )
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return plan.expected_cost, _phase2_summary(plan), dict(plan.stage_breakdown)
+        return _phase2_point(plan)
 
     if parameter == "shortfall_prob":
         if not tree.shortfall_stages:
@@ -318,7 +329,7 @@ def _sweep_point(
             tree=dataclasses.replace(tree, shortfall_stages=tuple(stages)),
         )
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return plan.expected_cost, _phase2_summary(plan), dict(plan.stage_breakdown)
+        return _phase2_point(plan)
 
     if parameter == "split_s":
         si = int(value)
@@ -328,9 +339,7 @@ def _sweep_point(
         split = fractional_split(m, si)
         inst = dataclasses.replace(instance, split=split)
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        bd = dict(plan.stage_breakdown)
-        bd["k"] = split.k
-        return plan.expected_cost, _phase2_summary(plan), bd
+        return _phase2_point(plan, k=split.k)
 
     if parameter == "uav_type":
         tid = int(value)
@@ -339,7 +348,7 @@ def _sweep_point(
         plan = solve_phase2(
             instance, "sip", type_ids=[tid] * n_y, node_limit=node_limit
         )
-        return plan.expected_cost, _phase2_summary(plan), dict(plan.stage_breakdown)
+        return _phase2_point(plan)
 
     raise ValueError(
         f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
@@ -368,26 +377,58 @@ def sweep(
     grid = tuple(float(v) for v in spec.get("grid", ()))
     if not grid:
         raise ValueError("empty sweep grid")
-    objectives = []
-    summaries = []
-    breakdowns = []
-    for value in grid:
-        obj, summary, bd = _sweep_point(instance, parameter, value, spec, node_limit)
-        objectives.append(obj)
-        summaries.append(summary)
-        breakdowns.append(bd)
+    points = [
+        _sweep_point(instance, parameter, value, spec, node_limit) for value in grid
+    ]
+    objectives, summaries, breakdowns, optimal = zip(*points)
     return SweepResult(
         parameter=parameter,
         grid=grid,
-        objectives=tuple(objectives),
-        summaries=tuple(summaries),
-        breakdowns=tuple(breakdowns),
+        objectives=objectives,
+        summaries=summaries,
+        breakdowns=breakdowns,
+        optimal=optimal,
     )
 
 
 # ---------------------------------------------------------------------------
 # three-way comparison
 # ---------------------------------------------------------------------------
+
+
+def _draw_random_baseline(
+    instance: NetworkInstance, seeds: Sequence[int] | None
+) -> list[Phase2Plan]:
+    """One unpriced random plan per seed, from at least 30 seeds."""
+    if seeds is None:
+        seeds = DEFAULT_COMPARE_SEEDS
+    if len(seeds) < 30:
+        raise ValueError(f"random baseline needs >= 30 seeds, got {len(seeds)}")
+    return [_draw_random_plan(instance, s) for s in seeds]
+
+
+def _compare_drawn(
+    instance: NetworkInstance,
+    random_plans: Sequence[Phase2Plan],
+    node_limit: int | None,
+) -> tuple[dict[str, float], bool]:
+    """The three-way comparison with the random plans already drawn, and
+    whether every phase-2 solve in it was proven optimal. One set of cost
+    tables prices the random plans and cross-checks the SIP."""
+    pricing = _Pricing.of(instance)
+    sip = solve_phase2(instance, "sip", node_limit=node_limit)
+    evf = evf_plan(instance, node_limit=node_limit)
+    rand_costs = [pricing.expectation(plan)[0] for plan in random_plans]
+    # the SIP objective is its own exact expectation; assert rather than trust
+    gap = abs(sip.expected_cost - pricing.expectation(sip)[0])
+    if gap > 1e-9:
+        raise PlanningError(f"solver objective drifted from tree expectation by {gap}")
+    costs = {
+        "sip_cost": sip.expected_cost,
+        "evf_cost": evf.expected_cost,
+        "random_cost": float(np.mean(rand_costs)),
+    }
+    return costs, sip.optimal and evf.optimal
 
 
 def compare(
@@ -400,40 +441,34 @@ def compare(
 
     All three are exact tree expectations (no sampling noise); the
     random baseline is averaged over the seed list, which must hold at
-    least 30 seeds for the average to mean anything.
+    least 30 seeds for the average to mean anything. ``node_limit``
+    caps the SIP solve and the expected-value plan's deterministic
+    solve.
     """
     instance.require_valid()
-    if seeds is None:
-        seeds = DEFAULT_COMPARE_SEEDS
-    if len(seeds) < 30:
-        raise ValueError(f"random baseline needs >= 30 seeds, got {len(seeds)}")
-    sip = solve_phase2(instance, "sip", node_limit=node_limit)
-    evf = evf_plan(instance)
-    rand_costs = [random_plan(instance, seed=s).expected_cost for s in seeds]
-    # the SIP objective is its own exact expectation; assert rather than trust
-    gap = abs(sip.expected_cost - exact_expected_cost(instance, sip))
-    if gap > 1e-9:
-        raise PlanningError(f"solver objective drifted from tree expectation by {gap}")
-    return {
-        "sip_cost": sip.expected_cost,
-        "evf_cost": evf.expected_cost,
-        "random_cost": float(np.mean(rand_costs)),
-    }
+    drawn = _draw_random_baseline(instance, seeds)
+    return _compare_drawn(instance, drawn, node_limit)[0]
 
 
 def offload_price_comparison(
     instance: NetworkInstance,
     multipliers: Sequence[float] = DEFAULT_PRICE_MULTIPLIERS,
     seeds: Sequence[int] | None = None,
+    node_limit: int | None = None,
 ) -> list[dict]:
     """Three-way comparison swept over the offload service fee.
 
     Scales the per-copy service fee by each multiplier and runs the
-    exact comparison; one row per multiplier in grid order."""
+    exact comparison; one row per multiplier in grid order, each with
+    the ``compare`` costs and ``optimal``, false when a node limit cut
+    one of its phase-2 solves short. The random plans read no price, so
+    each seed's plan is drawn once and priced at every multiplier."""
     if len(multipliers) < 1:
         raise ValueError("need at least one price multiplier")
     if any(b >= a for a, b in zip(multipliers[1:], multipliers)):
         raise ValueError("price multipliers must be strictly increasing")
+    instance.require_valid()
+    drawn = _draw_random_baseline(instance, seeds)
     rows = []
     for mult in multipliers:
         inst = dataclasses.replace(
@@ -442,6 +477,6 @@ def offload_price_comparison(
                 instance.costs, service_fee=instance.costs.service_fee * float(mult)
             ),
         )
-        result = compare(inst, seeds=seeds)
-        rows.append({"multiplier": float(mult), **result})
+        costs, optimal = _compare_drawn(inst, drawn, node_limit)
+        rows.append({"multiplier": float(mult), **costs, "optimal": optimal})
     return rows

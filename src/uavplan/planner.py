@@ -926,25 +926,35 @@ def _mean_demand_and_shortfall(
 
 
 def evf_plan(
-    instance: NetworkInstance, type_ids: Sequence[int] | None = None
+    instance: NetworkInstance,
+    type_ids: Sequence[int] | None = None,
+    node_limit: int | None = None,
 ) -> Phase2Plan:
     """Expected-value baseline: solve the deterministic program on mean
     demand and mean shortfall, then freeze those decisions across every
     scenario. Expected cost is the exact tree evaluation of the frozen
     plan (recourse stages stay at zero; residual penalties fall where
-    the frozen provision cannot cover a path's losses)."""
+    the frozen provision cannot cover a path's losses). ``node_limit``
+    caps the deterministic solve; the plan is ``optimal`` when that
+    solve was proven."""
     instance.require_valid()
-    ids = _resolve_type_ids(instance, type_ids)
+    pricing = _Pricing.of(instance, type_ids)
     mean_dims, mean_short = _mean_demand_and_shortfall(instance)
     dip = solve_phase2(
-        instance, "dip", demand=mean_dims, shortfall=mean_short, type_ids=ids
-    )
-    return _freeze_stage2_plan(
         instance,
-        ids,
+        "dip",
+        demand=mean_dims,
+        shortfall=mean_short,
+        type_ids=pricing.type_ids,
+        node_limit=node_limit,
+    )
+    plan = _freeze_stage2_plan(
+        instance,
         subscriptions=dip.subscriptions,
         decision_for=lambda t, li, y: dip.stage2[t, 0, y],
     )
+    plan.optimal = dip.optimal
+    return pricing.price(plan)
 
 
 def random_plan(
@@ -960,7 +970,15 @@ def random_plan(
     stages stay at zero; residual penalties land wherever the drawn
     provision cannot cover a path's losses."""
     instance.require_valid()
-    ids = _resolve_type_ids(instance, type_ids)
+    pricing = _Pricing.of(instance, type_ids)
+    return pricing.price(_draw_random_plan(instance, seed))
+
+
+def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
+    """``random_plan``'s decisions and residual flags, not yet priced.
+
+    The draw reads no price, so one draw serves the instance at every
+    price; ``_Pricing.price`` sets its cost."""
     rng = np.random.default_rng(seed)
     tree = instance.tree
     k = instance.split.k
@@ -1027,7 +1045,6 @@ def random_plan(
 
     return _freeze_stage2_plan(
         instance,
-        ids,
         subscriptions=tuple(tuple(subs_row) for _ in range(instance.time_slots)),
         decision_for=lambda t, li, y: decisions[t, li, y],
     )
@@ -1035,12 +1052,11 @@ def random_plan(
 
 def _freeze_stage2_plan(
     instance: NetworkInstance,
-    type_ids: tuple[int, ...],
     subscriptions: tuple[tuple[int, ...], ...],
     decision_for,
 ) -> Phase2Plan:
-    """Assemble a Phase2Plan from fixed stage-2 decisions: zero recourse
-    and residual flags derived from path coverage."""
+    """Assemble an unpriced Phase2Plan from fixed stage-2 decisions: zero
+    recourse and residual flags derived from path coverage."""
     tree = instance.tree
     k = instance.split.k
     n_y = len(instance.stations)
@@ -1066,17 +1082,13 @@ def _freeze_stage2_plan(
                         tree, k, dec.total, dec.offload_indicator, path.loss_indices, y
                     )
                 )
-    plan = Phase2Plan(
+    return Phase2Plan(
         subscriptions=subscriptions,
         stage2=stage2,
         recourse=recourse,
         residuals=residuals,
         expected_cost=0.0,
     )
-    plan.expected_cost, plan.stage_breakdown = exact_expected_cost(
-        instance, plan, type_ids, with_breakdown=True
-    )
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -1158,14 +1170,39 @@ def _path_costs(
     return labels, np.array(rows, dtype=float).reshape(len(paths), len(labels))
 
 
-def _tree_path_costs(
-    instance: NetworkInstance, plan: Phase2Plan, type_ids: Sequence[int] | None = None
-) -> tuple[list[ScenarioPath], tuple[str, ...], np.ndarray]:
-    """The tree's terminal paths and the plan's cost array over them."""
-    paths = enumerate_terminal_paths(instance.tree)
-    ids = _resolve_type_ids(instance, type_ids)
-    tables = _stage_cost_tables(instance, ids, [d.dims for d in instance.tree.demand])
-    return (paths, *_path_costs(instance, plan, tables, paths))
+@dataclass(frozen=True)
+class _Pricing:
+    """The terminal paths and cost tables of one instance and fleet.
+    Built once, they price any number of plans on that instance."""
+
+    instance: NetworkInstance
+    type_ids: tuple[int, ...]
+    paths: list[ScenarioPath]
+    tables: list[list[_CostTable]]
+
+    @classmethod
+    def of(
+        cls, instance: NetworkInstance, type_ids: Sequence[int] | None = None
+    ) -> "_Pricing":
+        ids = _resolve_type_ids(instance, type_ids)
+        dims = [d.dims for d in instance.tree.demand]
+        return cls(
+            instance,
+            ids,
+            enumerate_terminal_paths(instance.tree),
+            _stage_cost_tables(instance, ids, dims),
+        )
+
+    def path_costs(self, plan: Phase2Plan) -> tuple[tuple[str, ...], np.ndarray]:
+        return _path_costs(self.instance, plan, self.tables, self.paths)
+
+    def expectation(self, plan: Phase2Plan) -> tuple[float, dict[str, float]]:
+        return _expectation(self.paths, *self.path_costs(plan))
+
+    def price(self, plan: Phase2Plan) -> Phase2Plan:
+        """Set the plan's expected cost and stage breakdown; returns it."""
+        plan.expected_cost, plan.stage_breakdown = self.expectation(plan)
+        return plan
 
 
 def _expectation(
@@ -1193,9 +1230,10 @@ def realized_path_parts(
     threshold plus its offload-gated losses, or when the plan's residual
     flag is set there. Keys: stage1, stage2, stage3.., terminal.
     """
-    paths, labels, costs = _tree_path_costs(instance, plan, type_ids)
+    pricing = _Pricing.of(instance, type_ids)
+    labels, costs = pricing.path_costs(plan)
     wanted = (demand_index, tuple(loss_indices))
-    for path, row in zip(paths, costs):
+    for path, row in zip(pricing.paths, costs):
         if (path.demand_index, path.loss_indices) == wanted:
             return dict(zip(labels, row.tolist()))
     raise ValueError(f"no terminal path ({demand_index}, {loss_indices}) in the tree")
@@ -1209,7 +1247,7 @@ def exact_expected_cost(
 ):
     """Exact expectation of the plan's realized cost over all terminal
     paths (no sampling)."""
-    total, breakdown = _expectation(*_tree_path_costs(instance, plan, type_ids))
+    total, breakdown = _Pricing.of(instance, type_ids).expectation(plan)
     return (total, breakdown) if with_breakdown else total
 
 

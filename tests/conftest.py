@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,21 @@ def small_instance(
         tree=tree,
         **kw,
     )
+
+
+def branching_instance() -> NetworkInstance:
+    """One station, two demand scenarios and one loss stage: the SIP
+    needs more than one branch-and-bound node, while the expected-value
+    DIP closes at the root, so ``node_limit=1`` cuts the SIP short and
+    leaves the DIP proven."""
+    loss = (
+        ShortfallScenario(flags=(1,), magnitudes=(2,), probability=0.5),
+        ShortfallScenario(flags=(0,), magnitudes=(0,), probability=0.5),
+    )
+    tree = dataclasses.replace(
+        tree_z2(1, [(240,), (480,)], [0.5, 0.5]), shortfall_stages=(loss,)
+    )
+    return small_instance(tree)
 
 
 def phase1_instance(rng, t, y, x, w):

@@ -5,10 +5,11 @@ import json
 
 import pytest
 
+import uavplan.planner as planner
 from uavplan import cli
 from uavplan.io import instance_to_dict, write_json_atomic
 
-from conftest import guaranteed_stage, small_instance, tree_z2
+from conftest import branching_instance, guaranteed_stage, small_instance, tree_z2
 
 
 def write_config(tmp_path, name="config.json", **body):
@@ -22,6 +23,20 @@ def write_instance(tmp_path, inst, name="instance.json"):
     path = tmp_path / name
     write_json_atomic(path, instance_to_dict(inst))
     return name
+
+
+@pytest.fixture
+def branching_setup(tmp_path):
+    """Config for an instance whose SIP a node limit of 1 cuts short."""
+    iname = write_instance(tmp_path, branching_instance())
+    cfg = write_config(
+        tmp_path,
+        instance=iname,
+        out=str(tmp_path / "out"),
+        sweep={"parameter": "hover_multiplier", "grid": [0.5, 1.0]},
+        compare={"multipliers": [1.0, 2.0], "n_seeds": 30},
+    )
+    return cfg, tmp_path / "out"
 
 
 @pytest.fixture
@@ -156,6 +171,15 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg]) == 2
 
 
+    def test_node_limit_returns_resource_code(self, branching_setup, capsys):
+        cfg, out = branching_setup
+        assert cli.main(["sweep", "--config", cfg, "--node-limit", "1"]) == 3
+        assert len((out / "sweep_hover_multiplier.csv").read_text().splitlines()) == 3
+        stdout = capsys.readouterr().out
+        assert "node limit reached at hover_multiplier 0.5, 1: " in stdout
+        assert cli.main(["sweep", "--config", cfg]) == 0
+
+
 class TestCompare:
     def test_writes_dominant_rows(self, flat_setup):
         cfg, out = flat_setup
@@ -169,6 +193,28 @@ class TestCompare:
         assert lines[0] == "multiplier,sip_cost,evf_cost,random_cost"
         _, sip, evf, rand = (float(v) for v in lines[1].split(","))
         assert sip <= evf + 1e-9 and sip <= rand + 1e-9
+
+    def test_node_limit_returns_resource_code(self, branching_setup, capsys):
+        cfg, out = branching_setup
+        assert cli.main(["compare", "--config", cfg, "--node-limit", "1"]) == 3
+        assert len((out / "compare.csv").read_text().splitlines()) == 3
+        stdout = capsys.readouterr().out
+        assert "node limit reached at multiplier 1, 2: " in stdout
+        assert cli.main(["compare", "--config", cfg]) == 0
+
+    def test_node_limit_reaches_every_solve(self, branching_setup, monkeypatch):
+        cfg, _ = branching_setup
+        calls = []
+        solve = planner.solve_exact
+
+        def recorded(model, **kwargs):
+            calls.append((model.name, kwargs.get("node_limit")))
+            return solve(model, **kwargs)
+
+        monkeypatch.setattr(planner, "solve_exact", recorded)
+        assert cli.main(["compare", "--config", cfg, "--node-limit", "500"]) == 0
+        # one SIP and one expected-value DIP per multiplier
+        assert sorted(calls) == [("phase2_dip", 500)] * 2 + [("phase2_sip", 500)] * 2
 
 
 class TestIngestDemand:

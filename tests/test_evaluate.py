@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+import uavplan.evaluate as evaluate
+import uavplan.planner as planner
 from uavplan.evaluate import (
     EvaluationReport,
     SWEEP_PARAMETERS,
@@ -20,7 +22,7 @@ from uavplan.scenario import (
     WeatherScenario,
 )
 
-from conftest import make_costs, small_instance, tree_z2
+from conftest import branching_instance, make_costs, small_instance, tree_z2
 
 
 def z3_tree(p_loss: float = 0.5, mag: int = 2) -> ScenarioTree:
@@ -171,6 +173,14 @@ class TestSweep:
         spec = {"parameter": "shortfall_prob", "grid": [0.2, 0.8]}
         assert sweep(inst, spec).rows() == sweep(inst, spec).rows()
 
+    def test_points_flag_solves_cut_short(self):
+        inst = branching_instance()
+        spec = {"parameter": "hover_multiplier", "grid": [0.5, 1.0]}
+        assert sweep(inst, spec, node_limit=1).optimal == (False, False)
+        assert sweep(inst, spec).optimal == (True, True)
+        penalty = {"parameter": "penalty_C_p", "grid": [1.0]}
+        assert sweep(inst, penalty, node_limit=1).optimal == (True,)
+
     def test_parameter_catalog_is_exposed(self):
         assert "penalty_C_p" in SWEEP_PARAMETERS
         assert len(SWEEP_PARAMETERS) == 7
@@ -195,13 +205,54 @@ class TestCompare:
             compare(inst, seeds=range(5))
 
 
+def scaled_fee(inst, mult: float):
+    fee = inst.costs.service_fee * mult
+    return dataclasses.replace(inst, costs=dataclasses.replace(inst.costs, service_fee=fee))
+
+
 class TestPriceComparison:
-    def test_rejects_bad_multipliers(self):
+    def test_rejects_bad_multipliers(self, monkeypatch):
+        """Bad grids and thin seed lists fail before any solve."""
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
+        solves = []
+        monkeypatch.setattr(planner, "solve_exact", lambda *a, **kw: solves.append(a))
         with pytest.raises(ValueError, match="at least one"):
             offload_price_comparison(inst, multipliers=())
-        with pytest.raises(ValueError, match="strictly increasing"):
-            offload_price_comparison(inst, multipliers=(2.0, 1.0))
+        for grid in ((2.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                offload_price_comparison(inst, multipliers=grid)
+        with pytest.raises(ValueError, match="30 seeds"):
+            offload_price_comparison(inst, multipliers=(1.0, 2.0), seeds=range(29))
+        assert solves == []
+
+    def test_rows_equal_compare_run_alone(self):
+        inst = small_instance(tree_z2(1, [(240,), (480,)], [0.5, 0.5]))
+        mults = (0.5, 1.0, 3.0)
+        rows = offload_price_comparison(inst, multipliers=mults, seeds=range(30))
+        assert len(rows) == len(mults)
+        for mult, row in zip(mults, rows):
+            alone = compare(scaled_fee(inst, mult), seeds=range(30))
+            assert row == {"multiplier": mult, **alone, "optimal": True}
+
+    def test_draws_each_seed_once(self, monkeypatch):
+        inst = small_instance(tree_z2(1, [(240,)], [1.0]))
+        seeds = []
+        draw = evaluate._draw_random_plan
+
+        def counted(instance, seed):
+            seeds.append(seed)
+            return draw(instance, seed)
+
+        monkeypatch.setattr(evaluate, "_draw_random_plan", counted)
+        offload_price_comparison(inst, multipliers=(0.5, 1.0, 2.0), seeds=range(30))
+        assert seeds == list(range(30))
+
+    def test_rows_flag_solves_cut_short(self):
+        inst = branching_instance()
+        (row,) = offload_price_comparison(inst, multipliers=(1.0,), node_limit=1)
+        assert row["optimal"] is False
+        (row,) = offload_price_comparison(inst, multipliers=(1.0,))
+        assert row["optimal"] is True
 
     def test_rows_keep_dominance(self):
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))

@@ -37,6 +37,7 @@ from uavplan.scenario import (
 
 from conftest import (
     UAV_TYPES,
+    branching_instance,
     guaranteed_stage,
     make_costs,
     phase1_instance,
@@ -289,6 +290,20 @@ class TestBaselines:
         assert a.stage2 == b.stage2
         assert a.expected_cost == b.expected_cost
 
+    def test_random_plan_draw_ignores_service_fee(self):
+        inst = branching_instance()
+        dear = dataclasses.replace(
+            inst, costs=dataclasses.replace(inst.costs, service_fee=3.0)
+        )
+        repriced = 0
+        for seed in range(5):
+            a, b = random_plan(inst, seed), random_plan(dear, seed)
+            assert a.subscriptions == b.subscriptions
+            assert a.stage2 == b.stage2
+            assert a.residuals == b.residuals
+            repriced += a.expected_cost != b.expected_cost
+        assert repriced  # some draws offload, so the fee reaches their cost
+
     def test_random_plan_cost_is_exact_evaluation(self):
         inst = small_instance(z3_tree())
         plan = random_plan(inst, seed=3)
@@ -371,6 +386,21 @@ class TestNodeLimits:
                 demand=list(curve_instance.tree.demand[0].dims),
                 node_limit=1,
             )
+
+    def test_evf_forwards_node_limit(self, bundled_instance):
+        n = len(bundled_instance.stations)
+        z4 = dataclasses.replace(
+            bundled_instance,
+            tree=dataclasses.replace(
+                bundled_instance.tree,
+                shortfall_stages=(guaranteed_stage(n, 4), guaranteed_stage(n, 14)),
+            ),
+        )
+        # its mean-value DIP needs more than one node and has no warm start
+        with pytest.raises(ResourceLimitError, match="node limit"):
+            evf_plan(z4, node_limit=1)
+        # this one's DIP closes at the root, so its plan is proven
+        assert evf_plan(branching_instance(), node_limit=1).optimal
 
     def test_sip_returns_warm_incumbent(self, bundled_instance):
         n = len(bundled_instance.stations)
