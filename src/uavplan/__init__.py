@@ -71,6 +71,7 @@ from .io import (
 )
 from .planner import (
     BaseStation,
+    InfeasibleModelError,
     NetworkInstance,
     Phase1Plan,
     Phase2Plan,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .coding import fractional_split
 from .planner import (
+    InfeasibleModelError,
     NetworkInstance,
     Phase2Plan,
     PlanningError,
@@ -417,7 +418,13 @@ def _compare_drawn(
     tables prices the random plans and cross-checks the SIP."""
     pricing = _Pricing.of(instance)
     sip = solve_phase2(instance, "sip", node_limit=node_limit)
-    evf = evf_plan(instance, node_limit=node_limit)
+    try:
+        evf = evf_plan(instance, node_limit=node_limit)
+    except InfeasibleModelError:
+        # no expected-value plan exists; branch and bound proved it
+        evf_cost, evf_optimal = math.inf, True
+    else:
+        evf_cost, evf_optimal = evf.expected_cost, evf.optimal
     rand_costs = [pricing.expectation(plan)[0] for plan in random_plans]
     # the SIP objective is its own exact expectation; assert rather than trust
     gap = abs(sip.expected_cost - pricing.expectation(sip)[0])
@@ -425,10 +432,10 @@ def _compare_drawn(
         raise PlanningError(f"solver objective drifted from tree expectation by {gap}")
     costs = {
         "sip_cost": sip.expected_cost,
-        "evf_cost": evf.expected_cost,
+        "evf_cost": evf_cost,
         "random_cost": float(np.mean(rand_costs)),
     }
-    return costs, sip.optimal and evf.optimal
+    return costs, sip.optimal and evf_optimal
 
 
 def compare(
@@ -443,7 +450,8 @@ def compare(
     random baseline is averaged over the seed list, which must hold at
     least 30 seeds for the average to mean anything. ``node_limit``
     caps the SIP solve and the expected-value plan's deterministic
-    solve.
+    solve. ``evf_cost`` is ``inf`` when that deterministic program has
+    no feasible point, so no expected-value plan exists.
     """
     instance.require_valid()
     drawn = _draw_random_baseline(instance, seeds)

@@ -4,6 +4,13 @@ Three entry points with deliberately independent solution paths:
 
 - :func:`solve_lp_relaxation`: bounded-variable two-phase primal
   simplex (dense, revised, Bland's-rule fallback for anti-cycling).
+  Every solve starts from a slack crash basis: a row whose slack can
+  absorb the residual at the starting point (variables at their bound
+  nearest zero) starts with that slack basic, and only the other rows
+  get an artificial, so phase 1 works only on violated rows. Each pivot
+  updates the explicit basis inverse only on the rows where the
+  entering column is nonzero, and the ratio test visits only the rows
+  whose basic variable moves.
 - :func:`solve_exact`: branch and bound over the LP relaxation with
   best-bound node selection, most-fractional branching, and an initial
   depth-first dive until the first incumbent.
@@ -11,7 +18,8 @@ Three entry points with deliberately independent solution paths:
   integer assignment, used as an oracle against ``solve_exact``.
 
 Everything is deterministic: identical models produce identical pivots,
-node orders, and solutions on every run.
+node orders, and solutions on every run. A returned point must satisfy
+every row to 1e-6, or the solve raises :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -75,6 +83,8 @@ class Solution:
     objective: float | None
     assignment: np.ndarray | None
     nodes_explored: int = 0
+    # (phase-1, phase-2) simplex entering steps over every LP solved
+    simplex_pivots: tuple[int, int] = (0, 0)
 
     def value(self, model: "IPModel", name: str) -> float:
         if self.assignment is None:
@@ -262,8 +272,12 @@ _BASIC = 3
 
 
 class _PreparedLP:
-    """Dense standard form [A | I_slack | D_artificial] x = b, reusable
-    across branch-and-bound nodes (only structural bounds change)."""
+    """Dense standard form [A | I_slack | I_artificial] x = b, reusable
+    across branch-and-bound nodes (only structural bounds change).
+
+    Nothing here changes after construction: each solve keeps its own
+    bounds, basis and artificial signs, so solves of one prepared LP may
+    interleave."""
 
     def __init__(self, model: IPModel) -> None:
         a, b, senses = model.constraint_matrix()
@@ -275,6 +289,7 @@ class _PreparedLP:
         self.a_full = np.zeros((self.m, n_total))
         self.a_full[:, : self.n] = a
         self.a_full[:, self.n : self.n + self.m] = np.eye(self.m)
+        self.a_full[:, self.n + self.m :] = np.eye(self.m)
         self.slack_lo = np.zeros(self.m)
         self.slack_up = np.zeros(self.m)
         for i, sense in enumerate(senses):
@@ -286,14 +301,13 @@ class _PreparedLP:
                 self.slack_lo[i], self.slack_up[i] = 0.0, 0.0
 
     def solve(self, lo_struct: np.ndarray, up_struct: np.ndarray):
-        """Returns (status, x_struct, objective)."""
+        """Returns (status, x_struct, objective, (phase-1, phase-2) steps)."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         lo = np.empty(n_total)
         up = np.empty(n_total)
         lo[:n], up[:n] = lo_struct, up_struct
         lo[n : n + m], up[n : n + m] = self.slack_lo, self.slack_up
-        lo[n + m :], up[n + m :] = 0.0, math.inf
 
         status = np.empty(n_total, dtype=np.int8)
         x = np.zeros(n_total)
@@ -311,40 +325,54 @@ class _PreparedLP:
             status[j] = _AT_UPPER if self.senses[i] == ">=" else _AT_LOWER
             x[j] = 0.0
 
+        # slack crash basis: a row whose slack can absorb the residual at
+        # the starting point starts with that slack basic; every other row
+        # gets a basic artificial. All these columns are unit columns, so
+        # B^-1 starts as I. An artificial's sign lives in its bounds and
+        # its phase-1 cost; unused artificials are fixed at 0, so they can
+        # never enter.
         residual = self.b - self.a_full[:, :n] @ x[:n]
-        art_sign = np.where(residual >= 0.0, 1.0, -1.0)
-        art_cols = np.arange(n + m, n_total)
-        self.a_full[:, art_cols] = 0.0
-        self.a_full[np.arange(m), art_cols] = art_sign
-
-        basis = list(range(n + m, n_total))
-        status[art_cols] = _BASIC
-        x[art_cols] = np.abs(residual)
-        b_inv = np.diag(art_sign).copy()
-
+        slack_fits = (self.slack_lo <= residual) & (residual <= self.slack_up)
+        used = ~slack_fits
+        sign = np.where(residual < 0.0, -1.0, 1.0)
+        slack_cols = np.arange(n, n + m)
+        art_cols = slack_cols + m
+        status[slack_cols[slack_fits]] = _BASIC
+        x[slack_cols[slack_fits]] = residual[slack_fits]
+        lo[art_cols] = np.where(used & (sign < 0), -math.inf, 0.0)
+        up[art_cols] = np.where(used & (sign > 0), math.inf, 0.0)
+        status[art_cols] = np.where(used, _BASIC, _AT_LOWER)
+        x[art_cols] = np.where(used, residual, 0.0)
+        basis = np.where(slack_fits, slack_cols, art_cols).tolist()
+        b_inv = np.eye(m)
         c_phase1 = np.zeros(n_total)
-        c_phase1[art_cols] = 1.0
-        outcome = self._simplex(c_phase1, lo, up, basis, status, x, b_inv)
-        if outcome == "unbounded":  # cannot happen for a bounded-below phase 1
-            raise SolverError("phase-1 simplex reported unbounded")
-        if float(c_phase1 @ x) > 1e-7:
-            return "infeasible", None, None
-        # pin artificials at zero for phase 2
-        lo[art_cols] = 0.0
-        up[art_cols] = 0.0
-        x[art_cols] = np.where(status[art_cols] == _BASIC, x[art_cols], 0.0)
+        c_phase1[art_cols] = np.where(used, sign, 0.0)
+
+        steps1 = 0
+        if used.any():
+            outcome, steps1 = self._simplex(c_phase1, lo, up, basis, status, x, b_inv)
+            if outcome == "unbounded":  # cannot happen for a bounded-below phase 1
+                raise SolverError("phase-1 simplex reported unbounded")
+            if float(c_phase1 @ x) > 1e-7:
+                return "infeasible", None, None, (steps1, 0)
+            # pin artificials at zero for phase 2
+            lo[art_cols] = 0.0
+            up[art_cols] = 0.0
+            x[art_cols] = np.where(status[art_cols] == _BASIC, x[art_cols], 0.0)
 
         c_phase2 = np.zeros(n_total)
         c_phase2[:n] = self.c_struct
-        outcome = self._simplex(c_phase2, lo, up, basis, status, x, b_inv)
+        outcome, steps2 = self._simplex(c_phase2, lo, up, basis, status, x, b_inv)
         if outcome == "unbounded":
-            return "unbounded", None, None
+            return "unbounded", None, None, (steps1, steps2)
         x_struct = np.clip(x[:n], lo_struct, up_struct)
-        return "optimal", x_struct, float(self.c_struct @ x_struct)
+        return "optimal", x_struct, float(self.c_struct @ x_struct), (steps1, steps2)
 
-    def _simplex(self, c, lo, up, basis, status, x, b_inv) -> str:
-        """Run primal iterations to optimality on the current basis."""
-        m = self.m
+    def _simplex(self, c, lo, up, basis, status, x, b_inv) -> tuple[str, int]:
+        """Run primal iterations to optimality on the current basis.
+
+        Returns the outcome and the number of entering steps taken (a
+        bound flip counts as one)."""
         a = self.a_full
         bland = False
         stall = 0
@@ -369,7 +397,7 @@ class _PreparedLP:
             free = (status == _FREE) & (np.abs(d) > _DUAL_TOL)
             eligible = np.flatnonzero(at_lower | at_upper | free)
             if eligible.size == 0:
-                return "optimal"
+                return "optimal", iteration
             if bland:
                 enter = int(eligible[0])
             else:
@@ -382,19 +410,18 @@ class _PreparedLP:
             theta = own_span if math.isfinite(own_span) else math.inf
             leave_row = -1
             rates = -direction * w
-            for i in range(m):
+            # only rows whose basic variable moves can bound the step
+            for i in np.flatnonzero(np.abs(rates) > _PIVOT_TOL).tolist():
                 rate = rates[i]
                 k = basis[i]
-                if rate > _PIVOT_TOL:
+                if rate > 0.0:
                     if up[k] == math.inf:
                         continue
                     step = (up[k] - x[k]) / rate
-                elif rate < -_PIVOT_TOL:
+                else:
                     if lo[k] == -math.inf:
                         continue
                     step = (x[k] - lo[k]) / (-rate)
-                else:
-                    continue
                 if step < -1e-12:
                     step = 0.0
                 better = step < theta - 1e-12
@@ -413,7 +440,7 @@ class _PreparedLP:
                     theta = min(step, theta)
                     leave_row = i
             if theta == math.inf:
-                return "unbounded"
+                return "unbounded", iteration
             theta = max(theta, 0.0)
 
             x[basis] += -direction * theta * w
@@ -432,8 +459,10 @@ class _PreparedLP:
                 pivot = w[leave_row]
                 if abs(pivot) < _PIVOT_TOL:
                     raise SolverError("numerically zero pivot")
+                # rank-1 update on the rows the entering column touches
                 row = b_inv[leave_row, :] / pivot
-                b_inv -= np.outer(w, row)
+                nz = np.flatnonzero(w)
+                b_inv[nz] -= w[nz, None] * row
                 b_inv[leave_row, :] = row
 
             z = float(c @ x)
@@ -447,6 +476,13 @@ class _PreparedLP:
         raise SolverError("simplex iteration limit exceeded")
 
 
+def _certify(model: IPModel, x: np.ndarray) -> None:
+    """Refuse to return a point that breaks a row by more than 1e-6."""
+    violation = model.max_violation(x)
+    if not violation <= _FEAS_TOL:
+        raise SolverError(f"solver point violates a row by {violation:.3g}")
+
+
 def solve_lp_relaxation(model: IPModel) -> Solution:
     """Solve the continuous relaxation (integrality dropped)."""
     if model.num_variables == 0:
@@ -455,11 +491,17 @@ def solve_lp_relaxation(model: IPModel) -> Solution:
         )
     prepared = _PreparedLP(model)
     lo, up = model.bounds_arrays()
-    status, x, obj = prepared.solve(lo, up)
+    status, x, obj, pivots = prepared.solve(lo, up)
     if status != "optimal":
-        return Solution(status=status, objective=None, assignment=None)
+        return Solution(
+            status=status, objective=None, assignment=None, simplex_pivots=pivots
+        )
+    _certify(model, x)
     return Solution(
-        status="optimal", objective=obj + model.objective_constant, assignment=x
+        status="optimal",
+        objective=obj + model.objective_constant,
+        assignment=x,
+        simplex_pivots=pivots,
     )
 
 
@@ -542,9 +584,31 @@ def solve_exact(
 
     c = model.objective_vector()
     nodes = 0
+    pivots = [0, 0]  # (phase-1, phase-2) simplex steps over every node LP
     truncated = False  # set whenever the node budget cuts work short
     incumbent_obj = math.inf
     incumbent_x: np.ndarray | None = None
+
+    def solve_node(lo: np.ndarray, up: np.ndarray):
+        nonlocal nodes
+        status, x, obj, (steps1, steps2) = prepared.solve(lo, up)
+        nodes += 1
+        pivots[0] += steps1
+        pivots[1] += steps2
+        return status, x, obj
+
+    def finish(status: str) -> Solution:
+        """The result; an incumbent it returns must satisfy every row."""
+        x = incumbent_x if status in ("optimal", "node_limit") else None
+        if x is not None:
+            _certify(model, x)
+        return Solution(
+            status=status,
+            objective=None if x is None else incumbent_obj + model.objective_constant,
+            assignment=x,
+            nodes_explored=nodes,
+            simplex_pivots=(pivots[0], pivots[1]),
+        )
 
     def make_incumbent(x: np.ndarray) -> tuple[float, np.ndarray]:
         xi = x.copy()
@@ -566,21 +630,13 @@ def solve_exact(
             raise ValueError("warm start violates model constraints")
         incumbent_obj, incumbent_x = make_incumbent(xw)
 
-    status0, x0, obj0 = prepared.solve(lo0, up0)
-    nodes += 1
-    if status0 == "infeasible":
-        return Solution(status="infeasible", objective=None, assignment=None, nodes_explored=nodes)
-    if status0 == "unbounded":
-        return Solution(status="unbounded", objective=None, assignment=None, nodes_explored=nodes)
+    status0, x0, obj0 = solve_node(lo0, up0)
+    if status0 != "optimal":
+        return finish(status0)
 
     if incumbent_x is not None and obj0 >= incumbent_obj - _ABS_GAP:
         # warm start already meets the root bound
-        return Solution(
-            status="optimal",
-            objective=incumbent_obj + model.objective_constant,
-            assignment=incumbent_x,
-            nodes_explored=nodes,
-        )
+        return finish("optimal")
 
     seq = 0
     heap: list[_Node] = []
@@ -591,7 +647,7 @@ def solve_exact(
         """Branch a node; children are LP-solved eagerly. In dive mode,
         keep descending into the better child until an incumbent shows
         up or the dive dies."""
-        nonlocal nodes, seq, incumbent_obj, incumbent_x, truncated
+        nonlocal seq, incumbent_obj, incumbent_x, truncated
         current = node
         while True:
             branch_id = _fractional_index(current.x, int_ids, binary_mask)
@@ -614,8 +670,7 @@ def solve_exact(
                 if node_limit is not None and nodes >= node_limit:
                     truncated = True
                     return
-                st, x_c, obj_c = prepared.solve(lo_c, up_c)
-                nodes += 1
+                st, x_c, obj_c = solve_node(lo_c, up_c)
                 if st != "optimal":
                     continue
                 if obj_c >= incumbent_obj - _ABS_GAP:
@@ -650,24 +705,9 @@ def solve_exact(
         if node.bound >= incumbent_obj - _ABS_GAP:
             continue
         expand(node, dive=incumbent_x is None)
-    if truncated:
-        # ran out of budget with work left
-        return Solution(
-            status="node_limit",
-            objective=None
-            if incumbent_x is None
-            else incumbent_obj + model.objective_constant,
-            assignment=incumbent_x,
-            nodes_explored=nodes,
-        )
-    if incumbent_x is None:
-        return Solution(status="infeasible", objective=None, assignment=None, nodes_explored=nodes)
-    return Solution(
-        status="optimal",
-        objective=incumbent_obj + model.objective_constant,
-        assignment=incumbent_x,
-        nodes_explored=nodes,
-    )
+    if truncated:  # ran out of budget with work left
+        return finish("node_limit")
+    return finish("optimal" if incumbent_x is not None else "infeasible")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ __all__ = [
     "BaseStation",
     "NetworkInstance",
     "PlanningError",
+    "InfeasibleModelError",
     "ResourceLimitError",
     "Phase1Model",
     "Phase1Plan",
@@ -95,6 +96,12 @@ __all__ = [
 class PlanningError(RuntimeError):
     """Internal invariant violation (e.g. an instance that should be
     feasible came back infeasible)."""
+
+
+class InfeasibleModelError(PlanningError):
+    """A phase-2 model has no feasible point. For the stochastic program
+    of a validated instance that is an invariant violation; the
+    mean-value program behind ``evf_plan`` can lack one legitimately."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -893,7 +900,7 @@ def solve_phase2(
         raise ValueError(f"unknown formulation {formulation!r}")
     sol = solve_exact(built.model, node_limit=node_limit, warm_start=warm)
     if sol.status == "infeasible":
-        raise PlanningError("phase-2 model infeasible for a validated instance")
+        raise InfeasibleModelError(f"phase-2 {formulation} model infeasible")
     if sol.status == "node_limit" and sol.assignment is None:
         raise ResourceLimitError("phase-2 node limit hit before any incumbent")
     return decode_phase2(instance, built, sol)
@@ -936,7 +943,10 @@ def evf_plan(
     plan (recourse stages stay at zero; residual penalties fall where
     the frozen provision cannot cover a path's losses). ``node_limit``
     caps the deterministic solve; the plan is ``optimal`` when that
-    solve was proven."""
+    solve was proven. Raises ``InfeasibleModelError`` when the
+    mean-value program has no feasible point (it has no residual
+    variables, so its coverage rows can ask for more copies than the
+    local cap and the base-station seats supply)."""
     instance.require_valid()
     pricing = _Pricing.of(instance, type_ids)
     mean_dims, mean_short = _mean_demand_and_shortfall(instance)

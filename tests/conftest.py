@@ -153,6 +153,23 @@ def branching_instance() -> NetworkInstance:
     return small_instance(tree)
 
 
+def dip_infeasible_instance() -> NetworkInstance:
+    """Three stations capped at 3 local copies (k = 4) and one loss
+    stage that takes 6 copies from every station with probability 0.8.
+    The SIP buys out coverage through its residual variables; the
+    mean-value DIP has none and needs k + 4.8 copies per station, more
+    than the local cap and the base-station seats supply, so it is
+    infeasible."""
+    loss = (
+        ShortfallScenario(flags=(1,) * 3, magnitudes=(6,) * 3, probability=0.8),
+        ShortfallScenario(flags=(0,) * 3, magnitudes=(0,) * 3, probability=0.2),
+    )
+    tree = dataclasses.replace(
+        tree_z2(3, [(240,) * 3], [1.0]), shortfall_stages=(loss,)
+    )
+    return small_instance(tree, n_stations=3, max_local_copies=3)
+
+
 def phase1_instance(rng, t, y, x, w):
     """Instance whose first-phase model has shape (t, y, x, w)."""
     types = UAV_TYPES[:x]

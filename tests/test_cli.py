@@ -5,11 +5,18 @@ import json
 
 import pytest
 
+import uavplan.milp as milp
 import uavplan.planner as planner
 from uavplan import cli
 from uavplan.io import instance_to_dict, write_json_atomic
 
-from conftest import branching_instance, guaranteed_stage, small_instance, tree_z2
+from conftest import (
+    branching_instance,
+    dip_infeasible_instance,
+    guaranteed_stage,
+    small_instance,
+    tree_z2,
+)
 
 
 def write_config(tmp_path, name="config.json", **body):
@@ -99,6 +106,21 @@ class TestPlan:
             ]
             assert names
             assert all(f"[slot={entry['slot']}]" in name for name in names)
+
+    def test_uncertified_solver_point_is_internal_error(
+        self, flat_setup, monkeypatch, capsys
+    ):
+        """A solver point that breaks a row never reaches the plan files."""
+
+        def solve(self, lo, up):
+            return "optimal", lo.copy(), 0.0, (0, 0)
+
+        monkeypatch.setattr(milp._PreparedLP, "solve", solve)
+        cfg, out = flat_setup
+        assert cli.main(["plan", "--config", cfg]) == 1
+        assert "violates a row" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["error"] == "internal"
+        assert not (out / "phase2_plan.json").exists()
 
     def test_missing_instance_file_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, instance="missing.json")
@@ -193,6 +215,19 @@ class TestCompare:
         assert lines[0] == "multiplier,sip_cost,evf_cost,random_cost"
         _, sip, evf, rand = (float(v) for v in lines[1].split(","))
         assert sip <= evf + 1e-9 and sip <= rand + 1e-9
+
+    def test_infeasible_mean_value_program_writes_inf(self, tmp_path):
+        iname = write_instance(tmp_path, dip_infeasible_instance())
+        cfg = write_config(
+            tmp_path,
+            instance=iname,
+            out=str(tmp_path / "out"),
+            compare={"multipliers": [1.0], "n_seeds": 30},
+        )
+        assert cli.main(["compare", "--config", cfg]) == 0
+        lines = (tmp_path / "out" / "compare.csv").read_text().splitlines()
+        assert lines[1].split(",")[:3] == ["1", "7.43318230711", "inf"]
+        assert not (tmp_path / "out" / "error.json").exists()
 
     def test_node_limit_returns_resource_code(self, branching_setup, capsys):
         cfg, out = branching_setup

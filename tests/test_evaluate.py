@@ -1,6 +1,7 @@
 """Monte Carlo evaluation, sensitivity sweeps, baseline comparisons."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -22,7 +23,13 @@ from uavplan.scenario import (
     WeatherScenario,
 )
 
-from conftest import branching_instance, make_costs, small_instance, tree_z2
+from conftest import (
+    branching_instance,
+    dip_infeasible_instance,
+    make_costs,
+    small_instance,
+    tree_z2,
+)
 
 
 def z3_tree(p_loss: float = 0.5, mag: int = 2) -> ScenarioTree:
@@ -203,6 +210,16 @@ class TestCompare:
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
         with pytest.raises(ValueError, match="30 seeds"):
             compare(inst, seeds=range(5))
+
+    def test_infeasible_mean_value_program_costs_inf(self):
+        inst = dip_infeasible_instance()
+        with pytest.raises(planner.InfeasibleModelError):
+            planner.evf_plan(inst)
+        result = compare(inst)
+        assert result["evf_cost"] == math.inf
+        assert result["sip_cost"] == pytest.approx(7.433182307114871, rel=1e-9)
+        (row,) = offload_price_comparison(inst, multipliers=(1.0,))
+        assert row == {"multiplier": 1.0, **result, "optimal": True}
 
 
 def scaled_fee(inst, mult: float):

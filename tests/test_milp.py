@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavplan.milp as milp
 from uavplan.milp import (
     BINARY,
     CONTINUOUS,
     INTEGER,
     IPModel,
+    SolverError,
     solve_enumerate,
     solve_exact,
     solve_lp_relaxation,
 )
+from uavplan.planner import build_phase2_sip
 
 
 def knapsack_model():
@@ -30,6 +33,23 @@ def knapsack_model():
         ids.append(vid)
     m.add_constraint(list(zip(ids, weights)), "<=", 50.0, name="capacity")
     return m, ids
+
+
+def mixed_rows_lp():
+    """At the starting point (x at its lower bound 1, y = z = 0) the
+    equality and the >= row hold and the <= row is violated by 4.
+    Optimum -2 at (4, 3, 0): x - 2y + z = 1 - y + 2z on x = 1 + y + z,
+    so y goes as high as x <= 4 allows."""
+    m = IPModel("mixed_rows")
+    x = m.add_variable("x", lower=1.0, upper=4.0)
+    y = m.add_variable("y", upper=5.0)
+    z = m.add_variable("z", upper=3.0)
+    m.add_constraint([(x, 1.0), (y, -1.0), (z, -1.0)], "==", 1.0, name="eq")
+    m.add_constraint([(x, 1.0), (z, 2.0)], ">=", 0.5, name="ge")
+    m.add_constraint([(x, -1.0), (y, -2.0)], "<=", -5.0, name="le")
+    for vid, coef in ((x, 1.0), (y, -2.0), (z, 1.0)):
+        m.add_objective_term(vid, coef)
+    return m
 
 
 class TestModelConstruction:
@@ -131,10 +151,76 @@ class TestKnownAnswers:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-220.0 - 60.0 / 3.0, abs=1e-6)
 
+    def test_slack_start_on_mixed_rows(self):
+        """Only the violated row needs an artificial: two phase-1 steps
+        drive it out, one phase-2 step reaches the optimum."""
+        m = mixed_rows_lp()
+        sol = solve_lp_relaxation(m)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-2.0, abs=1e-12)
+        assert sol.assignment.tolist() == pytest.approx([4.0, 3.0, 0.0], abs=1e-12)
+        assert sol.simplex_pivots == (2, 1)
+
+    def test_bundled_sip_pivot_counts(self, bundled_instance):
+        sol = solve_exact(build_phase2_sip(bundled_instance).model)
+        assert sol.status == "optimal" and sol.nodes_explored == 1
+        assert sol.simplex_pivots == (125, 145)
+
     def test_no_negative_zero_in_assignment(self):
         m, _ = knapsack_model()
         sol = solve_exact(m)
         assert not np.signbit(sol.assignment).any()
+
+
+class TestReentrancy:
+    def test_interleaved_solves_match_serial(self, monkeypatch):
+        """A second solve runs in the middle of the first one. The two
+        bound sets need artificials of opposite sign on the equality
+        row; neither solve may leave them in the shared matrix."""
+        m = mixed_rows_lp()
+        lo, up = m.bounds_arrays()
+        lo_b, up_b = lo.copy(), up.copy()
+        lo_b[m.variable_id("x")], up_b[m.variable_id("x")] = 3.0, 3.5
+        serial_a = milp._PreparedLP(m).solve(lo, up)
+        serial_b = milp._PreparedLP(m).solve(lo_b, up_b)
+        assert (serial_a[2], serial_b[2]) == pytest.approx((-2.0, -1.5), abs=1e-12)
+
+        prepared = milp._PreparedLP(m)
+        a_before = prepared.a_full.copy()
+        simplex = prepared._simplex
+        inner = []
+
+        def interrupted(*args):
+            if not inner:
+                inner.append(None)
+                inner[0] = prepared.solve(lo_b, up_b)
+            return simplex(*args)
+
+        monkeypatch.setattr(prepared, "_simplex", interrupted)
+        outer = prepared.solve(lo, up)
+        for got, want in ((outer, serial_a), (inner[0], serial_b)):
+            assert got[0] == want[0] and got[2:] == want[2:]
+            assert np.array_equal(got[1], want[1])
+        assert np.array_equal(prepared.a_full, a_before)
+
+
+class TestCertificate:
+    @pytest.fixture
+    def violating_lp(self, monkeypatch):
+        """Every LP solve returns all items picked, 10 over capacity."""
+
+        def solve(self, lo, up):
+            return "optimal", np.ones(3), -280.0, (0, 0)
+
+        monkeypatch.setattr(milp._PreparedLP, "solve", solve)
+
+    def test_lp_relaxation_refuses_violating_point(self, violating_lp):
+        with pytest.raises(SolverError, match="violates a row by 10"):
+            solve_lp_relaxation(knapsack_model()[0])
+
+    def test_exact_refuses_violating_incumbent(self, violating_lp):
+        with pytest.raises(SolverError, match="violates a row by 10"):
+            solve_exact(knapsack_model()[0])
 
 
 class TestNodeLimit:
