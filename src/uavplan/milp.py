@@ -14,8 +14,12 @@ Three entry points with deliberately independent solution paths:
 - :func:`solve_exact`: branch and bound over the LP relaxation with
   best-bound node selection, most-fractional branching, and an initial
   depth-first dive until the first incumbent.
-- :func:`solve_enumerate`: chunked exhaustive enumeration of every
-  integer assignment, used as an oracle against ``solve_exact``.
+- :func:`solve_enumerate`: exhaustive scoring of every integer
+  assignment, used as an oracle against ``solve_exact``. It splits the
+  variables into a leading and a trailing half (meet in the middle,
+  Horowitz & Sahni 1974), enumerates each half once with its partial
+  row sums and objective, and scores blocks of leading points against
+  every trailing point by broadcast addition.
 
 Everything is deterministic: identical models produce identical pivots,
 node orders, and solutions on every run. A returned point must satisfy
@@ -714,13 +718,44 @@ def solve_exact(
 # exhaustive enumeration oracle
 # ---------------------------------------------------------------------------
 
+_ENUM_BLOCK = 100_000  # (leading x trailing) points scored per block
+
+
+def _grid(lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Every integer point of the box ``[lo, up]``, one per row, in
+    lexicographic order (the last coordinate varies fastest)."""
+    points = np.zeros((1, 0))
+    for low, high in zip(lo, up):
+        values = np.arange(low, high + 1).astype(float)
+        points = np.hstack(
+            (np.repeat(points, len(values), axis=0), np.tile(values, len(points))[:, None])
+        )
+    return points
+
 
 def solve_enumerate(model: IPModel, cap: int = 1_000_000) -> Solution:
     """Exhaustively score every integer assignment (oracle path).
 
     All variables must be integer-kind with finite bounds, and the
     assignment space must not exceed ``cap`` (checked before any work).
-    Ties break toward the lexicographically smallest assignment.
+
+    The variables split at index ``h``: walking back from the last
+    variable, the trailing half takes variables while the product of
+    their ranges stays within ``max(1024, isqrt(total))``. Each half is
+    enumerated once in lexicographic order, with its partial row sums
+    and partial objective. Blocks of about ``_ENUM_BLOCK / |trailing|``
+    leading points are then scored against every trailing point by
+    broadcast addition, so a block holds about 1e5 points.
+
+    Ties break toward the lexicographically smallest assignment: point
+    ``(i_lead, i_trail)`` has the lexicographic index
+    ``i_lead * |trailing| + i_trail``, a flat ``argmin`` takes the first
+    minimum in a block, and a later block must be strictly better.
+
+    Each row is tested to 1e-9 on the sum of its two partial sums. That
+    sum rounds differently from a single dot product, so a point within
+    an ulp of an ``==`` row's 1e-9 edge may fall on the other side of
+    it than under one dot product.
     """
     for v in model.variables:
         if v.kind == CONTINUOUS:
@@ -740,38 +775,47 @@ def solve_enumerate(model: IPModel, cap: int = 1_000_000) -> Solution:
                 f"enumeration space exceeds cap ({cap}); refusing to start"
             )
 
-    n = model.num_variables
-    weights = np.ones(n, dtype=np.int64)
-    for j in range(n - 2, -1, -1):
-        weights[j] = weights[j + 1] * ranges[j + 1]
+    h, trail_size = model.num_variables, 1
+    while h > 0 and trail_size * ranges[h - 1] <= max(1024, math.isqrt(total)):
+        h -= 1
+        trail_size *= int(ranges[h])
 
     a, b, senses = model.constraint_matrix()
     c = model.objective_vector()
+    lead, trail = _grid(lo[:h], up[:h]), _grid(lo[h:], up[h:])
+    la, ta = lead @ a[:, :h].T, trail @ a[:, h:].T
+    lc, tc = lead @ c[:h], trail @ c[h:]
     best_obj = math.inf
     best_x: np.ndarray | None = None
-    chunk = 100_000
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        x = (idx[:, None] // weights[None, :]) % ranges[None, :] + lo[None, :]
-        xf = x.astype(float)
-        feasible = np.ones(len(idx), dtype=bool)
-        if len(senses):
-            lhs = xf @ a.T
-            for i, sense in enumerate(senses):
-                if sense == "<=":
-                    feasible &= lhs[:, i] <= b[i] + 1e-9
-                elif sense == ">=":
-                    feasible &= lhs[:, i] >= b[i] - 1e-9
-                else:
-                    feasible &= np.abs(lhs[:, i] - b[i]) <= 1e-9
+    block = min(len(lead), max(1, _ENUM_BLOCK // len(trail)))
+    # one set of buffers reused by every block: scoring allocates nothing
+    lhs_buf = np.empty((block, len(trail)))
+    row_buf = np.empty((block, len(trail)), dtype=bool)
+    feasible_buf = np.empty((block, len(trail)), dtype=bool)
+    for start in range(0, len(lead), block):
+        k = min(block, len(lead) - start)
+        rows = slice(start, start + k)
+        lhs, row_ok, feasible = lhs_buf[:k], row_buf[:k], feasible_buf[:k]
+        feasible.fill(True)
+        for i, sense in enumerate(senses):
+            np.add(la[rows, i, None], ta[None, :, i], out=lhs)
+            if sense == "<=":
+                np.less_equal(lhs, b[i] + 1e-9, out=row_ok)
+            elif sense == ">=":
+                np.greater_equal(lhs, b[i] - 1e-9, out=row_ok)
+            else:
+                np.subtract(lhs, b[i], out=lhs)
+                np.less_equal(np.abs(lhs, out=lhs), 1e-9, out=row_ok)
+            feasible &= row_ok
         if not feasible.any():
             continue
-        objs = xf @ c
-        objs[~feasible] = math.inf
+        objs = np.add(lc[rows, None], tc[None, :], out=lhs)
+        objs[np.logical_not(feasible, out=row_ok)] = math.inf
         pos = int(np.argmin(objs))
-        if objs[pos] < best_obj:
-            best_obj = float(objs[pos])
-            best_x = xf[pos].copy()
+        if objs.flat[pos] < best_obj:
+            best_obj = float(objs.flat[pos])
+            i_lead, i_trail = divmod(pos, len(trail))
+            best_x = np.concatenate((lead[start + i_lead], trail[i_trail]))
     if best_x is None:
         return Solution(status="infeasible", objective=None, assignment=None)
     return Solution(

@@ -25,7 +25,7 @@ from uavplan.evaluate import (
     DEFAULT_PRICE_MULTIPLIERS,
     offload_price_comparison,
 )
-from uavplan.milp import IPModel, solve_enumerate, solve_exact
+from uavplan.milp import solve_enumerate, solve_exact
 from uavplan.physics import GRAVITY, Position3D, hover_power, link_rate
 from uavplan.planner import (
     build_phase1,
@@ -44,6 +44,7 @@ from uavplan.scenario import (
 from conftest import (
     ENV,
     UAV_TYPES,
+    gate3_model,
     guaranteed_stage,
     make_costs,
     phase1_instance,
@@ -85,54 +86,18 @@ def test_3_solver_cross_validation():
     to 1e-6.  Budget: under two minutes."""
     rng = np.random.default_rng(3)
     t0 = time.monotonic()
+    bb_s = enum_s = 0.0
     statuses: dict[str, int] = {}
     worst_gap = 0.0
     worst_violation = 0.0
     for trial in range(200):
-        n = int(rng.integers(5, 26))
-        m = int(rng.integers(1, 9))
-        # every tenth model keeps fully random right-hand sides, the
-        # rest are anchored at a feasible integer point so the oracle
-        # comparison exercises optimal objectives and not just status
-        anchored = trial % 10 != 9
-        model = IPModel(f"cross{trial}")
-        space = 1
-        los, his = [], []
-        for j in range(n):
-            if rng.random() < 0.7:
-                lo, hi = 0, 1
-            else:
-                lo = int(rng.integers(-2, 1))
-                hi = lo + int(rng.integers(1, 5))
-            if space * (hi - lo + 1) > 1_000_000:
-                lo = hi = 0  # keep the enumeration space under the cap
-            space *= hi - lo + 1
-            kind = "binary" if (lo, hi) == (0, 1) else "integer"
-            model.add_variable(f"x{j}", kind, lower=float(lo), upper=float(hi))
-            los.append(lo)
-            his.append(hi)
-        assert space <= 1_000_000
-        anchor = np.array(
-            [float(rng.integers(lo, hi + 1)) for lo, hi in zip(los, his)]
-        )
-        for j in range(n):
-            model.add_objective_term(j, float(np.round(rng.normal(), 3)))
-        model.add_objective_constant(float(np.round(rng.normal(), 3)))
-        for i in range(m):
-            size = int(rng.integers(1, n + 1))
-            cols = rng.choice(n, size=size, replace=False)
-            coefs = np.round(rng.normal(size=size), 3)
-            terms = [(int(j), float(c)) for j, c in zip(cols, coefs)]
-            sense = str(rng.choice(["<=", ">=", "=="]))
-            if anchored:
-                at = float(coefs @ anchor[cols])
-                slack = float(np.round(abs(rng.normal()), 3))
-                rhs = {"<=": at + slack, ">=": at - slack, "==": at}[sense]
-            else:
-                rhs = float(np.round(rng.normal() * 3.0, 3))
-            model.add_constraint(terms, sense, rhs, name=f"c{i}")
+        model = gate3_model(rng, trial)
+        t_bb = time.monotonic()
         exact = solve_exact(model)
+        t_enum = time.monotonic()
         brute = solve_enumerate(model)
+        bb_s += t_enum - t_bb
+        enum_s += time.monotonic() - t_enum
         assert exact.status == brute.status, (trial, exact.status, brute.status)
         statuses[exact.status] = statuses.get(exact.status, 0) + 1
         if exact.status == "optimal":
@@ -148,7 +113,8 @@ def test_3_solver_cross_validation():
         f"ACCEPT 3/9 solver cross-validation: PASS "
         f"({statuses.get('optimal', 0)} optimal, "
         f"{statuses.get('infeasible', 0)} infeasible, "
-        f"gap {worst_gap:.1e}, {elapsed:.0f}s)"
+        f"gap {worst_gap:.1e}, {elapsed:.0f}s: "
+        f"branch and bound {bb_s:.1f}s, enumeration {enum_s:.1f}s)"
     )
 
 

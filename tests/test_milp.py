@@ -1,6 +1,8 @@
 """Branch-and-bound core against hand solutions and the enumeration oracle."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from uavplan.milp import (
     solve_lp_relaxation,
 )
 from uavplan.planner import build_phase2_sip
+
+from conftest import gate3_model
 
 
 def knapsack_model():
@@ -307,6 +311,195 @@ class TestEnumerateOracle:
         m, _ = knapsack_model()
         a, b = solve_exact(m), solve_enumerate(m)
         assert a.objective == pytest.approx(b.objective, abs=1e-9)
+
+
+def reference_enumerate(model: IPModel) -> tuple[str, float | None, np.ndarray | None]:
+    """Plain loop over ``itertools.product`` in lexicographic order, one
+    dot product per row; a later point must be strictly better, so ties
+    go to the lexicographically smallest assignment."""
+    a, b, senses = model.constraint_matrix()
+    c = model.objective_vector()
+    axes = [range(math.ceil(v.lower), math.floor(v.upper) + 1) for v in model.variables]
+    holds = {
+        "<=": lambda lhs, rhs: lhs <= rhs + 1e-9,
+        ">=": lambda lhs, rhs: lhs >= rhs - 1e-9,
+        "==": lambda lhs, rhs: abs(lhs - rhs) <= 1e-9,
+    }
+    best_obj, best_x = math.inf, None
+    for point in itertools.product(*axes):
+        x = np.array(point, dtype=float)
+        if all(holds[sense](float(row @ x), rhs) for row, rhs, sense in zip(a, b, senses)):
+            obj = float(c @ x)
+            if obj < best_obj:
+                best_obj, best_x = obj, x
+    if best_x is None:
+        return "infeasible", None, None
+    return "optimal", best_obj + model.objective_constant, best_x
+
+
+def enumeration_space(model: IPModel) -> int:
+    return math.prod(int(v.upper - v.lower) + 1 for v in model.variables)
+
+
+def assert_matches_reference(model: IPModel) -> None:
+    sol = solve_enumerate(model)
+    status, objective, assignment = reference_enumerate(model)
+    assert sol.status == status
+    if status == "optimal":
+        np.testing.assert_array_equal(sol.assignment, assignment)
+        assert sol.objective == pytest.approx(objective, abs=1e-9)
+        assert sol.nodes_explored == enumeration_space(model)
+    else:
+        assert sol.assignment is None and sol.objective is None
+
+
+@st.composite
+def tied_ips(draw) -> IPModel:
+    """Up to 12 variables over at most 4096 points, so both halves of
+    the split are exercised; negative and fixed bounds, objective
+    coefficients in {-1, 0, 1} (ties are common), 0 to 4 rows with
+    small integer data (``==`` rows hold often, all-zero rows occur)."""
+    model = IPModel("drawn")
+    space = 1
+    for j in range(draw(st.integers(0, 12))):
+        lo = draw(st.integers(-2, 1))
+        width = draw(st.integers(0, 3))
+        if space * (width + 1) > 4096:
+            width = 0
+        space *= width + 1
+        kind = BINARY if (lo, width) == (0, 1) else INTEGER
+        model.add_variable(f"x{j}", kind, lower=float(lo), upper=float(lo + width))
+        model.add_objective_term(j, draw(st.sampled_from([-1.0, 0.0, 1.0])))
+    model.add_objective_constant(draw(st.sampled_from([0.0, 2.5, -1.25])))
+    n = model.num_variables
+    for _ in range(draw(st.integers(0, 4))):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        sense = draw(st.sampled_from(["<=", ">=", "=="]))
+        rhs = draw(st.integers(-4, 4))
+        model.add_constraint(list(enumerate(map(float, coefs))), sense, float(rhs))
+    return model
+
+
+def split_edge_model(bounds: list[tuple[int, int]]) -> IPModel:
+    """Variables over ``bounds``, objective coefficients cycling through
+    (-1, 0, 1) so that ties are common, an ``==`` row tying the first
+    variable to the last and a ``<=`` row on the sum of all of them."""
+    m = IPModel("edge")
+    for j, (lo, hi) in enumerate(bounds):
+        m.add_variable(f"x{j}", INTEGER, lower=float(lo), upper=float(hi))
+        m.add_objective_term(j, (-1.0, 0.0, 1.0)[j % 3])
+    last = len(bounds) - 1
+    m.add_constraint([(0, 1.0), (last, -1.0)], "==", 0.0)
+    m.add_constraint([(j, 1.0) for j in range(len(bounds))], "<=", 3.0)
+    return m
+
+
+class TestEnumerateAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(tied_ips())
+    def test_same_status_and_assignment(self, model):
+        assert_matches_reference(model)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [(0, 1)] * 10,  # 1024 points: every variable trailing, leading half empty
+            [(0, 1)] * 11,  # 2048 points: one leading variable
+            [(0, 2), (-1000, 999)],  # the wide last variable alone exceeds the target
+        ],
+        ids=["leading-empty", "one-leading", "wide-last"],
+    )
+    def test_split_edges(self, bounds):
+        assert_matches_reference(split_edge_model(bounds))
+
+    @pytest.mark.parametrize(
+        "objective, expected",
+        [({}, [0] * 18 + [1]), ({0: -1.0}, [1] + [0] * 18)],
+        ids=["first-block", "later-block"],
+    )
+    def test_ties_across_blocks(self, objective, expected):
+        """19 binaries (524,288 points) score in several blocks, and the
+        feasible optimum ties in every one of them: the lexicographically
+        smallest of the ties must win."""
+        m = IPModel("ties")
+        for j in range(19):
+            m.add_variable(f"x{j}", BINARY)
+        for vid, coef in objective.items():
+            m.add_objective_term(vid, coef)
+        m.add_constraint([(j, 1.0) for j in range(19)], ">=", 1.0)
+        sol = solve_enumerate(m)
+        assert sol.assignment.tolist() == expected
+
+    def test_zero_variable_model(self):
+        m = IPModel("empty")
+        m.add_objective_constant(3.5)
+        m.add_constraint([], "<=", 1.0)
+        sol = solve_enumerate(m)
+        assert (sol.status, sol.objective, sol.nodes_explored) == ("optimal", 3.5, 1)
+        assert sol.assignment.shape == (0,)
+        m.add_constraint([], ">=", 1.0)
+        assert solve_enumerate(m).status == "infeasible"
+
+    def test_zero_row_on_variables(self):
+        m = split_edge_model([(-2, 1), (0, 3), (-1, 2)])
+        m.add_constraint([(0, 0.0), (1, 0.0)], "==", 0.0)
+        assert_matches_reference(m)
+        m.add_constraint([(0, 0.0)], ">=", 0.5)
+        assert_matches_reference(m)
+
+
+def _continuous_model():
+    m = IPModel()
+    m.add_variable("n", kind=INTEGER, upper=3.0)
+    m.add_variable("x", kind=CONTINUOUS, upper=1.0)
+    return m, 1_000_000
+
+
+def _unbounded_model():
+    m = IPModel()
+    m.add_variable("n", kind=INTEGER, upper=3.0)
+    m.add_variable("x", kind=INTEGER, lower=-math.inf, upper=1.0)
+    return m, 1_000_000
+
+
+def _over_cap_model():
+    m = IPModel()
+    for j in range(3):
+        m.add_variable(f"x{j}", kind=INTEGER, upper=9.0)
+    return m, 999
+
+
+class TestEnumerateValidation:
+    @pytest.mark.parametrize(
+        "build, match",
+        [(_continuous_model, "all-integer"), (_unbounded_model, "finite"), (_over_cap_model, "cap")],
+        ids=["continuous", "infinite-bound", "cap"],
+    )
+    def test_checks_raise_before_any_work(self, monkeypatch, build, match):
+        def no_work(self):
+            raise AssertionError("enumeration read the model before its checks")
+
+        model, cap = build()
+        monkeypatch.setattr(IPModel, "constraint_matrix", no_work)
+        monkeypatch.setattr(IPModel, "objective_vector", no_work)
+        with pytest.raises(ValueError, match=match):
+            solve_enumerate(model, cap=cap)
+
+    def test_gate3_largest_model_memory(self):
+        """The largest of acceptance gate 3's models: 995,328 points over
+        23 variables. Only the two half tables and one block of buffers
+        are held, about 1.4 MB."""
+        rng = np.random.default_rng(3)
+        model = max((gate3_model(rng, t) for t in range(200)), key=enumeration_space)
+        assert (enumeration_space(model), model.num_variables) == (995_328, 23)
+        tracemalloc.start()
+        try:
+            sol = solve_enumerate(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal" and sol.nodes_explored == 995_328
+        assert peak <= 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def random_ip(seed: int) -> IPModel:
