@@ -79,7 +79,6 @@ from .planner import (
     ResourceLimitError,
     StageDecision,
     Station,
-    big_m_sigma,
     build_phase1,
     build_phase2_dip,
     build_phase2_sip,

@@ -130,8 +130,8 @@ def _ensure_out(config: RunConfig, args: argparse.Namespace) -> Path:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     config = load_run_config(args)
-    instance = config.load_instance()
     out = _ensure_out(config, args)
+    instance = config.load_instance()
 
     p1, plans, composed = plan_both_phases(instance, node_limit=config.node_limit)
 
@@ -178,11 +178,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_run_config(args)
+    out = _ensure_out(config, args)
     spec = config.section("sweep")
     if not spec:
         raise InputError(f"{config.path}: sweep command needs a 'sweep' config section")
     instance = config.load_instance()
-    out = _ensure_out(config, args)
     try:
         result = sweep(instance, spec, node_limit=config.node_limit)
     except ValueError as exc:
@@ -205,9 +205,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_run_config(args)
+    out = _ensure_out(config, args)
     section = config.section("compare")
     instance = config.load_instance()
-    out = _ensure_out(config, args)
 
     multipliers = tuple(section.get("multipliers", DEFAULT_PRICE_MULTIPLIERS))
     n_seeds = int(section.get("n_seeds", 30))

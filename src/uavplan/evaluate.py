@@ -151,7 +151,6 @@ def evaluate_plan(
     same report. A plan that lacks a decision this tree needs raises
     ``PlanningError``.
     """
-    instance.require_valid()
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     pricing = _Pricing.of(instance)
@@ -342,18 +341,12 @@ def _sweep_point(
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
         return _phase2_point(plan, k=split.k)
 
-    if parameter == "uav_type":
-        tid = int(value)
-        if tid != value or tid not in {u.id for u in instance.uav_types}:
-            raise ValueError(f"uav_type grid value {value!r} is not a known type id")
-        plan = solve_phase2(
-            instance, "sip", type_ids=[tid] * n_y, node_limit=node_limit
-        )
-        return _phase2_point(plan)
-
-    raise ValueError(
-        f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
-    )
+    # uav_type, the last of SWEEP_PARAMETERS; sweep rejects any other name
+    tid = int(value)
+    if tid != value or tid not in {u.id for u in instance.uav_types}:
+        raise ValueError(f"uav_type grid value {value!r} is not a known type id")
+    plan = solve_phase2(instance, "sip", type_ids=[tid] * n_y, node_limit=node_limit)
+    return _phase2_point(plan)
 
 
 def sweep(
@@ -369,7 +362,6 @@ def sweep(
     guaranteed); the split sweep reads an optional ``split_m``.
     Inapplicable parameters and malformed grids raise ``ValueError``.
     """
-    instance.require_valid()
     parameter = spec.get("parameter")
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
@@ -453,7 +445,6 @@ def compare(
     solve. ``evf_cost`` is ``inf`` when that deterministic program has
     no feasible point, so no expected-value plan exists.
     """
-    instance.require_valid()
     drawn = _draw_random_baseline(instance, seeds)
     return _compare_drawn(instance, drawn, node_limit)[0]
 
@@ -475,7 +466,6 @@ def offload_price_comparison(
         raise ValueError("need at least one price multiplier")
     if any(b >= a for a, b in zip(multipliers[1:], multipliers)):
         raise ValueError("price multipliers must be strictly increasing")
-    instance.require_valid()
     drawn = _draw_random_baseline(instance, seeds)
     rows = []
     for mult in multipliers:

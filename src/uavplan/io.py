@@ -1,5 +1,15 @@
 """File formats: instance/config JSON, demand CSV, plan and report output.
 
+The instance format is defined once: each record (station, base
+station, UAV class, environment, costs, split, the weather, demand and
+shortfall scenarios, the tree and the instance itself) has one field
+table of (json key, attribute, read, write, default) rows, and the same
+table drives ``instance_from_dict`` and ``instance_to_dict``. Reading
+turns every missing field, wrong type or failed conversion into an
+``InputError`` that names the record's path, for example
+``instance.json.stations[0]``; the instance's structural checks run
+once, when ``NetworkInstance`` is built.
+
 All output files are written atomically (temp file in the target
 directory, then rename) so a crashed run never leaves a half-written
 artifact. Floats are emitted rounded to 12 significant digits, which is
@@ -9,12 +19,14 @@ stable across platforms and far below model tolerances.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .coding import CodeSplit
 from .costs import CostCoefficients
@@ -115,179 +127,211 @@ def _check_schema(data: Mapping, where: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# instance loading
+# instance format
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()  # default of a field every instance file must give
 
-def _uav_type_from_dict(d: Mapping, where: str) -> UavType:
-    try:
-        return UavType(
-            id=int(_require(d, "id", where)),
-            battery_mah=float(_require(d, "battery_mah", where)),
-            mass_kg=float(_require(d, "mass_kg", where)),
-            blade_angular_velocity=float(_require(d, "blade_angular_velocity", where)),
-            cpu_rate=float(_require(d, "cpu_rate_hz", where)),
-            cycles_per_bit=float(_require(d, "cycles_per_bit", where)),
-            bandwidth=float(_require(d, "bandwidth_hz", where)),
-            tx_power=float(_require(d, "tx_power_w", where)),
-            rx_power=float(_require(d, "rx_power_w", where)),
-            hover_height=float(_require(d, "hover_height_m", where)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{where}: {exc}") from exc
+# a field read takes (JSON value, its path); the TypeError, ValueError or
+# OverflowError of a failed conversion becomes an InputError naming the path
+_Read = Callable[[Any, str], Any]
+_Write = Callable[[Any], Any]
 
 
-def _environment_from_dict(d: Mapping, where: str) -> Environment:
-    # channel gain and noise arrive in dB / dBm and convert here, once
-    try:
-        return Environment(
-            air_density=float(_require(d, "air_density", where)),
-            rotor_radius=float(_require(d, "rotor_radius", where)),
-            rotor_disc_area=float(_require(d, "rotor_disc_area", where)),
-            tip_speed=float(_require(d, "tip_speed", where)),
-            induced_velocity=float(_require(d, "induced_velocity", where)),
-            fuselage_drag_ratio=float(_require(d, "fuselage_drag_ratio", where)),
-            rotor_solidity=float(_require(d, "rotor_solidity", where)),
-            profile_drag_coefficient=float(
-                _require(d, "profile_drag_coefficient", where)
-            ),
-            induced_power_correction=float(
-                _require(d, "induced_power_correction", where)
-            ),
-            channel_gain_ref=db_to_linear(float(_require(d, "channel_gain_ref_db", where))),
-            noise_power=dbm_to_watts(float(_require(d, "noise_power_dbm", where))),
-            bits_per_symbol=int(d.get("bits_per_symbol", 4)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{where}: {exc}") from exc
+@dataclass(frozen=True)
+class _Record:
+    """One JSON object of the instance format: the class it builds and
+    its field table, rows of (json key, attribute, read, write, default).
+    The same table reads the object and writes it back."""
+
+    build: Callable[..., Any]
+    fields: tuple[tuple[str, str, _Read, _Write, Any], ...]
+
+    def read(self, data: Any, where: str) -> Any:
+        if not isinstance(data, Mapping):
+            raise InputError(f"{where}: expected an object, got {type(data).__name__}")
+        kwargs = {}
+        for key, attr, read, _, default in self.fields:
+            if key not in data:
+                if default is _REQUIRED:
+                    raise InputError(f"{where}: missing required field {key!r}")
+                kwargs[attr] = default
+                continue
+            try:
+                kwargs[attr] = read(data[key], f"{where}.{key}")
+            except InputError:
+                raise
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise InputError(f"{where}.{key}: {exc}") from exc
+        try:
+            return self.build(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{where}: {exc}") from exc
+
+    def write(self, obj: Any) -> dict:
+        return {key: write(getattr(obj, attr)) for key, attr, _, write, _ in self.fields}
 
 
-def _costs_from_dict(d: Mapping, where: str) -> CostCoefficients:
-    fields = (
-        "reservation_per_mah",
-        "on_demand_per_mah",
-        "per_second",
-        "per_joule",
-        "hover_per_watt_second",
-        "service_fee",
-        "subscription_fee",
-        "crash_penalty",
-        "completion_penalty",
-    )
-    try:
-        return CostCoefficients(**{f: float(_require(d, f, where)) for f in fields})
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{where}: {exc}") from exc
+def _scalar(convert: Callable[[Any], Any]) -> _Read:
+    return lambda value, where: convert(value)
 
 
-def _tree_from_dict(d: Mapping, where: str) -> ScenarioTree:
-    weather = tuple(
-        WeatherScenario(
-            strong_wind=tuple(int(g) for g in _require(w, "strong_wind", f"{where}.weather[{i}]")),
-            probability=float(_require(w, "probability", f"{where}.weather[{i}]")),
-        )
-        for i, w in enumerate(_require(d, "weather", where))
-    )
-    demand = tuple(
-        DemandScenario(
-            dims=tuple(int(x) for x in _require(s, "dims", f"{where}.demand[{i}]")),
-            probability=float(_require(s, "probability", f"{where}.demand[{i}]")),
-        )
-        for i, s in enumerate(_require(d, "demand", where))
-    )
-    stages = []
-    for si, stage in enumerate(d.get("shortfall_stages", [])):
-        stages.append(
-            tuple(
-                ShortfallScenario(
-                    flags=tuple(
-                        int(f)
-                        for f in _require(s, "flags", f"{where}.shortfall_stages[{si}][{j}]")
-                    ),
-                    magnitudes=tuple(
-                        int(a)
-                        for a in _require(
-                            s, "magnitudes", f"{where}.shortfall_stages[{si}][{j}]"
-                        )
-                    ),
-                    probability=float(
-                        _require(s, "probability", f"{where}.shortfall_stages[{si}][{j}]")
-                    ),
-                )
-                for j, s in enumerate(stage)
-            )
-        )
-    return ScenarioTree(weather=weather, demand=demand, shortfall_stages=tuple(stages))
+def _finite(value: Any) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _list_of(read: _Read) -> _Read:
+    def read_list(values: Any, where: str) -> tuple:
+        if not isinstance(values, list):
+            raise InputError(f"{where}: expected a list, got {type(values).__name__}")
+        return tuple(read(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+    return read_list
+
+
+def _each(write: _Write) -> _Write:
+    return lambda values: [write(v) for v in values]
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+_INT = _scalar(int)
+_FLOAT = _scalar(_finite)
+_INTS = _list_of(_INT)
+
+
+def _field(
+    key: str,
+    read: _Read = _FLOAT,
+    write: _Write = _same,
+    default: Any = _REQUIRED,
+    attr: str | None = None,
+) -> tuple[str, str, _Read, _Write, Any]:
+    """One row of a field table; the attribute defaults to the json key."""
+    return (key, attr or key, read, write, default)
+
+
+_STATION = _Record(
+    Station,
+    (_field("id", _INT), _field("a"), _field("b"), _field("uav_type", _INT)),
+)
+_BASE_STATION = _Record(
+    BaseStation,
+    (
+        _field("id", _INT),
+        _field("a"),
+        _field("b"),
+        _field("height"),
+        _field("servers", _INT),
+    ),
+)
+_UAV_TYPE = _Record(
+    UavType,
+    (
+        _field("id", _INT),
+        _field("battery_mah"),
+        _field("mass_kg"),
+        _field("blade_angular_velocity"),
+        _field("cpu_rate_hz", attr="cpu_rate"),
+        _field("cycles_per_bit"),
+        _field("bandwidth_hz", attr="bandwidth"),
+        _field("tx_power_w", attr="tx_power"),
+        _field("rx_power_w", attr="rx_power"),
+        _field("hover_height_m", attr="hover_height"),
+    ),
+)
+# channel gain and noise are written in dB and dBm and convert here, once
+_ENVIRONMENT = _Record(
+    Environment,
+    (
+        _field("air_density"),
+        _field("rotor_radius"),
+        _field("rotor_disc_area"),
+        _field("tip_speed"),
+        _field("induced_velocity"),
+        _field("fuselage_drag_ratio"),
+        _field("rotor_solidity"),
+        _field("profile_drag_coefficient"),
+        _field("induced_power_correction"),
+        _field(
+            "channel_gain_ref_db",
+            _scalar(lambda db: db_to_linear(_finite(db))),
+            lambda gain: 10.0 * math.log10(gain),
+            attr="channel_gain_ref",
+        ),
+        _field(
+            "noise_power_dbm",
+            _scalar(lambda dbm: dbm_to_watts(_finite(dbm))),
+            lambda watts: 10.0 * math.log10(watts * 1e3),
+            attr="noise_power",
+        ),
+        _field("bits_per_symbol", _INT, default=4),
+    ),
+)
+_COSTS = _Record(
+    CostCoefficients,
+    tuple(_field(f.name) for f in dataclasses.fields(CostCoefficients)),
+)
+_SPLIT = _Record(
+    CodeSplit.from_slices, (_field("m", _INT), _field("s", _INT), _field("t", _INT))
+)
+_WEATHER = _Record(
+    WeatherScenario, (_field("strong_wind", _INTS, list), _field("probability"))
+)
+_DEMAND = _Record(DemandScenario, (_field("dims", _INTS, list), _field("probability")))
+_SHORTFALL = _Record(
+    ShortfallScenario,
+    (
+        _field("flags", _INTS, list),
+        _field("magnitudes", _INTS, list),
+        _field("probability"),
+    ),
+)
+_TREE = _Record(
+    ScenarioTree,
+    (
+        _field("weather", _list_of(_WEATHER.read), _each(_WEATHER.write)),
+        _field("demand", _list_of(_DEMAND.read), _each(_DEMAND.write)),
+        _field(
+            "shortfall_stages",
+            _list_of(_list_of(_SHORTFALL.read)),
+            _each(_each(_SHORTFALL.write)),
+            default=(),
+        ),
+    ),
+)
+_INSTANCE = _Record(
+    NetworkInstance,
+    (
+        _field("time_slots", _INT),
+        _field("stations", _list_of(_STATION.read), _each(_STATION.write)),
+        _field("uav_types", _list_of(_UAV_TYPE.read), _each(_UAV_TYPE.write)),
+        _field("base_stations", _list_of(_BASE_STATION.read), _each(_BASE_STATION.write)),
+        _field("environment", _ENVIRONMENT.read, _ENVIRONMENT.write),
+        _field("costs", _COSTS.read, _COSTS.write),
+        _field("split", _SPLIT.read, _SPLIT.write),
+        _field("tree", _TREE.read, _TREE.write),
+        _field(
+            "max_local_copies",
+            _scalar(lambda copies: None if copies is None else int(copies)),
+            default=None,
+        ),
+        _field("wait_cost_gated_by_offload", _scalar(bool), default=False),
+    ),
+)
 
 
 def instance_from_dict(data: Mapping, where: str = "instance") -> NetworkInstance:
+    """Build an instance from its JSON object. Every missing field,
+    wrong type, failed conversion or structural problem raises
+    ``InputError`` naming its path, e.g. ``instance.json.stations[0]``."""
     _check_schema(data, where)
-    stations = tuple(
-        Station(
-            id=int(_require(s, "id", f"{where}.stations[{i}]")),
-            a=float(_require(s, "a", f"{where}.stations[{i}]")),
-            b=float(_require(s, "b", f"{where}.stations[{i}]")),
-            uav_type=int(_require(s, "uav_type", f"{where}.stations[{i}]")),
-        )
-        for i, s in enumerate(_require(data, "stations", where))
-    )
-    base_stations = tuple(
-        BaseStation(
-            id=int(_require(b, "id", f"{where}.base_stations[{i}]")),
-            a=float(_require(b, "a", f"{where}.base_stations[{i}]")),
-            b=float(_require(b, "b", f"{where}.base_stations[{i}]")),
-            height=float(_require(b, "height", f"{where}.base_stations[{i}]")),
-            servers=int(_require(b, "servers", f"{where}.base_stations[{i}]")),
-        )
-        for i, b in enumerate(_require(data, "base_stations", where))
-    )
-    split_d = _require(data, "split", where)
-    try:
-        split = CodeSplit.from_slices(
-            int(_require(split_d, "m", f"{where}.split")),
-            int(_require(split_d, "s", f"{where}.split")),
-            int(_require(split_d, "t", f"{where}.split")),
-        )
-    except ValueError as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"{where}.split: {exc}") from exc
-    try:
-        instance = NetworkInstance(
-            time_slots=int(_require(data, "time_slots", where)),
-            stations=stations,
-            uav_types=tuple(
-                _uav_type_from_dict(u, f"{where}.uav_types[{i}]")
-                for i, u in enumerate(_require(data, "uav_types", where))
-            ),
-            base_stations=base_stations,
-            environment=_environment_from_dict(
-                _require(data, "environment", where), f"{where}.environment"
-            ),
-            costs=_costs_from_dict(_require(data, "costs", where), f"{where}.costs"),
-            split=split,
-            tree=_tree_from_dict(_require(data, "tree", where), f"{where}.tree"),
-            max_local_copies=(
-                None
-                if data.get("max_local_copies") is None
-                else int(data["max_local_copies"])
-            ),
-            wait_cost_gated_by_offload=bool(data.get("wait_cost_gated_by_offload", False)),
-        )
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from exc
-    problems = instance.validate()
-    if problems:
-        raise InputError(f"{where}: " + "; ".join(problems))
-    return instance
+    return _INSTANCE.read(data, where)
 
 
 def load_instance(path: str | Path) -> NetworkInstance:
@@ -296,83 +340,7 @@ def load_instance(path: str | Path) -> NetworkInstance:
 
 def instance_to_dict(instance: NetworkInstance) -> dict:
     """Inverse of instance_from_dict (dB fields restored)."""
-    env = instance.environment
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "time_slots": instance.time_slots,
-        "stations": [
-            {"id": s.id, "a": s.a, "b": s.b, "uav_type": s.uav_type}
-            for s in instance.stations
-        ],
-        "uav_types": [
-            {
-                "id": u.id,
-                "battery_mah": u.battery_mah,
-                "mass_kg": u.mass_kg,
-                "blade_angular_velocity": u.blade_angular_velocity,
-                "cpu_rate_hz": u.cpu_rate,
-                "cycles_per_bit": u.cycles_per_bit,
-                "bandwidth_hz": u.bandwidth,
-                "tx_power_w": u.tx_power,
-                "rx_power_w": u.rx_power,
-                "hover_height_m": u.hover_height,
-            }
-            for u in instance.uav_types
-        ],
-        "base_stations": [
-            {"id": b.id, "a": b.a, "b": b.b, "height": b.height, "servers": b.servers}
-            for b in instance.base_stations
-        ],
-        "environment": {
-            "air_density": env.air_density,
-            "rotor_radius": env.rotor_radius,
-            "rotor_disc_area": env.rotor_disc_area,
-            "tip_speed": env.tip_speed,
-            "induced_velocity": env.induced_velocity,
-            "fuselage_drag_ratio": env.fuselage_drag_ratio,
-            "rotor_solidity": env.rotor_solidity,
-            "profile_drag_coefficient": env.profile_drag_coefficient,
-            "induced_power_correction": env.induced_power_correction,
-            "channel_gain_ref_db": 10.0 * math.log10(env.channel_gain_ref),
-            "noise_power_dbm": 10.0 * math.log10(env.noise_power * 1e3),
-            "bits_per_symbol": env.bits_per_symbol,
-        },
-        "costs": {
-            "reservation_per_mah": instance.costs.reservation_per_mah,
-            "on_demand_per_mah": instance.costs.on_demand_per_mah,
-            "per_second": instance.costs.per_second,
-            "per_joule": instance.costs.per_joule,
-            "hover_per_watt_second": instance.costs.hover_per_watt_second,
-            "service_fee": instance.costs.service_fee,
-            "subscription_fee": instance.costs.subscription_fee,
-            "crash_penalty": instance.costs.crash_penalty,
-            "completion_penalty": instance.costs.completion_penalty,
-        },
-        "split": {"m": instance.split.m, "s": instance.split.s, "t": instance.split.t},
-        "tree": {
-            "weather": [
-                {"strong_wind": list(w.strong_wind), "probability": w.probability}
-                for w in instance.tree.weather
-            ],
-            "demand": [
-                {"dims": list(d.dims), "probability": d.probability}
-                for d in instance.tree.demand
-            ],
-            "shortfall_stages": [
-                [
-                    {
-                        "flags": list(s.flags),
-                        "magnitudes": list(s.magnitudes),
-                        "probability": s.probability,
-                    }
-                    for s in stage
-                ]
-                for stage in instance.tree.shortfall_stages
-            ],
-        },
-        "max_local_copies": instance.max_local_copies,
-        "wait_cost_gated_by_offload": instance.wait_cost_gated_by_offload,
-    }
+    return {"schema_version": SCHEMA_VERSION, **_INSTANCE.write(instance)}
 
 
 # ---------------------------------------------------------------------------

@@ -524,7 +524,7 @@ class _Node:
 
 
 def _fractional_index(
-    x: np.ndarray, int_ids: np.ndarray, binary_mask: np.ndarray | None = None
+    x: np.ndarray, int_ids: np.ndarray, binary_mask: np.ndarray
 ) -> int | None:
     """Most fractional integer variable, or None if integral.
 
@@ -537,11 +537,8 @@ def _fractional_index(
     fractional = frac > _INT_TOL
     if not fractional.any():
         return None
-    pick_from = fractional
-    if binary_mask is not None:
-        frac_bin = fractional & binary_mask
-        if frac_bin.any():
-            pick_from = frac_bin
+    frac_bin = fractional & binary_mask
+    pick_from = frac_bin if frac_bin.any() else fractional
     dist = np.where(pick_from, np.abs(frac - 0.5), math.inf)
     best = np.flatnonzero(dist == dist.min())
     return int(int_ids[best[0]])

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .coding import symbol_counts
+
 __all__ = [
     "GRAVITY",
     "UavType",
@@ -230,20 +232,15 @@ def task_timings(
     transmit/receive scale with the link rates. ``split`` needs m, s, t
     fields (integer or fractional splits both work).
     """
-    if not isinstance(n_dim, int) or n_dim < 1:
-        raise ValueError(f"matrix dimension must be a positive integer, got {n_dim!r}")
+    counts = symbol_counts(n_dim, split, 1, 0)
     if rate_to <= 0 or rate_from <= 0:
         raise ValueError("link rates must be positive")
     bits = float(env.bits_per_symbol)
-    n2 = float(n_dim) ** 2
-    n3 = float(n_dim) ** 3
-    kk = split.t * split.t * (2 * split.s - 1)
-    log_k = math.log2(kk) if kk > 1 else 0.0
     cycles_per_symbol = uav.cycles_per_bit * bits
     return TaskTimings(
-        t_local=cycles_per_symbol * (n3 / (split.m * split.t)) / uav.cpu_rate,
-        t_enc=cycles_per_symbol * n2 / uav.cpu_rate,
-        t_dec=cycles_per_symbol * (n2 * kk * log_k * log_k) / uav.cpu_rate,
-        t_to=bits * (n2 / split.m) / rate_to,
-        e_receive=uav.rx_power * bits * (n2 / (split.t * split.t)) / rate_from,
+        t_local=cycles_per_symbol * counts.d_cmp / uav.cpu_rate,
+        t_enc=cycles_per_symbol * counts.d_enc / uav.cpu_rate,
+        t_dec=cycles_per_symbol * counts.d_dec / uav.cpu_rate,
+        t_to=bits * counts.d_comm_to / rate_to,
+        e_receive=uav.rx_power * bits * counts.d_comm_fr / rate_from,
     )

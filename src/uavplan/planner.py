@@ -79,7 +79,6 @@ __all__ = [
     "Phase2Model",
     "Phase2Plan",
     "StageDecision",
-    "big_m_sigma",
     "build_phase1",
     "solve_phase1",
     "build_phase2_dip",
@@ -127,6 +126,11 @@ class BaseStation:
 
 @dataclass(frozen=True)
 class NetworkInstance:
+    """One planning network. Building one (``dataclasses.replace``
+    included) runs every structural check and raises ``ValueError``
+    with the problems joined by "; ", so an instance that exists is
+    valid."""
+
     time_slots: int
     stations: tuple[Station, ...]
     uav_types: tuple[UavType, ...]
@@ -140,7 +144,12 @@ class NetworkInstance:
 
     # -- validation -----------------------------------------------------
 
-    def validate(self) -> list[str]:
+    def __post_init__(self) -> None:
+        problems = self._problems()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def _problems(self) -> list[str]:
         """All structural violations, empty when the instance is usable."""
         out: list[str] = []
         if self.time_slots < 1:
@@ -186,12 +195,6 @@ class NetworkInstance:
             out.append("max_local_copies must be >= 0")
         return out
 
-    def require_valid(self) -> "NetworkInstance":
-        problems = self.validate()
-        if problems:
-            raise ValueError("invalid instance: " + "; ".join(problems))
-        return self
-
     # -- lookups --------------------------------------------------------
 
     @property
@@ -215,18 +218,6 @@ class NetworkInstance:
         if self.max_local_copies is None:
             return base
         return min(base, self.max_local_copies)
-
-
-def big_m_sigma(instance: NetworkInstance) -> int:
-    """Indicator-linking constant: total server capacity plus the
-    recovery threshold plus the worst cumulative shortfall. Individual
-    link rows use tighter per-row coefficients; this is the documented
-    ceiling they all respect."""
-    return (
-        sum(bs.servers for bs in instance.base_stations)
-        + instance.split.k
-        + max_total_exposure(instance.tree)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +299,6 @@ class Phase1Plan:
 def build_phase1(instance: NetworkInstance) -> Phase1Model:
     """The reservation program as an integer model (the paper's model
     size, and the reference for ``solve_phase1``)."""
-    instance.require_valid()
     tree = instance.tree
     if not tree.weather:
         raise ValueError("phase 1 requires at least one weather scenario")
@@ -387,7 +377,6 @@ def solve_phase1(instance: NetworkInstance) -> Phase1Plan:
     so each (slot, station) takes the type with the lowest reservation
     price plus P(strong wind) times that bill. Ties go to the larger
     type."""
-    instance.require_valid()
     tree = instance.tree
     if not tree.weather:
         raise ValueError("phase 1 requires at least one weather scenario")
@@ -638,7 +627,6 @@ def build_phase2_sip(
 ) -> Phase2Model:
     """Extensive-form multistage allocation program of one slot over the
     full tree."""
-    instance.require_valid()
     tree = instance.tree
     if not tree.demand:
         raise ValueError("phase 2 requires at least one demand scenario")
@@ -739,7 +727,6 @@ def build_phase2_dip(
 ) -> Phase2Model:
     """Deterministic allocation program of one slot: demand and
     shortfall known."""
-    instance.require_valid()
     n_y = len(instance.stations)
     n_f = len(instance.base_stations)
     if len(demand) != n_y:
@@ -947,7 +934,6 @@ def evf_plan(
     mean-value program has no feasible point (it has no residual
     variables, so its coverage rows can ask for more copies than the
     local cap and the base-station seats supply)."""
-    instance.require_valid()
     pricing = _Pricing.of(instance, type_ids)
     mean_dims, mean_short = _mean_demand_and_shortfall(instance)
     dip = solve_phase2(
@@ -979,7 +965,6 @@ def random_plan(
     rejected and redrawn, scenario block by scenario block. Recourse
     stages stay at zero; residual penalties land wherever the drawn
     provision cannot cover a path's losses."""
-    instance.require_valid()
     pricing = _Pricing.of(instance, type_ids)
     return pricing.price(_draw_random_plan(instance, seed))
 
@@ -1279,7 +1264,6 @@ def offload_curve(
     sum to v and the rest of the program is re-optimized; each row
     records the per-stage breakdown and the total.
     """
-    instance.require_valid()
     tree = instance.tree
     if (
         instance.time_slots != 1

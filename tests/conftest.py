@@ -11,7 +11,6 @@ import pytest
 from uavplan.coding import CodeSplit
 from uavplan.costs import CostCoefficients
 from uavplan.io import load_instance
-from uavplan.milp import IPModel
 from uavplan.physics import Environment, UavType
 from uavplan.planner import BaseStation, NetworkInstance, Station
 from uavplan.scenario import (
@@ -203,56 +202,6 @@ def phase1_instance(rng, t, y, x, w):
         split=CodeSplit.from_slices(2, 1, 2),
         tree=tree,
     )
-
-
-def gate3_model(rng: np.random.Generator, trial: int) -> IPModel:
-    """One random integer program of acceptance gate 3: 5 to 25
-    variables (70% binary, the rest small integer ranges), 1 to 8 rows,
-    enumeration space capped at 1e6.  Called for trials 0, 1, ... on one
-    generator, it draws gate 3's models in order."""
-    n = int(rng.integers(5, 26))
-    m = int(rng.integers(1, 9))
-    # every tenth model keeps fully random right-hand sides, the
-    # rest are anchored at a feasible integer point so the oracle
-    # comparison exercises optimal objectives and not just status
-    anchored = trial % 10 != 9
-    model = IPModel(f"cross{trial}")
-    space = 1
-    los, his = [], []
-    for j in range(n):
-        if rng.random() < 0.7:
-            lo, hi = 0, 1
-        else:
-            lo = int(rng.integers(-2, 1))
-            hi = lo + int(rng.integers(1, 5))
-        if space * (hi - lo + 1) > 1_000_000:
-            lo = hi = 0  # keep the enumeration space under the cap
-        space *= hi - lo + 1
-        kind = "binary" if (lo, hi) == (0, 1) else "integer"
-        model.add_variable(f"x{j}", kind, lower=float(lo), upper=float(hi))
-        los.append(lo)
-        his.append(hi)
-    assert space <= 1_000_000
-    anchor = np.array(
-        [float(rng.integers(lo, hi + 1)) for lo, hi in zip(los, his)]
-    )
-    for j in range(n):
-        model.add_objective_term(j, float(np.round(rng.normal(), 3)))
-    model.add_objective_constant(float(np.round(rng.normal(), 3)))
-    for i in range(m):
-        size = int(rng.integers(1, n + 1))
-        cols = rng.choice(n, size=size, replace=False)
-        coefs = np.round(rng.normal(size=size), 3)
-        terms = [(int(j), float(c)) for j, c in zip(cols, coefs)]
-        sense = str(rng.choice(["<=", ">=", "=="]))
-        if anchored:
-            at = float(coefs @ anchor[cols])
-            slack = float(np.round(abs(rng.normal()), 3))
-            rhs = {"<=": at + slack, ">=": at - slack, "==": at}[sense]
-        else:
-            rhs = float(np.round(rng.normal() * 3.0, 3))
-        model.add_constraint(terms, sense, rhs, name=f"c{i}")
-    return model
 
 
 @pytest.fixture(scope="session")

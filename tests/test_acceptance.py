@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +46,6 @@ from uavplan.scenario import (
 from conftest import (
     ENV,
     UAV_TYPES,
-    gate3_model,
     guaranteed_stage,
     make_costs,
     phase1_instance,
@@ -52,6 +53,9 @@ from conftest import (
     tree_z2,
     zero_stage,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 
 def test_1_recovery_identities():
@@ -84,14 +88,12 @@ def test_3_solver_cross_validation():
     space capped at 1e6 points: branch and bound must agree with brute
     force on status, on objective to 1e-9, and return a point feasible
     to 1e-6.  Budget: under two minutes."""
-    rng = np.random.default_rng(3)
     t0 = time.monotonic()
     bb_s = enum_s = 0.0
     statuses: dict[str, int] = {}
     worst_gap = 0.0
     worst_violation = 0.0
-    for trial in range(200):
-        model = gate3_model(rng, trial)
+    for trial, model in enumerate(workloads.gate3_models(200)):
         t_bb = time.monotonic()
         exact = solve_exact(model)
         t_enum = time.monotonic()

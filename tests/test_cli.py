@@ -127,6 +127,33 @@ class TestPlan:
         assert cli.main(["plan", "--config", cfg]) == 2
         assert "missing.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record, key, value",
+        [
+            ("stations", "id", "abc"),
+            ("base_stations", "servers", None),
+            ("uav_types", None, {"id": 1}),
+        ],
+        ids=["station-id", "base-station-servers", "uav-types-not-a-list"],
+    )
+    def test_malformed_instance_field_leaves_error_record(
+        self, flat_setup, record, key, value
+    ):
+        cfg, out = flat_setup
+        path = out.parent / "instance.json"
+        data = json.loads(path.read_text())
+        if key is None:
+            data[record] = value
+        else:
+            data[record][0][key] = value
+        path.write_text(json.dumps(data))
+        assert cli.main(["plan", "--config", cfg]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "input" and error["exit_code"] == 2
+        assert f"instance.json.{record}" in error["message"]
+        if key is not None:
+            assert f"{record}[0].{key}" in error["message"]
+
     def test_missing_config(self, tmp_path, capsys):
         assert cli.main(["plan", "--config", str(tmp_path / "none.json")]) == 2
         assert "file not found" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -26,7 +27,59 @@ from uavplan.io import (
 from uavplan.planner import solve_phase1, solve_phase2
 from uavplan.scenario import demand_hist_from_csv
 
-from conftest import small_instance, tree_z2
+from conftest import DATA_DIR, small_instance, tree_z2
+
+DATA_FILES = ("instance.json", "curve_instance.json")
+
+# every record of the instance format, as a path of keys and list
+# indices into the bundled instance file
+RECORD_PATHS = (
+    (),
+    ("stations", 0),
+    ("base_stations", 0),
+    ("uav_types", 0),
+    ("environment",),
+    ("costs",),
+    ("split",),
+    ("tree",),
+    ("tree", "weather", 0),
+    ("tree", "demand", 0),
+    ("tree", "shortfall_stages", 0, 0),
+)
+OPTIONAL_KEYS = {
+    "schema_version",  # checked before any record; see test_schema_version_checked
+    "bits_per_symbol",
+    "shortfall_stages",
+    "max_local_copies",
+    "wait_cost_gated_by_offload",
+}
+
+
+def bundled_data() -> dict:
+    return json.loads((DATA_DIR / "instance.json").read_text())
+
+
+def record_at(data: dict, path: tuple) -> dict:
+    for step in path:
+        data = data[step]
+    return data
+
+
+def path_label(path: tuple) -> str:
+    """``instance.json.tree.weather[0]`` for ("tree", "weather", 0)."""
+    return "instance.json" + "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in path
+    )
+
+
+def required_fields():
+    data = bundled_data()
+    return [
+        pytest.param(path, key, id=f"{path_label(path)}.{key}")
+        for path in RECORD_PATHS
+        for key in record_at(data, path)
+        if key not in OPTIONAL_KEYS
+    ]
 
 
 @pytest.fixture
@@ -106,6 +159,57 @@ class TestInstanceRoundTrip:
         del data["uav_types"][0]["mass_kg"]
         with pytest.raises(InputError, match=r"uav_types\[0\].*mass_kg"):
             instance_from_dict(data)
+
+    @pytest.mark.parametrize("name", DATA_FILES)
+    def test_data_file_round_trip(self, name):
+        data = json.loads((DATA_DIR / name).read_text())
+        back = instance_to_dict(instance_from_dict(data))
+        assert back == data
+        assert json.dumps(back) == json.dumps(data)  # same key order too
+
+    @pytest.mark.parametrize("path, key", required_fields())
+    def test_missing_field_names_record(self, path, key):
+        data = bundled_data()
+        del record_at(data, path)[key]
+        message = f"{path_label(path)}: missing required field {key!r}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            instance_from_dict(data, where="instance.json")
+
+    def test_optional_fields_take_their_defaults(self):
+        data = bundled_data()
+        del data["environment"]["bits_per_symbol"]
+        del data["tree"]["shortfall_stages"]
+        del data["max_local_copies"]
+        del data["wait_cost_gated_by_offload"]
+        inst = instance_from_dict(data)
+        assert inst.environment.bits_per_symbol == 4
+        assert inst.tree.shortfall_stages == ()
+        assert inst.max_local_copies is None
+        assert inst.wait_cost_gated_by_offload is False
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(path, value, id=path_label(path))
+            for path, value in (
+                (("stations", 0, "id"), "abc"),
+                (("base_stations", 0, "servers"), None),
+                (("uav_types", 0, "mass_kg"), [8.0]),
+                (("environment", "noise_power_dbm"), "loud"),
+                (("environment", "channel_gain_ref_db"), 1e6),  # overflows
+                (("costs", "per_second"), float("nan")),
+                (("tree", "demand", 0, "dims"), "480"),
+                (("stations",), {"id": 1}),
+                (("uav_types",), 3),
+                (("base_stations", 0), 7),
+            )
+        ],
+    )
+    def test_malformed_field_names_record(self, path, value):
+        data = bundled_data()
+        record_at(data, path[:-1])[path[-1]] = value
+        with pytest.raises(InputError, match=re.escape(f"{path_label(path)}: ")):
+            instance_from_dict(data, where="instance.json")
 
     def test_structural_problems_reported(self, inst):
         data = instance_to_dict(inst)

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from uavplan.milp import (
 )
 from uavplan.planner import build_phase2_sip
 
-from conftest import gate3_model
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 
 def knapsack_model():
@@ -489,8 +492,7 @@ class TestEnumerateValidation:
         """The largest of acceptance gate 3's models: 995,328 points over
         23 variables. Only the two half tables and one block of buffers
         are held, about 1.4 MB."""
-        rng = np.random.default_rng(3)
-        model = max((gate3_model(rng, t) for t in range(200)), key=enumeration_space)
+        model = max(workloads.gate3_models(200), key=enumeration_space)
         assert (enumeration_space(model), model.num_variables) == (995_328, 23)
         tracemalloc.start()
         try:

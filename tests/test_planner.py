@@ -12,7 +12,6 @@ from uavplan.planner import (
     ResourceLimitError,
     Station,
     _phase2_warm_start,
-    big_m_sigma,
     build_phase1,
     build_phase2_dip,
     build_phase2_sip,
@@ -60,46 +59,37 @@ def z3_tree(p_loss: float = 0.5, mag: int = 2) -> ScenarioTree:
 
 
 class TestInstanceValidation:
+    """Building an instance runs its checks; an invalid one never exists."""
+
     def test_clean(self):
-        assert small_instance(z3_tree()).validate() == []
+        assert small_instance(z3_tree())._problems() == []
 
     def test_misordered_types_reported(self):
-        inst = small_instance(
-            tree_z2(1, [(240,)], [1.0]), uav_types=tuple(reversed(UAV_TYPES))
-        )
-        assert any("ascending battery" in m for m in inst.validate())
+        with pytest.raises(ValueError, match="ascending battery"):
+            small_instance(
+                tree_z2(1, [(240,)], [1.0]), uav_types=tuple(reversed(UAV_TYPES))
+            )
 
     def test_station_count_mismatch_reported(self):
-        inst = small_instance(tree_z2(2, [(240, 240)], [1.0]), n_stations=1)
-        assert any("station vectors" in m for m in inst.validate())
+        with pytest.raises(ValueError, match="station vectors"):
+            small_instance(tree_z2(2, [(240, 240)], [1.0]), n_stations=1)
 
     def test_unknown_station_type_reported(self):
         base = small_instance(tree_z2(1, [(240,)], [1.0]))
-        inst = dataclasses.replace(
-            base, stations=(dataclasses.replace(base.stations[0], uav_type=99),)
-        )
-        assert any("unknown UAV type 99" in m for m in inst.validate())
+        with pytest.raises(ValueError, match="unknown UAV type 99"):
+            dataclasses.replace(
+                base, stations=(dataclasses.replace(base.stations[0], uav_type=99),)
+            )
 
     def test_low_hover_reported(self):
         base = small_instance(tree_z2(1, [(240,)], [1.0]))
         tall_bs = dataclasses.replace(base.base_stations[0], height=150.0)
-        inst = dataclasses.replace(base, base_stations=(tall_bs,))
-        assert any("does not clear" in m for m in inst.validate())
+        with pytest.raises(ValueError, match="does not clear"):
+            dataclasses.replace(base, base_stations=(tall_bs,))
 
-    def test_require_valid_raises(self):
-        inst = small_instance(tree_z2(1, [(240,)], [1.0]), time_slots=0)
+    def test_time_slots_rejected(self):
         with pytest.raises(ValueError, match="time_slots"):
-            inst.require_valid()
-
-    def test_big_m_covers_capacity_threshold_exposure(self):
-        flat = small_instance(tree_z2(1, [(240,)], [1.0]))
-        assert big_m_sigma(flat) == 12 + 4
-        lossy = small_instance(
-            dataclasses.replace(
-                flat.tree, shortfall_stages=(guaranteed_stage(1, 3),)
-            )
-        )
-        assert big_m_sigma(lossy) == 12 + 4 + 3
+            small_instance(tree_z2(1, [(240,)], [1.0]), time_slots=0)
 
 
 class TestPhase1:
