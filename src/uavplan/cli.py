@@ -39,6 +39,7 @@ from .io import (
     write_json_atomic,
     write_text_atomic,
     _check_schema,
+    _integer,
 )
 from .planner import (
     NetworkInstance,
@@ -63,13 +64,19 @@ class RunConfig:
     out_dir: Path
     seed: int
     node_limit: int | None
-    sections: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)  # the config object
 
     def section(self, name: str) -> Mapping:
-        value = self.sections.get(name, {})
+        value = self.data.get(name, {})
         if not isinstance(value, Mapping):
             raise InputError(f"{self.path}: config section {name!r} must be an object")
         return value
+
+    def value(self, section: str, key: str, read, default):
+        """``read`` of one entry of a config section; a failed conversion
+        raises ``InputError`` naming ``section.key``."""
+        entry = self.section(section).get(key, default)
+        return _config_value(str(self.path), f"{section}.{key}", read, entry)
 
     def load_instance(self) -> NetworkInstance:
         if self.instance_path is None:
@@ -77,47 +84,55 @@ class RunConfig:
         return load_instance(self.instance_path)
 
 
-def load_run_config(args: argparse.Namespace) -> RunConfig:
+def _config_value(where: str, key: str, read, value):
+    """``read(value)``, with a failed conversion raised as ``InputError``
+    naming the config key."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {key}: {exc}") from exc
+
+
+def load_run_config(args: argparse.Namespace, make_out: bool = False) -> RunConfig:
+    """Read and check the config. With ``make_out`` the output directory
+    is created first, so a bad value after it still leaves ``error.json``."""
     cfg_path = Path(args.config)
+    where = str(cfg_path)
     data = load_json(cfg_path)
-    _check_schema(data, str(cfg_path))
+    out = args.out if args.out is not None else data.get("out", ".")
+    out_dir = _config_value(where, "out", Path, out)
+    if make_out:
+        _ensure_out(out_dir, args)
+    _check_schema(data, where)
 
     instance_path: Path | None = None
     if data.get("instance") is not None:
-        instance_path = Path(data["instance"])
+        instance_path = _config_value(where, "instance", Path, data["instance"])
         if not instance_path.is_absolute():
             # paths in a config resolve relative to the config file
             instance_path = cfg_path.parent / instance_path
         if not instance_path.exists():
             raise InputError(f"{cfg_path}: instance file not found: {instance_path}")
 
-    out_dir = Path(args.out if args.out is not None else data.get("out", "."))
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
-    node_limit = (
-        args.node_limit if args.node_limit is not None else data.get("node_limit")
-    )
-    if node_limit is not None:
-        node_limit = int(node_limit)
-        if node_limit < 1:
-            raise InputError("node_limit must be a positive integer")
+    seed = args.seed if args.seed is not None else data.get("seed", 0)
+    seed = _config_value(where, "seed", _integer, seed)
+    node_limit = args.node_limit
+    if node_limit is None and data.get("node_limit") is not None:
+        node_limit = _config_value(where, "node_limit", _integer, data["node_limit"])
+    if node_limit is not None and node_limit < 1:
+        raise InputError("node_limit must be a positive integer")
 
-    sections = {
-        key: data[key]
-        for key in ("sweep", "compare", "size", "ingest_demand")
-        if key in data
-    }
     return RunConfig(
         path=cfg_path,
         instance_path=instance_path,
         out_dir=out_dir,
         seed=seed,
         node_limit=node_limit,
-        sections=sections,
+        data=data,
     )
 
 
-def _ensure_out(config: RunConfig, args: argparse.Namespace) -> Path:
-    out = config.out_dir
+def _ensure_out(out: Path, args: argparse.Namespace) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     args.resolved_out = out
     return out
@@ -129,8 +144,8 @@ def _ensure_out(config: RunConfig, args: argparse.Namespace) -> Path:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    config = load_run_config(args)
-    out = _ensure_out(config, args)
+    config = load_run_config(args, make_out=True)
+    out = config.out_dir
     instance = config.load_instance()
 
     p1, plans, composed = plan_both_phases(instance, node_limit=config.node_limit)
@@ -177,15 +192,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_run_config(args)
-    out = _ensure_out(config, args)
+    config = load_run_config(args, make_out=True)
+    out = config.out_dir
     spec = config.section("sweep")
     if not spec:
         raise InputError(f"{config.path}: sweep command needs a 'sweep' config section")
     instance = config.load_instance()
     try:
         result = sweep(instance, spec, node_limit=config.node_limit)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"sweep: {exc}") from exc
 
     rows = result.rows()
@@ -204,19 +219,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = load_run_config(args)
-    out = _ensure_out(config, args)
-    section = config.section("compare")
+    config = load_run_config(args, make_out=True)
+    out = config.out_dir
     instance = config.load_instance()
 
-    multipliers = tuple(section.get("multipliers", DEFAULT_PRICE_MULTIPLIERS))
-    n_seeds = int(section.get("n_seeds", 30))
+    multipliers = config.value(
+        "compare", "multipliers", tuple, DEFAULT_PRICE_MULTIPLIERS
+    )
+    n_seeds = config.value("compare", "n_seeds", _integer, 30)
     seeds = [config.seed + i for i in range(n_seeds)]
     try:
         rows = offload_price_comparison(
             instance, multipliers, seeds, node_limit=config.node_limit
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"compare: {exc}") from exc
 
     header = ["multiplier", "sip_cost", "evf_cost", "random_cost"]
@@ -248,11 +264,8 @@ def cmd_size(args: argparse.Namespace) -> int:
     shape = section.get("shape")
     if isinstance(shape, str) or not isinstance(shape, Sequence) or not shape:
         raise InputError(f"{config.path}: size.shape must be a non-empty list")
-    try:
-        phase = int(section.get("phase", 1))
-        dims = [int(v) for v in shape]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{config.path}: size section must be numeric: {exc}") from exc
+    phase = config.value("size", "phase", _integer, 1)
+    dims = config.value("size", "shape", lambda s: [_integer(v) for v in s], None)
     if phase == 1:
         if len(dims) != 4:
             raise InputError(
@@ -283,10 +296,10 @@ def cmd_ingest_demand(args: argparse.Namespace) -> int:
         raise InputError(
             f"{config.path}: ingest-demand needs an ingest_demand.csv config entry"
         )
-    csv_file = Path(csv_path)
+    csv_file = _config_value(str(config.path), "ingest_demand.csv", Path, csv_path)
     if not csv_file.is_absolute():
         csv_file = config.path.parent / csv_file
-    out = _ensure_out(config, args)
+    out = _ensure_out(config.out_dir, args)
 
     rows = read_demand_csv(csv_file)
     hist = demand_hist_from_csv(rows)

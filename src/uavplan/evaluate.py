@@ -214,9 +214,9 @@ def _phase2_point(plan: Phase2Plan, **extra) -> tuple[float, str, dict, bool]:
 def _guaranteed_stages(
     n_stations: int, z: int, magnitudes: Sequence[int]
 ) -> tuple[tuple[ShortfallScenario, ...], ...]:
-    if z - 2 > len(magnitudes):
+    if not isinstance(magnitudes, Sequence) or z - 2 > len(magnitudes):
         raise ValueError(
-            f"z={z} needs {z - 2} per-stage shortfall magnitudes, got {len(magnitudes)}"
+            f"z={z} needs a list of {z - 2} shortfall_magnitudes, got {magnitudes!r}"
         )
     stages = []
     for zz in range(3, z + 1):
@@ -367,7 +367,10 @@ def sweep(
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
-    grid = tuple(float(v) for v in spec.get("grid", ()))
+    try:
+        grid = tuple(float(v) for v in spec.get("grid", ()))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"sweep grid must be a list of numbers: {exc}") from exc
     if not grid:
         raise ValueError("empty sweep grid")
     points = [

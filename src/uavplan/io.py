@@ -120,7 +120,7 @@ def load_json(path: str | Path) -> dict:
 
 def _check_schema(data: Mapping, where: str) -> None:
     version = _require(data, "schema_version", where)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise InputError(
             f"{where}: schema_version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
@@ -176,11 +176,32 @@ def _scalar(convert: Callable[[Any], Any]) -> _Read:
     return lambda value, where: convert(value)
 
 
+def _number(value: Any) -> int | float:
+    """A JSON number; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return value
+
+
 def _finite(value: Any) -> float:
-    number = float(value)
+    number = float(_number(value))
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
+
+
+def _integer(value: Any) -> int:
+    """A JSON number with an integral value: ``24.0`` reads as 24, while
+    ``2.7``, ``true`` and ``"2"`` are rejected."""
+    if isinstance(_number(value), float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _list_of(read: _Read) -> _Read:
@@ -200,7 +221,7 @@ def _same(value: Any) -> Any:
     return value
 
 
-_INT = _scalar(int)
+_INT = _scalar(_integer)
 _FLOAT = _scalar(_finite)
 _INTS = _list_of(_INT)
 
@@ -318,10 +339,10 @@ _INSTANCE = _Record(
         _field("tree", _TREE.read, _TREE.write),
         _field(
             "max_local_copies",
-            _scalar(lambda copies: None if copies is None else int(copies)),
+            _scalar(lambda copies: None if copies is None else _integer(copies)),
             default=None,
         ),
-        _field("wait_cost_gated_by_offload", _scalar(bool), default=False),
+        _field("wait_cost_gated_by_offload", _scalar(_flag), default=False),
     ),
 )
 

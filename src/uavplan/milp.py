@@ -29,7 +29,9 @@ every row to 1e-6, or the solve raises :class:`SolverError`.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -205,9 +207,6 @@ class IPModel:
             b[i] = con.rhs
             senses.append(con.sense)
         return a, b, senses
-
-    def objective_value(self, x: np.ndarray) -> float:
-        return float(np.dot(self.objective_vector(), x)) + self.objective_constant
 
     def max_violation(self, x: np.ndarray) -> float:
         worst = 0.0
@@ -736,13 +735,14 @@ def solve_enumerate(model: IPModel, cap: int = 1_000_000) -> Solution:
     All variables must be integer-kind with finite bounds, and the
     assignment space must not exceed ``cap`` (checked before any work).
 
-    The variables split at index ``h``: walking back from the last
-    variable, the trailing half takes variables while the product of
-    their ranges stays within ``max(1024, isqrt(total))``. Each half is
-    enumerated once in lexicographic order, with its partial row sums
-    and partial objective. Blocks of about ``_ENUM_BLOCK / |trailing|``
-    leading points are then scored against every trailing point by
-    broadcast addition, so a block holds about 1e5 points.
+    The variables split at the index ``h`` that minimises
+    |leading| + |trailing|, the point counts of variables ``[:h]`` and
+    ``[h:]`` taken from prefix products of the ranges; ties go to the
+    smallest ``h``. Each half is enumerated once in lexicographic order,
+    with its partial row sums and partial objective. Blocks of about
+    ``_ENUM_BLOCK / |trailing|`` leading points are then scored against
+    every trailing point by broadcast addition, so a block holds about
+    1e5 points.
 
     Ties break toward the lexicographically smallest assignment: point
     ``(i_lead, i_trail)`` has the lexicographic index
@@ -772,10 +772,8 @@ def solve_enumerate(model: IPModel, cap: int = 1_000_000) -> Solution:
                 f"enumeration space exceeds cap ({cap}); refusing to start"
             )
 
-    h, trail_size = model.num_variables, 1
-    while h > 0 and trail_size * ranges[h - 1] <= max(1024, math.isqrt(total)):
-        h -= 1
-        trail_size *= int(ranges[h])
+    sizes = list(itertools.accumulate(map(int, ranges), operator.mul, initial=1))
+    h = min(range(len(sizes)), key=lambda i: sizes[i] + total // sizes[i])
 
     a, b, senses = model.constraint_matrix()
     c = model.objective_vector()

@@ -6,8 +6,12 @@ uncertainty, with an on-demand largest-type recourse in crash scenarios;
 Phase 2 allocates coded task copies between local computation and
 offloading to subscribed edge servers, as either a deterministic program
 (known demand/shortfall) or a z-stage stochastic program in extensive
-form over the scenario tree. Every slot repeats the same program, so the
-builders build one slot and the decoder repeats its decisions.
+form over the scenario tree. One ``Phase2Model`` builds, decodes and
+encodes both with one stage loop: every decision block is keyed by
+(stage, demand scenario, loss prefix), stage 2 is the stage whose loss
+prefix is empty, and the deterministic program is the stage-2 block of
+one demand scenario. Every slot repeats the same program, so the model
+covers one slot and the decoder repeats its decisions.
 
 Key structural choices:
 
@@ -452,22 +456,6 @@ class Phase2Plan:
         return sum(sum(row) for row in self.subscriptions)
 
 
-@dataclass
-class Phase2Model:
-    """The allocation program of one time slot. Every slot repeats the
-    same tree, prices and fleet, so one slot's block is the whole
-    program; the id maps carry no slot index."""
-
-    model: IPModel
-    formulation: str  # "dip" | "sip"
-    sub_ids: dict[int, int]  # bs index -> vid
-    local_ids: dict[tuple, int]
-    offload_ids: dict[tuple, int]
-    indicator_ids: dict[tuple, int]
-    residual_ids: dict[tuple, int]
-    tables: list[list[_CostTable]]
-
-
 def _resolve_type_ids(
     instance: NetworkInstance, type_ids: Sequence[int] | None
 ) -> tuple[int, ...]:
@@ -485,15 +473,23 @@ def _resolve_type_ids(
     return ids
 
 
-class _Phase2Builder:
-    """One slot's allocation model under construction, starting with the
-    subscription binaries, and its variable-id maps; the SIP and DIP
-    builders share its stage-2 block."""
+class Phase2Model:
+    """The allocation program of one time slot, the paths and cost
+    tables that price its plans, and the variable-id maps that decode a
+    solution into a plan and encode a plan into a point. Every slot
+    repeats the same tree, prices and fleet, so one slot's block is the
+    whole program; the id maps carry no slot index.
 
-    def __init__(self, instance: NetworkInstance, name: str) -> None:
-        self.instance = instance
-        self.model = IPModel(name)
-        self.sub_ids: dict[int, int] = {}
+    A decision is keyed (stage, demand scenario, loss prefix, station),
+    and stage 2 is the stage whose loss prefix is empty; an offload
+    count adds the base-station index. A residual binary is keyed
+    (demand scenario, loss indices, station) by its terminal path."""
+
+    def __init__(self, formulation: str, pricing: _Pricing) -> None:
+        self.instance = instance = pricing.instance
+        self.pricing = pricing
+        self.model = IPModel(f"phase2_{formulation}")  # formulation "dip" | "sip"
+        self.sub_ids: dict[int, int] = {}  # bs index -> vid
         self.local_ids: dict[tuple, int] = {}
         self.offload_ids: dict[tuple, int] = {}
         self.indicator_ids: dict[tuple, int] = {}
@@ -503,220 +499,215 @@ class _Phase2Builder:
             self.model.add_objective_term(vid, instance.costs.subscription_fee)
             self.sub_ids[fi] = vid
 
-    def add_decision(
+    def add_decisions(
         self,
-        key: tuple,
-        tag: str,
+        stage: int,
+        demand: int,
+        prefix: tuple[int, ...],
         probability: float,
-        tab: _CostTable,
-        local_ub: int,
+        local_ub: Sequence[int],
         wait_gated: bool,
     ) -> None:
         """Local count, offload-route indicator and per-BS offload counts
-        of one station at one stage, priced at ``probability`` times its
-        cost table. The hover wait is an indicator term when
-        ``wait_gated``, a constant otherwise."""
+        of every station at one (stage, demand scenario, loss prefix),
+        priced at ``probability`` times the station's cost table. The
+        hover wait is an indicator term when ``wait_gated``, a constant
+        otherwise; stage 2 also carries the decoding constant."""
         model = self.model
-        lv = model.add_variable(f"M_L{tag}", kind="integer", upper=local_ub)
-        model.add_objective_term(lv, probability * tab.local)
-        self.local_ids[key] = lv
-        th = model.add_variable(f"M_TH{tag}", kind="binary")
-        self.indicator_ids[key] = th
-        if wait_gated:
-            model.add_objective_term(th, probability * tab.wait)
-        else:
-            model.add_objective_constant(probability * tab.wait)
-        for fi, bs in enumerate(self.instance.base_stations):
-            ov = model.add_variable(
-                f"M_O{tag}[bs={bs.id}]", kind="integer", upper=bs.servers
-            )
-            model.add_objective_term(ov, probability * tab.offload[fi])
-            self.offload_ids[(*key, fi)] = ov
+        for y, st in enumerate(self.instance.stations):
+            key = (stage, demand, prefix, y)
+            tag = f"{_block_tag(stage, demand, prefix)}[station={st.id}]"
+            tab = self.pricing.tables[demand][y]
+            lv = model.add_variable(f"M_L{tag}", kind="integer", upper=local_ub[y])
+            model.add_objective_term(lv, probability * tab.local)
+            self.local_ids[key] = lv
+            th = model.add_variable(f"M_TH{tag}", kind="binary")
+            self.indicator_ids[key] = th
+            if wait_gated:
+                model.add_objective_term(th, probability * tab.wait)
+            else:
+                model.add_objective_constant(probability * tab.wait)
+            for fi, bs in enumerate(self.instance.base_stations):
+                ov = model.add_variable(
+                    f"M_O{tag}[bs={bs.id}]", kind="integer", upper=bs.servers
+                )
+                model.add_objective_term(ov, probability * tab.offload[fi])
+                self.offload_ids[(*key, fi)] = ov
+            if not prefix:
+                model.add_objective_constant(probability * tab.decode)
 
-    def add_server_rows(self, prefix: tuple, tag: str) -> None:
-        """Subscription link and capacity per base station over the
-        offloads of every station under one (stage, scenario prefix)."""
-        n_y = len(self.instance.stations)
-        for fi, bs in enumerate(self.instance.base_stations):
-            terms = [(self.offload_ids[(*prefix, y, fi)], 1.0) for y in range(n_y)]
-            self.model.add_constraint(
+    def add_rows(self, stage: int, demand: int, prefix: tuple[int, ...]) -> None:
+        """Link rows of one (stage, demand scenario, loss prefix): the
+        subscription link and capacity per base station, then per
+        station the route links. Stage 2 adds the per-BS threshold rows
+        and the local-or-route cut."""
+        instance, model = self.instance, self.model
+        k = instance.split.k
+        tag = _block_tag(stage, demand, prefix)
+        for fi, bs in enumerate(instance.base_stations):
+            terms = [
+                (self.offload_ids[stage, demand, prefix, y, fi], 1.0)
+                for y in range(len(instance.stations))
+            ]
+            model.add_constraint(
                 terms + [(self.sub_ids[fi], -float(bs.servers))],
                 "<=",
                 0.0,
                 name=f"sub_link{tag}[bs={bs.id}]",
             )
-            self.model.add_constraint(
+            model.add_constraint(
                 terms, "<=", float(bs.servers), name=f"capacity{tag}[bs={bs.id}]"
             )
-
-    def add_route_link(self, key: tuple, tag: str, fi: int) -> None:
-        """No offload to base station ``fi`` without the route indicator."""
-        bs = self.instance.base_stations[fi]
-        self.model.add_constraint(
-            [
-                (self.offload_ids[(*key, fi)], 1.0),
-                (self.indicator_ids[key], -float(bs.servers)),
-            ],
-            "<=",
-            0.0,
-            name=f"route_link{tag}[bs={bs.id}]",
-        )
-
-    def add_stage2_block(
-        self,
-        li: int,
-        probability: float,
-        tables: Sequence[_CostTable],
-        local_ub: Sequence[int],
-    ) -> None:
-        """Stage-2 decisions and link rows for one demand scenario: the
-        subscription link and capacity per base station, then per
-        station the per-BS threshold and route links and the
-        local-or-route cut."""
-        instance, model = self.instance, self.model
-        k = instance.split.k
-        for y, st in enumerate(instance.stations):
-            self.add_decision(
-                (2, li, y),
-                f"[stage=2][scenario={li}][station={st.id}]",
-                probability,
-                tables[y],
-                local_ub[y],
-                wait_gated=instance.wait_cost_gated_by_offload,
-            )
-            model.add_objective_constant(probability * tables[y].decode)
-
-        self.add_server_rows((2, li), f"[stage=2][scenario={li}]")
         for y in range(len(instance.stations)):
-            key = (2, li, y)
-            route_tag = f"[stage=2][scenario={li}][station={y}]"
+            key = (stage, demand, prefix, y)
+            lv, th = self.local_ids[key], self.indicator_ids[key]
             for fi, bs in enumerate(instance.base_stations):
+                ov = self.offload_ids[(*key, fi)]
+                if not prefix:
+                    model.add_constraint(
+                        [(lv, 1.0), (ov, 1.0)],
+                        ">=",
+                        float(k),
+                        name=f"threshold[scenario={demand}][station={y}][bs={bs.id}]",
+                    )
+                # no offload to this base station without the route
                 model.add_constraint(
-                    [(self.local_ids[key], 1.0), (self.offload_ids[(*key, fi)], 1.0)],
-                    ">=",
-                    float(k),
-                    name=f"threshold[scenario={li}][station={y}][bs={bs.id}]",
+                    [(ov, 1.0), (th, -float(bs.servers))],
+                    "<=",
+                    0.0,
+                    name=f"route_link{tag}[station={y}][bs={bs.id}]",
                 )
-                self.add_route_link(key, route_tag, fi)
-            if instance.base_stations:
+            if not prefix:
                 # implied for integer points (no route -> no offload ->
                 # threshold forces local >= k) but cuts fractional
                 # indicators, which otherwise wreck the LP bound
                 model.add_constraint(
-                    [(self.local_ids[key], 1.0), (self.indicator_ids[key], float(k))],
+                    [(lv, 1.0), (th, float(k))],
                     ">=",
                     float(k),
-                    name=f"local_or_route[scenario={li}][station={y}]",
+                    name=f"local_or_route[scenario={demand}][station={y}]",
                 )
 
-    def build(self, formulation: str, tables: list[list[_CostTable]]) -> Phase2Model:
-        return Phase2Model(
-            model=self.model,
-            formulation=formulation,
-            sub_ids=self.sub_ids,
-            local_ids=self.local_ids,
-            offload_ids=self.offload_ids,
-            indicator_ids=self.indicator_ids,
-            residual_ids=self.residual_ids,
-            tables=tables,
-        )
+    def _provided(self, key: tuple) -> list[tuple[int, float]]:
+        """Row terms of the copies one decision provides: local plus
+        every per-BS offload."""
+        n_f = len(self.instance.base_stations)
+        offloads = [self.offload_ids[(*key, fi)] for fi in range(n_f)]
+        return [(vid, 1.0) for vid in (self.local_ids[key], *offloads)]
+
+    def encode(self, plan: Phase2Plan) -> np.ndarray:
+        """The model point of the plan's first slot; the inverse of
+        ``decode_phase2``."""
+        x = np.zeros(self.model.num_variables)
+        for fi, vid in self.sub_ids.items():
+            x[vid] = plan.subscriptions[0][fi]
+        for key, lv in self.local_ids.items():
+            entries, plan_key = _plan_entry(plan, 0, key)
+            dec = entries[plan_key]
+            x[lv] = dec.local
+            x[self.indicator_ids[key]] = dec.offload_indicator
+            for fi, count in enumerate(dec.offload):
+                x[self.offload_ids[(*key, fi)]] = count
+        for key, rv in self.residual_ids.items():
+            entries, plan_key = _plan_entry(plan, 0, key)
+            x[rv] = entries[plan_key]
+        return x
+
+
+def _path_label(loss_indices: Sequence[int]) -> str:
+    return ",".join(map(str, loss_indices)) or "-"
+
+
+def _block_tag(stage: int, demand: int, prefix: tuple[int, ...]) -> str:
+    path = f"[path={_path_label(prefix)}]" if prefix else ""
+    return f"[stage={stage}][scenario={demand}]{path}"
+
+
+def _blocks(tree: ScenarioTree) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every (stage, demand scenario, loss prefix) decision block, by
+    stage, then prefix, then demand scenario; stage 2 has the one empty
+    prefix."""
+    return [
+        (zz, li, prefix)
+        for zz in range(2, tree.z + 1)
+        for prefix in loss_prefixes(tree, zz)
+        for li in range(len(tree.demand))
+    ]
+
+
+def _plan_entry(plan: Phase2Plan, slot: int, key: tuple) -> tuple[dict, tuple]:
+    """The plan map and key that hold a model variable's value in
+    ``slot``: a decision (stage, demand, prefix, station) sits in
+    ``stage2`` when its prefix is empty and in ``recourse`` otherwise,
+    a residual (demand, loss indices, station) in ``residuals``."""
+    if len(key) == 3:
+        li, losses, y = key
+        return plan.residuals, (slot, (li, *losses), y)
+    stage, li, prefix, y = key
+    if prefix:
+        return plan.recourse, (slot, stage, (li, *prefix), y)
+    return plan.stage2, (slot, li, y)
 
 
 def build_phase2_sip(
     instance: NetworkInstance, type_ids: Sequence[int] | None = None
 ) -> Phase2Model:
     """Extensive-form multistage allocation program of one slot over the
-    full tree."""
+    full tree: one decision block per (stage, loss prefix, demand
+    scenario), stage 2 first, and one coverage row per (terminal path,
+    station)."""
     tree = instance.tree
     if not tree.demand:
         raise ValueError("phase 2 requires at least one demand scenario")
-    ids = _resolve_type_ids(instance, type_ids)
-    tables = _stage_cost_tables(instance, ids, [d.dims for d in tree.demand])
     k = instance.split.k
     n_y = len(instance.stations)
-    n_f = len(instance.base_stations)
     sigma_hat = k + max_total_exposure(tree)
-    l2_ub = instance.local_cap(k)
-    lz_ub = instance.local_cap(sigma_hat)
+    built = Phase2Model("sip", _Pricing.of(instance, type_ids))
 
-    builder = _Phase2Builder(instance, "phase2_sip")
-    model, residual_ids = builder.model, builder.residual_ids
-    local_ids, offload_ids = builder.local_ids, builder.offload_ids
-    indicator_ids = builder.indicator_ids
+    blocks = _blocks(tree)
+    for zz, li, prefix in blocks:
+        built.add_decisions(
+            zz,
+            li,
+            prefix,
+            _path_probability(tree, li, prefix),
+            [instance.local_cap(k if zz == 2 else sigma_hat)] * n_y,
+            wait_gated=zz > 2 or instance.wait_cost_gated_by_offload,
+        )
 
-    stage_range = range(3, tree.z + 1)
-    prefixes = {zz: loss_prefixes(tree, zz) for zz in stage_range}
-    terminal = enumerate_terminal_paths(tree)
-
-    for li, dem in enumerate(tree.demand):
-        builder.add_stage2_block(li, dem.probability, tables[li], [l2_ub] * n_y)
-
-    for zz in stage_range:
-        for combo in prefixes[zz]:
-            for li in range(len(tree.demand)):
-                prob = _path_probability(tree, li, combo)
-                for y in range(n_y):
-                    tag = (
-                        f"[stage={zz}][scenario={li}]"
-                        f"[path={','.join(map(str, combo)) or '-'}]"
-                        f"[station={instance.stations[y].id}]"
-                    )
-                    builder.add_decision(
-                        (zz, li, combo, y),
-                        tag,
-                        prob,
-                        tables[li][y],
-                        lz_ub,
-                        wait_gated=True,
-                    )
-
-    for path in terminal:
-        for y in range(n_y):
-            rv = model.add_variable(
+    for path in built.pricing.paths:
+        for y, st in enumerate(instance.stations):
+            rv = built.model.add_variable(
                 f"rho[scenario={path.demand_index}]"
-                f"[path={','.join(map(str, path.loss_indices)) or '-'}]"
-                f"[station={instance.stations[y].id}]",
+                f"[path={_path_label(path.loss_indices)}][station={st.id}]",
                 kind="binary",
             )
-            model.add_objective_term(
+            built.model.add_objective_term(
                 rv, path.probability * instance.costs.completion_penalty
             )
-            residual_ids[path.demand_index, path.loss_indices, y] = rv
+            built.residual_ids[path.demand_index, path.loss_indices, y] = rv
 
-    # -- rows -----------------------------------------------------------
+    for block in blocks:
+        built.add_rows(*block)
 
-    for zz in stage_range:
-        for combo in prefixes[zz]:
-            for li in range(len(tree.demand)):
-                ptag = f"[scenario={li}][path={','.join(map(str, combo)) or '-'}]"
-                builder.add_server_rows((zz, li, combo), f"[stage={zz}]{ptag}")
-                for y in range(n_y):
-                    route_tag = f"[stage={zz}]{ptag}[station={y}]"
-                    for fi in range(n_f):
-                        builder.add_route_link((zz, li, combo, y), route_tag, fi)
-
-    for path in terminal:
-        li = path.demand_index
+    for path in built.pricing.paths:
+        li, losses = path.demand_index, path.loss_indices
         for y in range(n_y):
-            exposure = flag_product_exposure(tree, path.loss_indices, y)
-            terms: list[tuple[int, float]] = [(local_ids[2, li, y], 1.0)]
-            terms += [(offload_ids[2, li, y, fi], 1.0) for fi in range(n_f)]
-            for zz in stage_range:
-                combo = path.loss_indices[: zz - 2]
-                terms.append((local_ids[zz, li, combo, y], 1.0))
-                terms += [(offload_ids[zz, li, combo, y, fi], 1.0) for fi in range(n_f)]
-            terms.append((residual_ids[li, path.loss_indices, y], float(sigma_hat)))
+            terms: list[tuple[int, float]] = []
+            for zz in range(2, tree.z + 1):
+                terms += built._provided((zz, li, losses[: zz - 2], y))
+            terms.append((built.residual_ids[li, losses, y], float(sigma_hat)))
+            exposure = flag_product_exposure(tree, losses, y)
             if exposure:
-                terms.append((indicator_ids[2, li, y], -float(exposure)))
-            model.add_constraint(
+                terms.append((built.indicator_ids[2, li, (), y], -float(exposure)))
+            built.model.add_constraint(
                 terms,
                 ">=",
                 float(k),
-                name=f"coverage[scenario={li}]"
-                f"[path={','.join(map(str, path.loss_indices)) or '-'}][station={y}]",
+                name=f"coverage[scenario={li}][path={_path_label(losses)}]"
+                f"[station={y}]",
             )
-
-    return builder.build("sip", tables)
+    return built
 
 
 def build_phase2_dip(
@@ -726,9 +717,9 @@ def build_phase2_dip(
     type_ids: Sequence[int] | None = None,
 ) -> Phase2Model:
     """Deterministic allocation program of one slot: demand and
-    shortfall known."""
+    shortfall known. It is the stage-2 block of one demand scenario
+    with coverage and restoration rows for the known shortfall."""
     n_y = len(instance.stations)
-    n_f = len(instance.base_stations)
     if len(demand) != n_y:
         raise ValueError(f"demand vector length {len(demand)} != {n_y}")
     for d in demand:
@@ -743,31 +734,31 @@ def build_phase2_dip(
             raise ValueError(f"shortfall must be non-negative, got {s!r}")
 
     ids = _resolve_type_ids(instance, type_ids)
-    k = instance.split.k
     tables = _stage_cost_tables(instance, ids, [[int(d) for d in demand]])
+    k = instance.split.k
     local_ub = [instance.local_cap(k + math.ceil(s)) for s in shortfall]
 
-    builder = _Phase2Builder(instance, "phase2_dip")
-    model = builder.model
-    local_ids, offload_ids = builder.local_ids, builder.offload_ids
-
-    builder.add_stage2_block(0, 1.0, tables[0], local_ub)
+    built = Phase2Model(
+        "dip", _Pricing(instance, ids, [ScenarioPath(0, (), 1.0)], tables)
+    )
+    built.add_decisions(
+        2, 0, (), 1.0, local_ub, wait_gated=instance.wait_cost_gated_by_offload
+    )
+    built.add_rows(2, 0, ())
     for y in range(n_y):
-        provided = [(local_ids[2, 0, y], 1.0)]
-        provided += [(offload_ids[2, 0, y, fi], 1.0) for fi in range(n_f)]
+        provided = built._provided((2, 0, (), y))
         # coverage with the known shortfall, loss gated by the
         # offload-route indicator
         cov = list(provided)
         if shortfall[y]:
-            cov.append((builder.indicator_ids[2, 0, y], -float(shortfall[y])))
-        model.add_constraint(cov, ">=", float(k), name=f"coverage[station={y}]")
+            cov.append((built.indicator_ids[2, 0, (), y], -float(shortfall[y])))
+        built.model.add_constraint(cov, ">=", float(k), name=f"coverage[station={y}]")
         # literal restoration row: offloads must make up whatever the
         # known shortfall exceeds the local count by
-        model.add_constraint(
+        built.model.add_constraint(
             provided, ">=", float(shortfall[y]), name=f"restoration[station={y}]"
         )
-
-    return builder.build("dip", tables)
+    return built
 
 
 def decode_phase2(
@@ -778,45 +769,34 @@ def decode_phase2(
     objective."""
     if sol.assignment is None or sol.objective is None:
         raise PlanningError(f"cannot decode a solution with status {sol.status!r}")
-    x = sol.assignment
+    x = np.round(sol.assignment).astype(int).tolist()
     n_f = len(instance.base_stations)
     slots = range(instance.time_slots)
-    subs = tuple(int(round(x[built.sub_ids[fi]])) for fi in range(n_f))
-    stage2: dict[tuple[int, int, int], StageDecision] = {}
-    recourse: dict[tuple[int, int, tuple[int, ...], int], StageDecision] = {}
-    for key, lv in built.local_ids.items():
-        dec = StageDecision(
-            local=int(round(x[lv])),
-            offload=tuple(
-                int(round(x[built.offload_ids[(*key, fi)]])) for fi in range(n_f)
-            ),
-            offload_indicator=int(round(x[built.indicator_ids[key]])),
-        )
-        if key[0] == 2:
-            _, li, y = key
-            stage2.update({(t, li, y): dec for t in slots})
-        else:
-            zz, li, combo, y = key
-            recourse.update({(t, zz, (li, *combo), y): dec for t in slots})
-    residuals = {
-        (t, (li, *combo), y): int(round(x[vid]))
-        for t in slots
-        for (li, combo, y), vid in built.residual_ids.items()
-    }
+    subs = tuple(x[vid] for vid in built.sub_ids.values())
     plan = Phase2Plan(
         subscriptions=(subs,) * instance.time_slots,
-        stage2=stage2,
-        recourse=recourse,
-        residuals=residuals,
+        stage2={},
+        recourse={},
+        residuals={},
         expected_cost=instance.time_slots * float(sol.objective),
         optimal=sol.status == "optimal",
     )
-    if built.formulation == "sip":
-        paths = enumerate_terminal_paths(instance.tree)
-    else:
-        paths = [ScenarioPath(0, (), 1.0)]
+    for key, lv in built.local_ids.items():
+        dec = StageDecision(
+            local=x[lv],
+            offload=tuple(x[built.offload_ids[(*key, fi)]] for fi in range(n_f)),
+            offload_indicator=x[built.indicator_ids[key]],
+        )
+        for t in slots:
+            entries, plan_key = _plan_entry(plan, t, key)
+            entries[plan_key] = dec
+    for t in slots:
+        for key, rv in built.residual_ids.items():
+            entries, plan_key = _plan_entry(plan, t, key)
+            entries[plan_key] = x[rv]
+    paths = built.pricing.paths
     _, plan.stage_breakdown = _expectation(
-        paths, *_path_costs(instance, plan, built.tables, paths)
+        paths, *_path_costs(instance, plan, built.pricing.tables, paths)
     )
     total = sum(plan.stage_breakdown.values())
     if abs(total - plan.expected_cost) > 1e-6:
@@ -831,40 +811,27 @@ def _phase2_warm_start(
 ) -> np.ndarray | None:
     """All-local incumbent for the stochastic build.
 
-    Keep exactly k copies on board per station and scenario; stations
-    whose local cap falls short of k route the difference to every BS
-    instead. Recourse stages stay at zero, residuals fall out of the
-    coverage arithmetic. Gives branch and bound a finite incumbent at
-    the root. Returns None when the fallback offloads do not fit BS
-    capacity (caller just solves cold)."""
-    tree = instance.tree
+    Keep k copies on board per station and scenario; when the local cap
+    falls short of k, every station routes the difference to every BS
+    instead. Recourse stages stay at zero and residuals follow the
+    coverage rule, as in every frozen stage-2 plan. Gives branch and
+    bound a finite incumbent at the root. Returns None when the routed
+    copies do not fit BS capacity (caller just solves cold)."""
     k = instance.split.k
-    l2_ub = instance.local_cap(k)
+    local = instance.local_cap(k)
+    need = k - local
+    if any(bs.servers < need * len(instance.stations) for bs in instance.base_stations):
+        return None
     n_f = len(instance.base_stations)
-    n_y = len(instance.stations)
-    x = np.zeros(built.model.num_variables)
-    for li in range(len(tree.demand)):
-        remaining = [bs.servers for bs in instance.base_stations]
-        for y in range(n_y):
-            if l2_ub >= k:
-                x[built.local_ids[2, li, y]] = float(k)
-                continue
-            need = k - l2_ub
-            x[built.local_ids[2, li, y]] = float(l2_ub)
-            x[built.indicator_ids[2, li, y]] = 1.0
-            for fi in range(n_f):
-                if remaining[fi] < need:
-                    return None
-                remaining[fi] -= need
-                x[built.offload_ids[2, li, y, fi]] = float(need)
-                x[built.sub_ids[fi]] = 1.0
-    for (li, combo, y), rv in built.residual_ids.items():
-        provided = x[built.local_ids[2, li, y]] + sum(
-            x[built.offload_ids[2, li, y, fi]] for fi in range(n_f)
-        )
-        indicator = x[built.indicator_ids[2, li, y]]
-        x[rv] = float(_falls_short(tree, k, provided, indicator, combo, y))
-    return x
+    dec = StageDecision(
+        local=local, offload=(need,) * n_f, offload_indicator=int(need > 0)
+    )
+    plan = _freeze_stage2_plan(
+        instance,
+        subscriptions=((int(need > 0),) * n_f,) * instance.time_slots,
+        decision_for=lambda t, li, y: dec,
+    )
+    return built.encode(plan)
 
 
 def solve_phase2(
@@ -1055,35 +1022,26 @@ def _freeze_stage2_plan(
     tree = instance.tree
     k = instance.split.k
     n_y = len(instance.stations)
-    n_f = len(instance.base_stations)
-    zero = StageDecision(local=0, offload=(0,) * n_f, offload_indicator=0)
-    stage2 = {}
-    recourse = {}
-    residuals = {}
-    for t in range(instance.time_slots):
-        for li in range(len(tree.demand)):
-            for y in range(n_y):
-                stage2[t, li, y] = decision_for(t, li, y)
-        for zz in range(3, tree.z + 1):
-            for combo in loss_prefixes(tree, zz):
-                for li in range(len(tree.demand)):
-                    for y in range(n_y):
-                        recourse[t, zz, (li, *combo), y] = zero
-        for path in enumerate_terminal_paths(tree):
-            for y in range(n_y):
-                dec = stage2[t, path.demand_index, y]
-                residuals[t, (path.demand_index, *path.loss_indices), y] = int(
-                    _falls_short(
-                        tree, k, dec.total, dec.offload_indicator, path.loss_indices, y
-                    )
-                )
-    return Phase2Plan(
-        subscriptions=subscriptions,
-        stage2=stage2,
-        recourse=recourse,
-        residuals=residuals,
-        expected_cost=0.0,
+    zero = StageDecision(
+        local=0, offload=(0,) * len(instance.base_stations), offload_indicator=0
     )
+    plan = Phase2Plan(
+        subscriptions, stage2={}, recourse={}, residuals={}, expected_cost=0.0
+    )
+    blocks = _blocks(tree)
+    for t in range(instance.time_slots):
+        for zz, li, prefix in blocks:
+            for y in range(n_y):
+                entries, key = _plan_entry(plan, t, (zz, li, prefix, y))
+                entries[key] = zero if prefix else decision_for(t, li, y)
+        for path in enumerate_terminal_paths(tree):
+            li, losses = path.demand_index, path.loss_indices
+            for y in range(n_y):
+                dec = plan.stage2[t, li, y]
+                plan.residuals[t, (li, *losses), y] = int(
+                    _falls_short(tree, k, dec.total, dec.offload_indicator, losses, y)
+                )
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -1167,8 +1125,9 @@ def _path_costs(
 
 @dataclass(frozen=True)
 class _Pricing:
-    """The terminal paths and cost tables of one instance and fleet.
-    Built once, they price any number of plans on that instance."""
+    """The paths and cost tables of one instance and fleet: the terminal
+    paths of its tree, or the one path of a deterministic program. Built
+    once, they price any number of plans on that instance."""
 
     instance: NetworkInstance
     type_ids: tuple[int, ...]
@@ -1280,7 +1239,7 @@ def offload_curve(
     for v in values:
         built = build_phase2_sip(instance, type_ids=type_ids)
         n_f = len(instance.base_stations)
-        terms = [(built.offload_ids[2, 0, 0, fi], 1.0) for fi in range(n_f)]
+        terms = [(built.offload_ids[2, 0, (), 0, fi], 1.0) for fi in range(n_f)]
         built.model.add_constraint(terms, "==", float(v), name=f"pin_offload[{v}]")
         sol = solve_exact(built.model)
         if sol.status != "optimal":

@@ -123,9 +123,12 @@ class TestPlan:
         assert not (out / "phase2_plan.json").exists()
 
     def test_missing_instance_file_names_path(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, instance="missing.json")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, instance="missing.json", out=str(out))
         assert cli.main(["plan", "--config", cfg]) == 2
         assert "missing.json" in capsys.readouterr().err
+        error = json.loads((out / "error.json").read_text())
+        assert "missing.json" in error["message"]
 
     @pytest.mark.parametrize(
         "record, key, value",
@@ -298,3 +301,51 @@ class TestIngestDemand:
     def test_missing_csv_entry(self, tmp_path):
         cfg = write_config(tmp_path, ingest_demand={})
         assert cli.main(["ingest-demand", "--config", cfg]) == 2
+
+
+# (command, config entries, key the message names); every case exits 2
+BAD_CONFIG_VALUES = [
+    ("compare", {"seed": "x"}, "seed"),
+    ("compare", {"seed": 1.9}, "seed"),
+    ("plan", {"node_limit": "abc"}, "node_limit"),
+    ("plan", {"node_limit": 2.5}, "node_limit"),
+    ("plan", {"instance": 5}, "instance"),
+    ("plan", {"out": 5}, "out"),
+    ("plan", {"schema_version": True}, "schema_version"),
+    ("compare", {"compare": {"n_seeds": "abc"}}, "compare.n_seeds"),
+    ("compare", {"compare": {"n_seeds": 30.7}}, "compare.n_seeds"),
+    ("compare", {"compare": {"multipliers": 5}}, "compare.multipliers"),
+    ("sweep", {"sweep": {"parameter": "penalty_C_p", "grid": 5}}, "grid"),
+    (
+        "sweep",
+        {"sweep": {"parameter": "z", "grid": [3], "shortfall_magnitudes": 5}},
+        "shortfall_magnitudes",
+    ),
+    ("size", {"size": {"phase": "1", "shape": [6, 6, 3, 10]}}, "size.phase"),
+    ("size", {"size": {"phase": 1, "shape": [6.5, 6, 3, 10]}}, "size.shape"),
+    ("ingest-demand", {"ingest_demand": {"csv": 5}}, "ingest_demand.csv"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, entries, key",
+    [
+        pytest.param(*case, id=f"{case[0]}-{json.dumps(case[1])}")
+        for case in BAD_CONFIG_VALUES
+    ],
+)
+def test_bad_config_value_exits_2(tmp_path, capsys, command, entries, key):
+    """A malformed config value is an input error, never a crash or a
+    silently cut value; plan, sweep and compare record it in error.json
+    unless the bad value is the output directory itself."""
+    out = tmp_path / "out"
+    iname = write_instance(tmp_path, small_instance(tree_z2(1, [(240,)], [1.0])))
+    body = {"instance": iname, "out": str(out), **entries}
+    cfg = write_config(tmp_path, **body)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    if command in ("plan", "sweep", "compare") and key != "out":
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "input" and key in error["message"]
+    else:
+        assert not (out / "error.json").exists()

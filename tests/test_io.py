@@ -202,6 +202,17 @@ class TestInstanceRoundTrip:
                 (("stations",), {"id": 1}),
                 (("uav_types",), 3),
                 (("base_stations", 0), 7),
+                # integers take integral JSON numbers only
+                (("base_stations", 1, "servers"), 2.7),
+                (("tree", "demand", 1, "dims"), [480.9] * 6),
+                (("stations", 1, "id"), True),
+                (("split", "m"), "2"),
+                (("max_local_copies",), 2.5),
+                # floats take JSON numbers only
+                (("uav_types", 1, "mass_kg"), True),
+                (("costs", "service_fee"), "1.5"),
+                # the flag takes true or false only
+                (("wait_cost_gated_by_offload",), "false"),
             )
         ],
     )
@@ -210,6 +221,12 @@ class TestInstanceRoundTrip:
         record_at(data, path[:-1])[path[-1]] = value
         with pytest.raises(InputError, match=re.escape(f"{path_label(path)}: ")):
             instance_from_dict(data, where="instance.json")
+
+    def test_integral_float_reads_as_integer(self):
+        data = bundled_data()
+        data["base_stations"][0]["servers"] = 24.0
+        servers = instance_from_dict(data).base_stations[0].servers
+        assert servers == 24 and isinstance(servers, int)
 
     def test_structural_problems_reported(self, inst):
         data = instance_to_dict(inst)

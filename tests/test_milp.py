@@ -503,6 +503,27 @@ class TestEnumerateValidation:
         assert sol.status == "optimal" and sol.nodes_explored == 995_328
         assert peak <= 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
+    def test_wide_last_variable_splits_balanced(self):
+        """Nine binaries and a last variable with 1,953 values: the split
+        falls before the wide variable (512 + 1,953 points) instead of
+        holding all 999,936 points in the leading half."""
+        m = IPModel("wide_last")
+        for j in range(9):
+            m.add_variable(f"b{j}", BINARY)
+        wide = m.add_variable("n", INTEGER, upper=1952.0)
+        m.add_objective_term(wide, -1.0)
+        m.add_constraint([(j, 1.0) for j in range(9)], ">=", 3.0)
+        m.add_constraint([(0, 100.0), (wide, 1.0)], "<=", 1900.0)
+        tracemalloc.start()
+        try:
+            sol = solve_enumerate(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal" and sol.nodes_explored == 999_936
+        assert sol.assignment.tolist() == [0.0] * 6 + [1.0] * 3 + [1900.0]
+        assert peak <= 10e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
 
 def random_ip(seed: int) -> IPModel:
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Reservation and allocation programs, baselines, cost accounting."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from uavplan.planner import (
     NetworkInstance,
     ResourceLimitError,
     Station,
+    _mean_demand_and_shortfall,
     _phase2_warm_start,
     build_phase1,
     build_phase2_dip,
     build_phase2_sip,
+    decode_phase2,
     effective_station_types,
     evf_plan,
     exact_expected_cost,
@@ -248,6 +251,64 @@ class TestPhase2Solutions:
     def test_dip_requires_demand(self):
         with pytest.raises(ValueError, match="demand"):
             solve_phase2(small_instance(z3_tree()), "dip")
+
+
+# sha256 of to_lp_text() of the bundled instance's SIP and mean-value
+# DIP with z - 2 guaranteed loss stages, pinned when one Phase2Model
+# took over building both. A change to either model updates these on
+# purpose and says why.
+PINNED_MODEL_HASHES = {
+    2: (
+        "6ac8c11999ee48759aba2a9254da2d83aa2681f4a1859925ad13ad97a5f2c0e1",
+        "ae0d006da7545f3aef62d1019ea0c5854df069c9e7ee96c49b6d09ca6c1e66a0",
+    ),
+    3: (
+        "39097f8d2d5e515eadf600d6629582be9ce8b24bcaadb3b3942d47b6c273e53f",
+        "f7eb280ab8074b4f3a91e6cc7b670902d3bc5d8f354924192508a4e458ee80d9",
+    ),
+    4: (
+        "1744732e8426d7c04fc76729e9188388640eb660e80ecbeda00ae36d4688a389",
+        "8187de6a45ebcc4e939ba31b956cd7ce648b942681b6e42049e52477d8602f20",
+    ),
+    5: (
+        "f288da804d3b2fe7806f8cac15ed8bc35958a9c5ce97e7f141bf8374c1630ebb",
+        "0d6d2a7a5d89bb528c3f84a2f04845ecec037cfa405b8284326b9fac26f9c21a",
+    ),
+}
+
+
+class TestPhase2Model:
+    @pytest.mark.parametrize("z", sorted(PINNED_MODEL_HASHES))
+    def test_models_pinned(self, bundled_instance, z):
+        n = len(bundled_instance.stations)
+        stages = tuple(guaranteed_stage(n, mag) for mag in (4, 14, 24)[: z - 2])
+        inst = dataclasses.replace(
+            bundled_instance,
+            tree=dataclasses.replace(bundled_instance.tree, shortfall_stages=stages),
+        )
+        sip = build_phase2_sip(inst)
+        dip = build_phase2_dip(inst, *_mean_demand_and_shortfall(inst))
+        digests = tuple(
+            hashlib.sha256(built.model.to_lp_text().encode()).hexdigest()
+            for built in (sip, dip)
+        )
+        assert digests == PINNED_MODEL_HASHES[z]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_phase2_sip(small_instance(z3_tree())),
+            lambda: build_phase2_sip(small_instance(z3_tree(), max_local_copies=0)),
+            lambda: build_phase2_sip(branching_instance()),
+            lambda: build_phase2_dip(small_instance(z3_tree()), [240], [1.0]),
+        ],
+        ids=["sip", "sip-offloading", "sip-two-demands", "dip"],
+    )
+    def test_encode_inverts_decode(self, build):
+        built = build()
+        sol = solve_exact(built.model)
+        plan = decode_phase2(built.instance, built, sol)
+        assert np.array_equal(built.encode(plan), np.round(sol.assignment))
 
 
 class TestWarmStart:
