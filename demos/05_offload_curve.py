@@ -38,7 +38,7 @@ def main() -> None:
         )
 
     free = solve_phase2(inst, "sip")
-    v_free = sum(sum(d.offload) for d in free.stage2.values())
+    v_free = sum(free.decisions[2, 0, (), 0].offload)  # the lone station
     print()
     print(f"unconstrained optimum offloads v={v_free} at cost {free.expected_cost:.4f}")
     assert v_free == best

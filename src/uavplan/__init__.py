@@ -54,7 +54,6 @@ from .evaluate import (
     EvaluationReport,
     SweepResult,
     SWEEP_PARAMETERS,
-    compare,
     evaluate_plan,
     offload_price_comparison,
     sweep,

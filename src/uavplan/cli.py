@@ -39,6 +39,8 @@ from .io import (
     write_json_atomic,
     write_text_atomic,
     _check_schema,
+    _entry,
+    _finite,
     _integer,
 )
 from .planner import (
@@ -76,21 +78,12 @@ class RunConfig:
         """``read`` of one entry of a config section; a failed conversion
         raises ``InputError`` naming ``section.key``."""
         entry = self.section(section).get(key, default)
-        return _config_value(str(self.path), f"{section}.{key}", read, entry)
+        return _entry(f"{self.path}: {section}.{key}", read, entry)
 
     def load_instance(self) -> NetworkInstance:
         if self.instance_path is None:
             raise InputError(f"{self.path}: config is missing an 'instance' path")
         return load_instance(self.instance_path)
-
-
-def _config_value(where: str, key: str, read, value):
-    """``read(value)``, with a failed conversion raised as ``InputError``
-    naming the config key."""
-    try:
-        return read(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {key}: {exc}") from exc
 
 
 def load_run_config(args: argparse.Namespace, make_out: bool = False) -> RunConfig:
@@ -100,14 +93,14 @@ def load_run_config(args: argparse.Namespace, make_out: bool = False) -> RunConf
     where = str(cfg_path)
     data = load_json(cfg_path)
     out = args.out if args.out is not None else data.get("out", ".")
-    out_dir = _config_value(where, "out", Path, out)
+    out_dir = _entry(f"{where}: out", Path, out)
     if make_out:
         _ensure_out(out_dir, args)
     _check_schema(data, where)
 
     instance_path: Path | None = None
     if data.get("instance") is not None:
-        instance_path = _config_value(where, "instance", Path, data["instance"])
+        instance_path = _entry(f"{where}: instance", Path, data["instance"])
         if not instance_path.is_absolute():
             # paths in a config resolve relative to the config file
             instance_path = cfg_path.parent / instance_path
@@ -115,10 +108,10 @@ def load_run_config(args: argparse.Namespace, make_out: bool = False) -> RunConf
             raise InputError(f"{cfg_path}: instance file not found: {instance_path}")
 
     seed = args.seed if args.seed is not None else data.get("seed", 0)
-    seed = _config_value(where, "seed", _integer, seed)
+    seed = _entry(f"{where}: seed", _integer, seed)
     node_limit = args.node_limit
     if node_limit is None and data.get("node_limit") is not None:
-        node_limit = _config_value(where, "node_limit", _integer, data["node_limit"])
+        node_limit = _entry(f"{where}: node_limit", _integer, data["node_limit"])
     if node_limit is not None and node_limit < 1:
         raise InputError("node_limit must be a positive integer")
 
@@ -224,7 +217,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     instance = config.load_instance()
 
     multipliers = config.value(
-        "compare", "multipliers", tuple, DEFAULT_PRICE_MULTIPLIERS
+        "compare",
+        "multipliers",
+        lambda values: tuple(map(_finite, values)),
+        DEFAULT_PRICE_MULTIPLIERS,
     )
     n_seeds = config.value("compare", "n_seeds", _integer, 30)
     seeds = [config.seed + i for i in range(n_seeds)]
@@ -296,7 +292,7 @@ def cmd_ingest_demand(args: argparse.Namespace) -> int:
         raise InputError(
             f"{config.path}: ingest-demand needs an ingest_demand.csv config entry"
         )
-    csv_file = _config_value(str(config.path), "ingest_demand.csv", Path, csv_path)
+    csv_file = _entry(f"{config.path}: ingest_demand.csv", Path, csv_path)
     if not csv_file.is_absolute():
         csv_file = config.path.parent / csv_file
     out = _ensure_out(config.out_dir, args)

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .coding import fractional_split
+from .io import _entry, _finite, _integer
 from .planner import (
     InfeasibleModelError,
     NetworkInstance,
@@ -41,7 +42,6 @@ __all__ = [
     "SWEEP_PARAMETERS",
     "evaluate_plan",
     "sweep",
-    "compare",
     "offload_price_comparison",
     "DEFAULT_PRICE_MULTIPLIERS",
     "DEFAULT_COMPARE_SEEDS",
@@ -144,10 +144,10 @@ def evaluate_plan(
 
     Samples terminal scenario paths with their branch probabilities and
     reads each draw's realized cost from the plan's per-path stage costs:
-    the frozen decisions along the path, plus the completion penalty for
-    every (slot, station) whose cumulative copies fall short of the
-    threshold plus its offload-gated losses or whose residual flag is
-    set. Reports the unbiased mean with its standard error. Same seed,
+    the frozen decisions along the path in every slot, plus the
+    completion penalty for every (slot, station) whose cumulative copies
+    fall short of the threshold plus its offload-gated losses or whose
+    residual flag is set. Reports the unbiased mean with its standard error. Same seed,
     same report. A plan that lacks a decision this tree needs raises
     ``PlanningError``.
     """
@@ -193,22 +193,32 @@ def _phase1_summary(plan) -> str:
     return f"reserve {body}" if body else "reserve nothing"
 
 
-def _phase2_summary(plan: Phase2Plan) -> str:
-    local = sum(dec.local for dec in plan.stage2.values())
-    offload = sum(sum(dec.offload) for dec in plan.stage2.values())
-    recourse = sum(dec.total for dec in plan.recourse.values())
-    residual = sum(plan.residuals.values())
+def _phase2_summary(plan: Phase2Plan, time_slots: int) -> str:
+    """Decision counts over all ``time_slots``, each a repeat of the
+    plan's one slot."""
+    stage2 = [dec for key, dec in plan.decisions.items() if not key[2]]
+    counts = (
+        plan.subscription_count(),
+        sum(dec.local for dec in stage2),
+        sum(sum(dec.offload) for dec in stage2),
+        sum(dec.total for key, dec in plan.decisions.items() if key[2]),
+        sum(plan.residuals.values()),
+    )
+    subs, local, offload, recourse, residual = (time_slots * n for n in counts)
     return (
-        f"subs {plan.subscription_count()}, local {local}, offload {offload}, "
+        f"subs {subs}, local {local}, offload {offload}, "
         f"recourse {recourse}, residual {residual}"
     )
 
 
-def _phase2_point(plan: Phase2Plan, **extra) -> tuple[float, str, dict, bool]:
+def _phase2_point(
+    time_slots: int, plan: Phase2Plan, **extra
+) -> tuple[float, str, dict, bool]:
     """A phase-2 grid point: objective, summary, the stage breakdown
     followed by the ``extra`` columns, and whether the solve was proven."""
     breakdown = {**plan.stage_breakdown, **extra}
-    return plan.expected_cost, _phase2_summary(plan), breakdown, plan.optimal
+    summary = _phase2_summary(plan, time_slots)
+    return plan.expected_cost, summary, breakdown, plan.optimal
 
 
 def _guaranteed_stages(
@@ -220,7 +230,8 @@ def _guaranteed_stages(
         )
     stages = []
     for zz in range(3, z + 1):
-        mag = int(magnitudes[zz - 3])
+        key = f"shortfall_magnitudes[{zz - 3}]"
+        mag = _entry(key, _integer, magnitudes[zz - 3])
         stages.append(
             (
                 ShortfallScenario(
@@ -287,7 +298,7 @@ def _sweep_point(
             instance, tree=dataclasses.replace(tree, shortfall_stages=stages)
         )
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(plan)
+        return _phase2_point(instance.time_slots, plan)
 
     if parameter == "hover_multiplier":
         if value <= 0:
@@ -299,7 +310,7 @@ def _sweep_point(
             ),
         )
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(plan)
+        return _phase2_point(instance.time_slots, plan)
 
     if parameter == "shortfall_prob":
         if not tree.shortfall_stages:
@@ -329,24 +340,24 @@ def _sweep_point(
             tree=dataclasses.replace(tree, shortfall_stages=tuple(stages)),
         )
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(plan)
+        return _phase2_point(instance.time_slots, plan)
 
     if parameter == "split_s":
         si = int(value)
         if si != value or si < 1:
             raise ValueError("split_s grid values must be positive integers")
-        m = int(spec.get("split_m", instance.split.m))
+        m = _entry("split_m", _integer, spec.get("split_m", instance.split.m))
         split = fractional_split(m, si)
         inst = dataclasses.replace(instance, split=split)
         plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(plan, k=split.k)
+        return _phase2_point(instance.time_slots, plan, k=split.k)
 
     # uav_type, the last of SWEEP_PARAMETERS; sweep rejects any other name
     tid = int(value)
     if tid != value or tid not in {u.id for u in instance.uav_types}:
         raise ValueError(f"uav_type grid value {value!r} is not a known type id")
     plan = solve_phase2(instance, "sip", type_ids=[tid] * n_y, node_limit=node_limit)
-    return _phase2_point(plan)
+    return _phase2_point(instance.time_slots, plan)
 
 
 def sweep(
@@ -357,20 +368,22 @@ def sweep(
     """Re-solve the relevant phase across a one-parameter grid.
 
     ``spec`` maps ``parameter`` to one of ``SWEEP_PARAMETERS`` and
-    ``grid`` to a strictly increasing value list. The z sweep reads an
-    optional ``shortfall_magnitudes`` list (one per added stage, loss
-    guaranteed); the split sweep reads an optional ``split_m``.
-    Inapplicable parameters and malformed grids raise ``ValueError``.
+    ``grid`` to a strictly increasing list of numbers. The z sweep reads
+    an optional ``shortfall_magnitudes`` list of integers (one per added
+    stage, loss guaranteed); the split sweep reads an optional integer
+    ``split_m``. Inapplicable parameters and malformed grids raise
+    ``ValueError``; an entry of the wrong kind, a boolean, a string or
+    a fraction where an integer belongs, raises ``InputError`` naming
+    its key.
     """
     parameter = spec.get("parameter")
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
-    try:
-        grid = tuple(float(v) for v in spec.get("grid", ()))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"sweep grid must be a list of numbers: {exc}") from exc
+    grid = _entry(
+        "grid", lambda values: tuple(map(_finite, values)), spec.get("grid", ())
+    )
     if not grid:
         raise ValueError("empty sweep grid")
     points = [
@@ -390,17 +403,6 @@ def sweep(
 # ---------------------------------------------------------------------------
 # three-way comparison
 # ---------------------------------------------------------------------------
-
-
-def _draw_random_baseline(
-    instance: NetworkInstance, seeds: Sequence[int] | None
-) -> list[Phase2Plan]:
-    """One unpriced random plan per seed, from at least 30 seeds."""
-    if seeds is None:
-        seeds = DEFAULT_COMPARE_SEEDS
-    if len(seeds) < 30:
-        raise ValueError(f"random baseline needs >= 30 seeds, got {len(seeds)}")
-    return [_draw_random_plan(instance, s) for s in seeds]
 
 
 def _compare_drawn(
@@ -433,43 +435,36 @@ def _compare_drawn(
     return costs, sip.optimal and evf_optimal
 
 
-def compare(
-    instance: NetworkInstance,
-    seeds: Sequence[int] | None = None,
-    node_limit: int | None = None,
-) -> dict[str, float]:
-    """Exact expected cost of the stochastic, expected-value, and random
-    plans on the same tree.
-
-    All three are exact tree expectations (no sampling noise); the
-    random baseline is averaged over the seed list, which must hold at
-    least 30 seeds for the average to mean anything. ``node_limit``
-    caps the SIP solve and the expected-value plan's deterministic
-    solve. ``evf_cost`` is ``inf`` when that deterministic program has
-    no feasible point, so no expected-value plan exists.
-    """
-    drawn = _draw_random_baseline(instance, seeds)
-    return _compare_drawn(instance, drawn, node_limit)[0]
-
-
 def offload_price_comparison(
     instance: NetworkInstance,
     multipliers: Sequence[float] = DEFAULT_PRICE_MULTIPLIERS,
     seeds: Sequence[int] | None = None,
     node_limit: int | None = None,
 ) -> list[dict]:
-    """Three-way comparison swept over the offload service fee.
+    """Exact expected cost of the stochastic, expected-value, and random
+    plans on the same tree, swept over the offload service fee.
 
-    Scales the per-copy service fee by each multiplier and runs the
-    exact comparison; one row per multiplier in grid order, each with
-    the ``compare`` costs and ``optimal``, false when a node limit cut
-    one of its phase-2 solves short. The random plans read no price, so
-    each seed's plan is drawn once and priced at every multiplier."""
+    Scales the per-copy service fee by each multiplier; one row per
+    multiplier in grid order, each with ``sip_cost``, ``evf_cost``,
+    ``random_cost`` and ``optimal``, false when a node limit cut one of
+    its phase-2 solves short. All three costs are exact tree
+    expectations (no sampling noise). The random baseline is averaged
+    over the seed list, which must hold at least 30 seeds for the
+    average to mean anything; the random plans read no price, so each
+    seed's plan is drawn once and priced at every multiplier.
+    ``node_limit`` caps the SIP solve and the expected-value plan's
+    deterministic solve. ``evf_cost`` is ``inf`` when that
+    deterministic program has no feasible point, so no expected-value
+    plan exists."""
     if len(multipliers) < 1:
         raise ValueError("need at least one price multiplier")
     if any(b >= a for a, b in zip(multipliers[1:], multipliers)):
         raise ValueError("price multipliers must be strictly increasing")
-    drawn = _draw_random_baseline(instance, seeds)
+    if seeds is None:
+        seeds = DEFAULT_COMPARE_SEEDS
+    if len(seeds) < 30:
+        raise ValueError(f"random baseline needs >= 30 seeds, got {len(seeds)}")
+    drawn = [_draw_random_plan(instance, s) for s in seeds]
     rows = []
     for mult in multipliers:
         inst = dataclasses.replace(

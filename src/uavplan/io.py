@@ -198,6 +198,15 @@ def _integer(value: Any) -> int:
     return int(value)
 
 
+def _entry(key: str, read: Callable[[Any], Any], value: Any) -> Any:
+    """``read(value)``, with a failed conversion raised as ``InputError``
+    naming ``key``."""
+    try:
+        return read(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"{key}: {exc}") from exc
+
+
 def _flag(value: Any) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -529,28 +538,23 @@ def _decision_entries(
 def phase2_plan_to_dict(
     instance: NetworkInstance, plan: Phase2Plan, slot: int = 0
 ) -> dict:
-    """Variable-by-variable dump of a plan whose first slot is ``slot``."""
-    subscriptions = []
-    for t, row in enumerate(plan.subscriptions, start=slot):
-        for fi, bs in enumerate(instance.base_stations):
-            subscriptions.append(
-                {"variable": f"M_s[slot={t}][bs={bs.id}]", "value": row[fi]}
-            )
-    stage2 = []
-    for (t, li, y), dec in sorted(plan.stage2.items()):
-        stage2.extend(_decision_entries(instance, 2, slot + t, li, (), y, dec))
-    recourse = []
-    for (t, zz, path_key, y), dec in sorted(plan.recourse.items()):
-        li, combo = path_key[0], path_key[1:]
-        recourse.extend(_decision_entries(instance, zz, slot + t, li, combo, y, dec))
+    """Variable-by-variable dump of a plan, its variables named for
+    ``slot``."""
+    subscriptions = [
+        {"variable": f"M_s[slot={slot}][bs={bs.id}]", "value": value}
+        for bs, value in zip(instance.base_stations, plan.subscriptions)
+    ]
+    stage2, recourse = [], []
+    for (zz, li, prefix, y), dec in sorted(plan.decisions.items()):
+        part = recourse if prefix else stage2
+        part.extend(_decision_entries(instance, zz, slot, li, prefix, y, dec))
     residuals = []
-    for (t, path_key, y), value in sorted(plan.residuals.items()):
-        li, combo = path_key[0], path_key[1:]
+    for (li, losses, y), value in sorted(plan.residuals.items()):
         sid = instance.stations[y].id
         residuals.append(
             {
-                "variable": f"rho[slot={slot + t}][scenario={li}]"
-                f"[path={','.join(map(str, combo)) or '-'}][station={sid}]",
+                "variable": f"rho[slot={slot}][scenario={li}]"
+                f"[path={','.join(map(str, losses)) or '-'}][station={sid}]",
                 "value": value,
             }
         )

@@ -11,7 +11,9 @@ encodes both with one stage loop: every decision block is keyed by
 (stage, demand scenario, loss prefix), stage 2 is the stage whose loss
 prefix is empty, and the deterministic program is the stage-2 block of
 one demand scenario. Every slot repeats the same program, so the model
-covers one slot and the decoder repeats its decisions.
+and its ``Phase2Plan`` cover one slot, the plan keyed the way the model
+keys its variables, and a plan's cost is the one-slot cost times the
+number of slots.
 
 Key structural choices:
 
@@ -27,7 +29,7 @@ Key structural choices:
 A plan's cost is priced in one place, a (terminal path x stage) cost
 array that the decoder's stage breakdown, ``exact_expected_cost``,
 ``realized_path_parts`` and the Monte Carlo evaluator all read. Its one
-completion-penalty rule: a (slot, path, station) pays the penalty when
+completion-penalty rule: a (path, station) pays the penalty when
 its cumulative copies fall short of k + exposure * stage-2 offload
 indicator, or when the plan's residual flag is set there. Coverage
 alone prices a plan on another tree of the same shape; the flag keeps
@@ -42,7 +44,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -443,17 +445,22 @@ class StageDecision:
 
 @dataclass
 class Phase2Plan:
-    subscriptions: tuple[tuple[int, ...], ...]  # [slot][bs index] -> 0/1
-    stage2: dict[tuple[int, int, int], StageDecision]  # (slot, demand, station)
-    recourse: dict[tuple[int, int, tuple[int, ...], int], StageDecision]
-    # ^ (slot, stage, loss prefix, station)
-    residuals: dict[tuple[int, tuple[int, ...], int], int]  # (slot, terminal, station)
+    """One slot's phase-2 decisions, which every slot repeats, keyed the
+    way ``Phase2Model`` keys its variables: a decision by (stage, demand
+    scenario, loss prefix, station), stage 2 being the empty prefix, and
+    a residual flag by (demand scenario, loss indices, station) of its
+    terminal path. ``expected_cost`` and ``stage_breakdown`` cover all
+    ``time_slots`` of the instance."""
+
+    subscriptions: tuple[int, ...]  # bs index -> 0/1
+    decisions: dict[tuple[int, int, tuple[int, ...], int], StageDecision]
+    residuals: dict[tuple[int, tuple[int, ...], int], int]
     expected_cost: float
     stage_breakdown: dict[str, float] = field(default_factory=dict)
     optimal: bool = True
 
     def subscription_count(self) -> int:
-        return sum(sum(row) for row in self.subscriptions)
+        return sum(self.subscriptions)
 
 
 def _resolve_type_ids(
@@ -596,21 +603,18 @@ class Phase2Model:
         return [(vid, 1.0) for vid in (self.local_ids[key], *offloads)]
 
     def encode(self, plan: Phase2Plan) -> np.ndarray:
-        """The model point of the plan's first slot; the inverse of
-        ``decode_phase2``."""
+        """The model point of the plan; the inverse of ``decode_phase2``."""
         x = np.zeros(self.model.num_variables)
         for fi, vid in self.sub_ids.items():
-            x[vid] = plan.subscriptions[0][fi]
+            x[vid] = plan.subscriptions[fi]
         for key, lv in self.local_ids.items():
-            entries, plan_key = _plan_entry(plan, 0, key)
-            dec = entries[plan_key]
+            dec = plan.decisions[key]
             x[lv] = dec.local
             x[self.indicator_ids[key]] = dec.offload_indicator
             for fi, count in enumerate(dec.offload):
                 x[self.offload_ids[(*key, fi)]] = count
         for key, rv in self.residual_ids.items():
-            entries, plan_key = _plan_entry(plan, 0, key)
-            x[rv] = entries[plan_key]
+            x[rv] = plan.residuals[key]
         return x
 
 
@@ -633,20 +637,6 @@ def _blocks(tree: ScenarioTree) -> list[tuple[int, int, tuple[int, ...]]]:
         for prefix in loss_prefixes(tree, zz)
         for li in range(len(tree.demand))
     ]
-
-
-def _plan_entry(plan: Phase2Plan, slot: int, key: tuple) -> tuple[dict, tuple]:
-    """The plan map and key that hold a model variable's value in
-    ``slot``: a decision (stage, demand, prefix, station) sits in
-    ``stage2`` when its prefix is empty and in ``recourse`` otherwise,
-    a residual (demand, loss indices, station) in ``residuals``."""
-    if len(key) == 3:
-        li, losses, y = key
-        return plan.residuals, (slot, (li, *losses), y)
-    stage, li, prefix, y = key
-    if prefix:
-        return plan.recourse, (slot, stage, (li, *prefix), y)
-    return plan.stage2, (slot, li, y)
 
 
 def build_phase2_sip(
@@ -764,36 +754,26 @@ def build_phase2_dip(
 def decode_phase2(
     instance: NetworkInstance, built: Phase2Model, sol: Solution
 ) -> Phase2Plan:
-    """The plan that repeats the solved slot's decisions in every slot
-    of ``instance``; its expected cost is time_slots times the slot's
-    objective."""
+    """The plan of the solved slot; its expected cost is time_slots
+    times the slot's objective."""
     if sol.assignment is None or sol.objective is None:
         raise PlanningError(f"cannot decode a solution with status {sol.status!r}")
     x = np.round(sol.assignment).astype(int).tolist()
     n_f = len(instance.base_stations)
-    slots = range(instance.time_slots)
-    subs = tuple(x[vid] for vid in built.sub_ids.values())
     plan = Phase2Plan(
-        subscriptions=(subs,) * instance.time_slots,
-        stage2={},
-        recourse={},
-        residuals={},
+        subscriptions=tuple(x[vid] for vid in built.sub_ids.values()),
+        decisions={
+            key: StageDecision(
+                local=x[lv],
+                offload=tuple(x[built.offload_ids[(*key, fi)]] for fi in range(n_f)),
+                offload_indicator=x[built.indicator_ids[key]],
+            )
+            for key, lv in built.local_ids.items()
+        },
+        residuals={key: x[rv] for key, rv in built.residual_ids.items()},
         expected_cost=instance.time_slots * float(sol.objective),
         optimal=sol.status == "optimal",
     )
-    for key, lv in built.local_ids.items():
-        dec = StageDecision(
-            local=x[lv],
-            offload=tuple(x[built.offload_ids[(*key, fi)]] for fi in range(n_f)),
-            offload_indicator=x[built.indicator_ids[key]],
-        )
-        for t in slots:
-            entries, plan_key = _plan_entry(plan, t, key)
-            entries[plan_key] = dec
-    for t in slots:
-        for key, rv in built.residual_ids.items():
-            entries, plan_key = _plan_entry(plan, t, key)
-            entries[plan_key] = x[rv]
     paths = built.pricing.paths
     _, plan.stage_breakdown = _expectation(
         paths, *_path_costs(instance, plan, built.pricing.tables, paths)
@@ -827,9 +807,7 @@ def _phase2_warm_start(
         local=local, offload=(need,) * n_f, offload_indicator=int(need > 0)
     )
     plan = _freeze_stage2_plan(
-        instance,
-        subscriptions=((int(need > 0),) * n_f,) * instance.time_slots,
-        decision_for=lambda t, li, y: dec,
+        instance, subscriptions=(int(need > 0),) * n_f, decision_for=lambda li, y: dec
     )
     return built.encode(plan)
 
@@ -914,7 +892,7 @@ def evf_plan(
     plan = _freeze_stage2_plan(
         instance,
         subscriptions=dip.subscriptions,
-        decision_for=lambda t, li, y: dip.stage2[t, 0, y],
+        decision_for=lambda li, y: dip.decisions[2, 0, (), y],
     )
     plan.optimal = dip.optimal
     return pricing.price(plan)
@@ -926,8 +904,8 @@ def random_plan(
     """Feasibility-constrained uniform baseline (deterministic per seed).
 
     Subscribes a uniform random BS subset (all, when the local-copy cap
-    cannot meet the per-BS threshold rows alone), then per (slot, demand
-    scenario) draws local counts and per-BS offloads inside the
+    cannot meet the per-BS threshold rows alone), then per demand
+    scenario draws local counts and per-BS offloads inside the
     threshold and capacity rows; a draw that runs out of capacity is
     rejected and redrawn, scenario block by scenario block. Recourse
     stages stay at zero; residual penalties land wherever the drawn
@@ -990,58 +968,50 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
             )
         return block
 
-    decisions: dict[tuple[int, int, int], StageDecision] = {}
-    for t in range(instance.time_slots):
-        for li in range(len(tree.demand)):
-            for _attempt in range(10_000):
-                block = draw_scenario_block()
-                if block is not None:
-                    break
-            else:
-                raise PlanningError(
-                    "random plan sampler exhausted 10000 draws without a "
-                    f"feasible block (slot {t}, demand scenario {li})"
-                )
-            for y, dec in enumerate(block):
-                decisions[t, li, y] = dec
+    blocks = []
+    for li in range(len(tree.demand)):
+        for _attempt in range(10_000):
+            block = draw_scenario_block()
+            if block is not None:
+                break
+        else:
+            raise PlanningError(
+                "random plan sampler exhausted 10000 draws without a "
+                f"feasible block (demand scenario {li})"
+            )
+        blocks.append(block)
 
     return _freeze_stage2_plan(
-        instance,
-        subscriptions=tuple(tuple(subs_row) for _ in range(instance.time_slots)),
-        decision_for=lambda t, li, y: decisions[t, li, y],
+        instance, tuple(subs_row), decision_for=lambda li, y: blocks[li][y]
     )
 
 
 def _freeze_stage2_plan(
-    instance: NetworkInstance,
-    subscriptions: tuple[tuple[int, ...], ...],
-    decision_for,
+    instance: NetworkInstance, subscriptions: tuple[int, ...], decision_for
 ) -> Phase2Plan:
-    """Assemble an unpriced Phase2Plan from fixed stage-2 decisions: zero
-    recourse and residual flags derived from path coverage."""
+    """Assemble an unpriced Phase2Plan from fixed stage-2 decisions,
+    ``decision_for(demand, station)``: zero recourse and residual flags
+    derived from path coverage."""
     tree = instance.tree
     k = instance.split.k
     n_y = len(instance.stations)
     zero = StageDecision(
         local=0, offload=(0,) * len(instance.base_stations), offload_indicator=0
     )
-    plan = Phase2Plan(
-        subscriptions, stage2={}, recourse={}, residuals={}, expected_cost=0.0
-    )
-    blocks = _blocks(tree)
-    for t in range(instance.time_slots):
-        for zz, li, prefix in blocks:
-            for y in range(n_y):
-                entries, key = _plan_entry(plan, t, (zz, li, prefix, y))
-                entries[key] = zero if prefix else decision_for(t, li, y)
-        for path in enumerate_terminal_paths(tree):
-            li, losses = path.demand_index, path.loss_indices
-            for y in range(n_y):
-                dec = plan.stage2[t, li, y]
-                plan.residuals[t, (li, *losses), y] = int(
-                    _falls_short(tree, k, dec.total, dec.offload_indicator, losses, y)
-                )
-    return plan
+    decisions = {
+        (zz, li, prefix, y): zero if prefix else decision_for(li, y)
+        for zz, li, prefix in _blocks(tree)
+        for y in range(n_y)
+    }
+    residuals = {}
+    for path in enumerate_terminal_paths(tree):
+        li, losses = path.demand_index, path.loss_indices
+        for y in range(n_y):
+            dec = decisions[2, li, (), y]
+            residuals[li, losses, y] = int(
+                _falls_short(tree, k, dec.total, dec.offload_indicator, losses, y)
+            )
+    return Phase2Plan(subscriptions, decisions, residuals, expected_cost=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,17 +1027,18 @@ def _falls_short(
     loss_indices: Sequence[int],
     station: int,
 ) -> bool:
-    """Coverage test of one (slot, path, station): the copies provided
+    """Coverage test of one (path, station): the copies provided
     along the path fall short of k plus the losses that hit the station
     while it offloads."""
     exposure = flag_product_exposure(tree, loss_indices, station)
     return provided < k + exposure * offload_indicator
 
 
-def _decision(decisions: Mapping, key: tuple, stage: int) -> StageDecision:
+def _decision(plan: Phase2Plan, key: tuple) -> StageDecision:
     try:
-        return decisions[key]
+        return plan.decisions[key]
     except KeyError:
+        stage = key[0]
         raise PlanningError(f"plan has no stage-{stage} decision for {key!r}") from None
 
 
@@ -1083,12 +1054,14 @@ def _path_costs(
     tables: Sequence[Sequence[_CostTable]],
     paths: Sequence[ScenarioPath],
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """The cost the plan pays on each path, split by stage.
+    """The cost the plan pays on each path over all slots, split by
+    stage.
 
     Returns the stage labels (stage1, stage2, stage3.., terminal) and a
-    paths x stages array with one row per path, in the given order.
-    Subscriptions are charged on every path; the terminal column follows
-    the completion-penalty rule in the module docstring."""
+    paths x stages array with one row per path, in the given order: one
+    slot's costs times the number of slots. Subscriptions are charged on
+    every path; the terminal column follows the completion-penalty rule
+    in the module docstring."""
     tree = instance.tree
     k = instance.split.k
     gated = instance.wait_cost_gated_by_offload
@@ -1104,23 +1077,22 @@ def _path_costs(
     for path in paths:
         li, losses = path.demand_index, path.loss_indices
         row = [stage1] + [0.0] * (n_recourse + 2)
-        for t in range(instance.time_slots):
-            for y, tab in enumerate(tables[li]):
-                dec = _decision(plan.stage2, (t, li, y), 2)
-                wait = dec.offload_indicator if gated else 1.0
-                row[1] += _decision_cost(tab, dec, wait) + tab.decode
-                provided = dec.total
-                for zz in range(3, n_recourse + 3):
-                    key = (t, zz, (li, *losses[: zz - 2]), y)
-                    rdec = _decision(plan.recourse, key, zz)
-                    row[zz - 1] += _decision_cost(tab, rdec, rdec.offload_indicator)
-                    provided += rdec.total
-                if plan.residuals.get((t, (li, *losses), y)) or _falls_short(
-                    tree, k, provided, dec.offload_indicator, losses, y
-                ):
-                    row[-1] += penalty
+        for y, tab in enumerate(tables[li]):
+            dec = _decision(plan, (2, li, (), y))
+            wait = dec.offload_indicator if gated else 1.0
+            row[1] += _decision_cost(tab, dec, wait) + tab.decode
+            provided = dec.total
+            for zz in range(3, n_recourse + 3):
+                rdec = _decision(plan, (zz, li, losses[: zz - 2], y))
+                row[zz - 1] += _decision_cost(tab, rdec, rdec.offload_indicator)
+                provided += rdec.total
+            if plan.residuals.get((li, losses, y)) or _falls_short(
+                tree, k, provided, dec.offload_indicator, losses, y
+            ):
+                row[-1] += penalty
         rows.append(row)
-    return labels, np.array(rows, dtype=float).reshape(len(paths), len(labels))
+    costs = np.array(rows, dtype=float).reshape(len(paths), len(labels))
+    return labels, instance.time_slots * costs
 
 
 @dataclass(frozen=True)
@@ -1179,10 +1151,11 @@ def realized_path_parts(
 
     Subscriptions are charged in full (they are path-independent), then
     the stage-2 decision for the path's demand scenario and the recourse
-    decisions along the path's prefixes. A station pays the completion
-    penalty in a slot when its cumulative copies fall short of the
-    threshold plus its offload-gated losses, or when the plan's residual
-    flag is set there. Keys: stage1, stage2, stage3.., terminal.
+    decisions along the path's prefixes, in every slot. A station pays
+    the completion penalty in a slot when its cumulative copies fall
+    short of the threshold plus its offload-gated losses, or when the
+    plan's residual flag is set there. Keys: stage1, stage2, stage3..,
+    terminal.
     """
     pricing = _Pricing.of(instance, type_ids)
     labels, costs = pricing.path_costs(plan)

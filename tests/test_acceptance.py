@@ -185,7 +185,7 @@ def test_6_offload_curve_minimum(curve_instance):
 
     free = solve_phase2(curve_instance, "sip")
     assert free.optimal
-    forced = sum(sum(dec.offload) for dec in free.stage2.values())
+    forced = sum(free.decisions[2, 0, (), 0].offload)
     assert forced == best == 8
     assert free.expected_cost == pytest.approx(min(totals), abs=1e-9)
     print(f"ACCEPT 6/9 offload curve minimum: PASS (interior at {best})")
@@ -200,10 +200,10 @@ def test_7_bundled_plan_structure(bundled_instance):
     n_y = len(bundled_instance.stations)
     light = 1  # demand scenario with 240 bits everywhere
     for y in range(n_y):
-        dec = plan.stage2[0, light, y]
+        dec = plan.decisions[2, light, (), y]
         assert dec.local == 4 and sum(dec.offload) == 0
     for li in (0, 2, 3):
-        moved = sum(sum(plan.stage2[0, li, y].offload) for y in range(n_y))
+        moved = sum(sum(plan.decisions[2, li, (), y].offload) for y in range(n_y))
         assert moved > 0, li
 
     # three certain loss stages deep enough to kill any offloaded copy
@@ -220,8 +220,9 @@ def test_7_bundled_plan_structure(bundled_instance):
     )
     hoard = solve_phase2(deep, "sip")
     assert hoard.optimal
-    for (t, li, y), dec in hoard.stage2.items():
-        assert dec.local == 4 and sum(dec.offload) == 0, (t, li, y)
+    for (zz, li, prefix, y), dec in hoard.decisions.items():
+        if zz == 2:
+            assert dec.local == 4 and sum(dec.offload) == 0, (li, y)
     print("ACCEPT 7/9 bundled plan structure: PASS")
 
 

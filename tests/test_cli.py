@@ -1,7 +1,9 @@
 """End-to-end command runs: files written, exit codes, error records."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,8 @@ from conftest import (
     small_instance,
     tree_z2,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name="config.json", **body):
@@ -315,7 +319,20 @@ BAD_CONFIG_VALUES = [
     ("compare", {"compare": {"n_seeds": "abc"}}, "compare.n_seeds"),
     ("compare", {"compare": {"n_seeds": 30.7}}, "compare.n_seeds"),
     ("compare", {"compare": {"multipliers": 5}}, "compare.multipliers"),
+    ("compare", {"compare": {"multipliers": [True, 2]}}, "compare.multipliers"),
+    ("compare", {"compare": {"multipliers": ["0.5", 2]}}, "compare.multipliers"),
     ("sweep", {"sweep": {"parameter": "penalty_C_p", "grid": 5}}, "grid"),
+    ("sweep", {"sweep": {"parameter": "penalty_C_p", "grid": [True, "2.5"]}}, "grid"),
+    (
+        "sweep",
+        {"sweep": {"parameter": "z", "grid": [3], "shortfall_magnitudes": [2.5]}},
+        "shortfall_magnitudes[0]",
+    ),
+    (
+        "sweep",
+        {"sweep": {"parameter": "split_s", "grid": [2], "split_m": 4.7}},
+        "split_m",
+    ),
     (
         "sweep",
         {"sweep": {"parameter": "z", "grid": [3], "shortfall_magnitudes": 5}},
@@ -349,3 +366,55 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, entries, key):
         assert error["error"] == "input" and key in error["message"]
     else:
         assert not (out / "error.json").exists()
+
+
+# sha256 of every file a command writes, on the README config (the
+# bundled instance) and on a three-slot copy of the bundled instance.
+# A change that alters CLI output updates these on purpose and says why.
+PINNED_OUTPUTS = {
+    ("readme", "plan"): {
+        "phase1_plan.json": "87c29b6eb7ec80f3423cb2dad68f7eec451b0ff01d8a0a80f21f302362c5344e",
+        "phase2_plan.json": "ca3e05884639f238a05429923f4a7068cfd930039d103bc8098e4dedf4efc75b",
+        "summary.txt": "0c13e08e5fdb397a147c1d11d41a00bdb13cff7b83b1a14e5c306779e5e51ec5",
+    },
+    ("readme", "sweep"): {
+        "sweep_penalty_C_p.csv": "d934bab43adcc0173cfc1c46e360d8cd3f9bd4d6d496abd589516beba8ad58ac",
+    },
+    ("readme", "compare"): {
+        "compare.csv": "c758a259e7759da3a9ee06ca8fec00ba77aa2563f5409feb1c587aea7c65e9d3",
+    },
+    ("three-slot", "plan"): {
+        "phase1_plan.json": "05a72cbb5473b5af342e26e6f7377bea891bff82a9ce218d261cab862386edd8",
+        "phase2_plan.json": "ea6867805e2f381aec51c3055e30ad2a3f7b1382ef0d9bc140ce10e43291da43",
+        "summary.txt": "429f46f56d68b29174baf9711cf8e7703183d462dc2a29eab9b782d42e6ebd53",
+    },
+    ("three-slot", "sweep"): {
+        "sweep_hover_multiplier.csv": "d1c5880b6866d46475e5f0e566ed06d9c084025291a2ebe488e04e6cba629887",
+    },
+}
+
+
+def run_pinned(tmp_path, setup, command) -> dict[str, str]:
+    """The sha256 of each file ``command`` writes for one pinned setup."""
+    data = json.loads((ROOT / "data" / "instance.json").read_text())
+    body = {
+        "seed": 0,
+        "sweep": {"parameter": "penalty_C_p", "grid": [0.5, 1.0, 1.5, 2.0]},
+        "compare": {"multipliers": [0.5, 1.0, 2.0], "n_seeds": 30},
+    }
+    if setup == "three-slot":
+        data["time_slots"] = 3
+        body["sweep"] = {"parameter": "hover_multiplier", "grid": [0.5, 1.0, 2.0]}
+    (tmp_path / "instance.json").write_text(json.dumps(data))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, instance="instance.json", out=str(out), **body)
+    assert cli.main([command, "--config", cfg]) == 0
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("setup, command", sorted(PINNED_OUTPUTS), ids="-".join)
+def test_outputs_pinned(tmp_path, setup, command):
+    assert run_pinned(tmp_path, setup, command) == PINNED_OUTPUTS[setup, command]

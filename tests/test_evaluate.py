@@ -10,7 +10,6 @@ import uavplan.planner as planner
 from uavplan.evaluate import (
     EvaluationReport,
     SWEEP_PARAMETERS,
-    compare,
     evaluate_plan,
     offload_price_comparison,
     sweep,
@@ -194,32 +193,39 @@ class TestSweep:
 
 
 class TestCompare:
+    """The comparison at the instance's own prices, multiplier 1."""
+
     def test_orders_baselines(self):
         inst = small_instance(tree_z2(1, [(240,), (480,)], [0.5, 0.5]))
-        result = compare(inst)
-        assert set(result) == {"sip_cost", "evf_cost", "random_cost"}
+        (result,) = offload_price_comparison(inst, (1.0,))
+        assert set(result) == {
+            "multiplier",
+            "sip_cost",
+            "evf_cost",
+            "random_cost",
+            "optimal",
+        }
         assert result["sip_cost"] <= result["evf_cost"] + 1e-9
         assert result["sip_cost"] <= result["random_cost"] + 1e-9
 
     def test_degenerate_tree_equates_sip_and_evf(self):
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
-        result = compare(inst)
+        (result,) = offload_price_comparison(inst, (1.0,))
         assert result["sip_cost"] == pytest.approx(result["evf_cost"], abs=1e-9)
 
     def test_rejects_thin_seed_list(self):
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
         with pytest.raises(ValueError, match="30 seeds"):
-            compare(inst, seeds=range(5))
+            offload_price_comparison(inst, (1.0,), seeds=range(5))
 
     def test_infeasible_mean_value_program_costs_inf(self):
         inst = dip_infeasible_instance()
         with pytest.raises(planner.InfeasibleModelError):
             planner.evf_plan(inst)
-        result = compare(inst)
-        assert result["evf_cost"] == math.inf
-        assert result["sip_cost"] == pytest.approx(7.433182307114871, rel=1e-9)
         (row,) = offload_price_comparison(inst, multipliers=(1.0,))
-        assert row == {"multiplier": 1.0, **result, "optimal": True}
+        assert row["evf_cost"] == math.inf
+        assert row["sip_cost"] == pytest.approx(7.433182307114871, rel=1e-9)
+        assert row["optimal"] is True
 
 
 def scaled_fee(inst, mult: float):
@@ -248,8 +254,10 @@ class TestPriceComparison:
         rows = offload_price_comparison(inst, multipliers=mults, seeds=range(30))
         assert len(rows) == len(mults)
         for mult, row in zip(mults, rows):
-            alone = compare(scaled_fee(inst, mult), seeds=range(30))
-            assert row == {"multiplier": mult, **alone, "optimal": True}
+            (alone,) = offload_price_comparison(
+                scaled_fee(inst, mult), (1.0,), seeds=range(30)
+            )
+            assert row == {**alone, "multiplier": mult}
 
     def test_draws_each_seed_once(self, monkeypatch):
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))

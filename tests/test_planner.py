@@ -48,6 +48,10 @@ from conftest import (
 )
 
 
+def stage2_decisions(plan) -> list:
+    return [dec for key, dec in plan.decisions.items() if key[0] == 2]
+
+
 def z3_tree(p_loss: float = 0.5, mag: int = 2) -> ScenarioTree:
     """One station, certain demand, one hit-or-miss recourse stage."""
     stage = (
@@ -185,7 +189,7 @@ class TestPhase2Solutions:
         costly = dataclasses.replace(make_costs(), service_fee=50.0)
         inst = small_instance(z3_tree(mag=3), costs=costly)
         plan = solve_phase2(inst, "sip")
-        for dec in plan.stage2.values():
+        for dec in stage2_decisions(plan):
             assert dec.local == 4 and sum(dec.offload) == 0
             assert dec.offload_indicator == 0
         assert all(r == 0 for r in plan.residuals.values())
@@ -195,7 +199,7 @@ class TestPhase2Solutions:
     def test_local_cap_zero_forces_offload(self):
         inst = small_instance(z3_tree(), max_local_copies=0)
         plan = solve_phase2(inst, "sip")
-        for dec in plan.stage2.values():
+        for dec in stage2_decisions(plan):
             assert dec.local == 0
             assert dec.offload_indicator == 1
             assert sum(dec.offload) >= 4
@@ -214,22 +218,21 @@ class TestPhase2Solutions:
         dip = solve_phase2(inst, "dip", demand=[240])
         assert abs(sip.expected_cost - dip.expected_cost) <= 1e-9
 
-    @pytest.mark.parametrize("formulation", ["sip", "dip"])
-    def test_slots_repeat_one_slot_plan(self, formulation):
+    @pytest.mark.parametrize("kind", ["sip", "dip", "evf", "random"])
+    def test_slots_repeat_one_slot_plan(self, kind):
+        """A multi-slot plan is the one-slot plan, priced over every slot."""
+        make = {
+            "sip": lambda inst: solve_phase2(inst, "sip"),
+            "dip": lambda inst: solve_phase2(inst, "dip", demand=[240], shortfall=[1.0]),
+            "evf": evf_plan,
+            "random": lambda inst: random_plan(inst, seed=3),
+        }[kind]
         one = small_instance(z3_tree())
         two = dataclasses.replace(one, time_slots=2)
-        kw = {"demand": [240], "shortfall": [1.0]} if formulation == "dip" else {}
-        base = solve_phase2(one, formulation, **kw)
-        plan = solve_phase2(two, formulation, **kw)
-        assert plan.subscriptions == base.subscriptions * 2
-        for t in range(2):
-            for (_, li, y), dec in base.stage2.items():
-                assert plan.stage2[t, li, y] == dec
-            for (_, zz, path, y), dec in base.recourse.items():
-                assert plan.recourse[t, zz, path, y] == dec
-            for (_, path, y), flag in base.residuals.items():
-                assert plan.residuals[t, path, y] == flag
-        assert len(plan.stage2) == 2 * len(base.stage2)
+        base, plan = make(one), make(two)
+        assert plan.subscriptions == base.subscriptions
+        assert plan.decisions == base.decisions
+        assert plan.residuals == base.residuals
         assert plan.expected_cost == pytest.approx(2 * base.expected_cost, abs=1e-9)
         assert sum(plan.stage_breakdown.values()) == pytest.approx(
             plan.expected_cost, abs=1e-9
@@ -237,7 +240,7 @@ class TestPhase2Solutions:
         # a DIP plan has no recourse stages, so its exact expectation is
         # taken on the tree without them
         tree = two.tree
-        if formulation == "dip":
+        if kind == "dip":
             tree = dataclasses.replace(tree, shortfall_stages=())
         evaluated = dataclasses.replace(two, tree=tree)
         assert exact_expected_cost(evaluated, plan) == pytest.approx(
@@ -338,7 +341,7 @@ class TestBaselines:
         a = random_plan(inst, seed=7)
         b = random_plan(inst, seed=7)
         assert a.subscriptions == b.subscriptions
-        assert a.stage2 == b.stage2
+        assert a.decisions == b.decisions
         assert a.expected_cost == b.expected_cost
 
     def test_random_plan_draw_ignores_service_fee(self):
@@ -350,7 +353,7 @@ class TestBaselines:
         for seed in range(5):
             a, b = random_plan(inst, seed), random_plan(dear, seed)
             assert a.subscriptions == b.subscriptions
-            assert a.stage2 == b.stage2
+            assert a.decisions == b.decisions
             assert a.residuals == b.residuals
             repriced += a.expected_cost != b.expected_cost
         assert repriced  # some draws offload, so the fee reaches their cost
@@ -375,7 +378,9 @@ class TestBaselines:
     def test_evf_freezes_recourse_at_zero(self):
         inst = small_instance(z3_tree())
         plan = evf_plan(inst)
-        for dec in plan.recourse.values():
+        recourse = [dec for key, dec in plan.decisions.items() if key[0] > 2]
+        assert recourse
+        for dec in recourse:
             assert dec.local == 0 and sum(dec.offload) == 0
 
 
@@ -400,7 +405,7 @@ class TestRealizedCosts:
         calm = next(
             p for p in enumerate_terminal_paths(inst.tree) if p.loss_indices == (1,)
         )
-        key = (0, (calm.demand_index, *calm.loss_indices), 0)
+        key = (calm.demand_index, calm.loss_indices, 0)
         assert plan.residuals[key] == 0
         flagged = dataclasses.replace(plan, residuals={**plan.residuals, key: 1})
         total, breakdown = exact_expected_cost(inst, flagged, with_breakdown=True)
