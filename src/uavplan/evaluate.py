@@ -196,12 +196,13 @@ def _phase1_summary(plan) -> str:
 def _phase2_summary(plan: Phase2Plan, time_slots: int) -> str:
     """Decision counts over all ``time_slots``, each a repeat of the
     plan's one slot."""
-    stage2 = [dec for key, dec in plan.decisions.items() if not key[2]]
+    stage2 = [dec for (_, _, prefix, _), dec in plan.decisions.items() if not prefix]
+    recourse = [dec for (_, _, prefix, _), dec in plan.decisions.items() if prefix]
     counts = (
         plan.subscription_count(),
         sum(dec.local for dec in stage2),
         sum(sum(dec.offload) for dec in stage2),
-        sum(dec.total for key, dec in plan.decisions.items() if key[2]),
+        sum(dec.total for dec in recourse),
         sum(plan.residuals.values()),
     )
     subs, local, offload, recourse, residual = (time_slots * n for n in counts)
@@ -209,16 +210,6 @@ def _phase2_summary(plan: Phase2Plan, time_slots: int) -> str:
         f"subs {subs}, local {local}, offload {offload}, "
         f"recourse {recourse}, residual {residual}"
     )
-
-
-def _phase2_point(
-    time_slots: int, plan: Phase2Plan, **extra
-) -> tuple[float, str, dict, bool]:
-    """A phase-2 grid point: objective, summary, the stage breakdown
-    followed by the ``extra`` columns, and whether the solve was proven."""
-    breakdown = {**plan.stage_breakdown, **extra}
-    summary = _phase2_summary(plan, time_slots)
-    return plan.expected_cost, summary, breakdown, plan.optimal
 
 
 def _guaranteed_stages(
@@ -288,6 +279,7 @@ def _sweep_point(
         plan = solve_phase1(inst)
         return plan.expected_cost, _phase1_summary(plan), {}, True
 
+    inst, type_ids, extra = instance, None, {}
     if parameter == "z":
         zi = int(value)
         if zi != value or zi < 2:
@@ -297,10 +289,7 @@ def _sweep_point(
         inst = dataclasses.replace(
             instance, tree=dataclasses.replace(tree, shortfall_stages=stages)
         )
-        plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(instance.time_slots, plan)
-
-    if parameter == "hover_multiplier":
+    elif parameter == "hover_multiplier":
         if value <= 0:
             raise ValueError("hover_multiplier grid values must be positive")
         inst = dataclasses.replace(
@@ -309,10 +298,7 @@ def _sweep_point(
                 costs, hover_per_watt_second=costs.hover_per_watt_second * float(value)
             ),
         )
-        plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(instance.time_slots, plan)
-
-    if parameter == "shortfall_prob":
+    elif parameter == "shortfall_prob":
         if not tree.shortfall_stages:
             raise ValueError("shortfall_prob sweep needs at least one recourse stage")
         if not 0.0 <= value <= 1.0:
@@ -339,25 +325,27 @@ def _sweep_point(
             instance,
             tree=dataclasses.replace(tree, shortfall_stages=tuple(stages)),
         )
-        plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(instance.time_slots, plan)
-
-    if parameter == "split_s":
+    elif parameter == "split_s":
         si = int(value)
         if si != value or si < 1:
             raise ValueError("split_s grid values must be positive integers")
         m = _entry("split_m", _integer, spec.get("split_m", instance.split.m))
         split = fractional_split(m, si)
         inst = dataclasses.replace(instance, split=split)
-        plan = solve_phase2(inst, "sip", node_limit=node_limit)
-        return _phase2_point(instance.time_slots, plan, k=split.k)
+        extra = {"k": split.k}
+    else:
+        # uav_type, the last of SWEEP_PARAMETERS; sweep rejects any other name
+        tid = int(value)
+        if tid != value or tid not in {u.id for u in instance.uav_types}:
+            raise ValueError(f"uav_type grid value {value!r} is not a known type id")
+        type_ids = [tid] * n_y
 
-    # uav_type, the last of SWEEP_PARAMETERS; sweep rejects any other name
-    tid = int(value)
-    if tid != value or tid not in {u.id for u in instance.uav_types}:
-        raise ValueError(f"uav_type grid value {value!r} is not a known type id")
-    plan = solve_phase2(instance, "sip", type_ids=[tid] * n_y, node_limit=node_limit)
-    return _phase2_point(instance.time_slots, plan)
+    # a phase-2 grid point: objective, summary, the stage breakdown
+    # followed by the extra columns, and whether the solve was proven
+    plan = solve_phase2(inst, "sip", type_ids=type_ids, node_limit=node_limit)
+    summary = _phase2_summary(plan, instance.time_slots)
+    breakdown = {**plan.stage_breakdown, **extra}
+    return plan.expected_cost, summary, breakdown, plan.optimal
 
 
 def sweep(

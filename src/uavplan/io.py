@@ -538,8 +538,9 @@ def _decision_entries(
 def phase2_plan_to_dict(
     instance: NetworkInstance, plan: Phase2Plan, slot: int = 0
 ) -> dict:
-    """Variable-by-variable dump of a plan, its variables named for
-    ``slot``."""
+    """Variable-by-variable dump of a plan's one slot, its variables
+    named for ``slot``. The expected cost and stage breakdown it writes
+    cover all ``instance.time_slots``."""
     subscriptions = [
         {"variable": f"M_s[slot={slot}][bs={bs.id}]", "value": value}
         for bs, value in zip(instance.base_stations, plan.subscriptions)

@@ -460,6 +460,7 @@ class Phase2Plan:
     optimal: bool = True
 
     def subscription_count(self) -> int:
+        """Subscriptions in the plan's one slot; every slot repeats them."""
         return sum(self.subscriptions)
 
 

@@ -258,6 +258,7 @@ class TestPriceComparison:
                 scaled_fee(inst, mult), (1.0,), seeds=range(30)
             )
             assert row == {**alone, "multiplier": mult}
+            assert row["optimal"] is True
 
     def test_draws_each_seed_once(self, monkeypatch):
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))

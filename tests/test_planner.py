@@ -49,7 +49,7 @@ from conftest import (
 
 
 def stage2_decisions(plan) -> list:
-    return [dec for key, dec in plan.decisions.items() if key[0] == 2]
+    return [dec for (_, _, prefix, _), dec in plan.decisions.items() if not prefix]
 
 
 def z3_tree(p_loss: float = 0.5, mag: int = 2) -> ScenarioTree:
@@ -378,7 +378,7 @@ class TestBaselines:
     def test_evf_freezes_recourse_at_zero(self):
         inst = small_instance(z3_tree())
         plan = evf_plan(inst)
-        recourse = [dec for key, dec in plan.decisions.items() if key[0] > 2]
+        recourse = [dec for (_, _, prefix, _), dec in plan.decisions.items() if prefix]
         assert recourse
         for dec in recourse:
             assert dec.local == 0 and sum(dec.offload) == 0
