@@ -8,8 +8,9 @@ relevant phase per grid point, and the exact three-way comparison
 Sweeps and comparisons use exact tree expectations, never sampling, so
 repeated runs are byte-identical. ``evaluate_plan`` is the sampled path
 and draws from ``numpy.random.default_rng`` (PCG64); the seed is part
-of the report. Grid points are independent; results are merged in grid
-order.
+of the report. Grid points are independent and results are merged in
+grid order; each phase-2 solve offers its root LP the previous point's
+optimal basis, which a model of the same shape takes when it fits.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .coding import fractional_split
 from .io import _entry, _finite, _integer
+from .milp import Basis
 from .planner import (
     InfeasibleModelError,
     NetworkInstance,
@@ -241,7 +243,10 @@ def _sweep_point(
     value: float,
     spec: Mapping,
     node_limit: int | None,
-) -> tuple[float, str, dict, bool]:
+    start_basis: Basis | None,
+) -> tuple[float, str, dict, bool, Basis | None]:
+    """Objective, summary, breakdown and proven flag of one grid point,
+    and the root basis of its phase-2 solve (None at phase-1 points)."""
     costs = instance.costs
     tree = instance.tree
     n_y = len(instance.stations)
@@ -251,7 +256,7 @@ def _sweep_point(
             instance, costs=dataclasses.replace(costs, crash_penalty=float(value))
         )
         plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan), {}, True
+        return plan.expected_cost, _phase1_summary(plan), {}, True, None
 
     if parameter == "weather_prob":
         if len(tree.weather) != 2:
@@ -277,7 +282,7 @@ def _sweep_point(
             instance, tree=dataclasses.replace(tree, weather=weather)
         )
         plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan), {}, True
+        return plan.expected_cost, _phase1_summary(plan), {}, True, None
 
     inst, type_ids, extra = instance, None, {}
     if parameter == "z":
@@ -342,10 +347,12 @@ def _sweep_point(
 
     # a phase-2 grid point: objective, summary, the stage breakdown
     # followed by the extra columns, and whether the solve was proven
-    plan = solve_phase2(inst, "sip", type_ids=type_ids, node_limit=node_limit)
+    plan = solve_phase2(
+        inst, "sip", type_ids=type_ids, node_limit=node_limit, start_basis=start_basis
+    )
     summary = _phase2_summary(plan, instance.time_slots)
     breakdown = {**plan.stage_breakdown, **extra}
-    return plan.expected_cost, summary, breakdown, plan.optimal
+    return plan.expected_cost, summary, breakdown, plan.optimal, plan.basis
 
 
 def sweep(
@@ -374,9 +381,10 @@ def sweep(
     )
     if not grid:
         raise ValueError("empty sweep grid")
-    points = [
-        _sweep_point(instance, parameter, value, spec, node_limit) for value in grid
-    ]
+    points, basis = [], None
+    for value in grid:
+        *point, basis = _sweep_point(instance, parameter, value, spec, node_limit, basis)
+        points.append(point)
     objectives, summaries, breakdowns, optimal = zip(*points)
     return SweepResult(
         parameter=parameter,
@@ -397,19 +405,22 @@ def _compare_drawn(
     instance: NetworkInstance,
     random_plans: Sequence[Phase2Plan],
     node_limit: int | None,
-) -> tuple[dict[str, float], bool]:
-    """The three-way comparison with the random plans already drawn, and
-    whether every phase-2 solve in it was proven optimal. One set of cost
-    tables prices the random plans and cross-checks the SIP."""
+    starts: tuple[Basis | None, Basis | None],
+) -> tuple[dict[str, float], bool, tuple[Basis | None, Basis | None]]:
+    """The three-way comparison with the random plans already drawn,
+    whether every phase-2 solve in it was proven optimal, and the root
+    bases of the SIP and DIP solves. ``starts`` holds the bases those
+    solves start from. One set of cost tables prices the random plans
+    and cross-checks the SIP."""
     pricing = _Pricing.of(instance)
-    sip = solve_phase2(instance, "sip", node_limit=node_limit)
+    sip = solve_phase2(instance, "sip", node_limit=node_limit, start_basis=starts[0])
     try:
-        evf = evf_plan(instance, node_limit=node_limit)
+        evf = evf_plan(instance, node_limit=node_limit, start_basis=starts[1])
     except InfeasibleModelError:
         # no expected-value plan exists; branch and bound proved it
-        evf_cost, evf_optimal = math.inf, True
+        evf_cost, evf_optimal, evf_basis = math.inf, True, None
     else:
-        evf_cost, evf_optimal = evf.expected_cost, evf.optimal
+        evf_cost, evf_optimal, evf_basis = evf.expected_cost, evf.optimal, evf.basis
     rand_costs = [pricing.expectation(plan)[0] for plan in random_plans]
     # the SIP objective is its own exact expectation; assert rather than trust
     gap = abs(sip.expected_cost - pricing.expectation(sip)[0])
@@ -420,7 +431,7 @@ def _compare_drawn(
         "evf_cost": evf_cost,
         "random_cost": float(np.mean(rand_costs)),
     }
-    return costs, sip.optimal and evf_optimal
+    return costs, sip.optimal and evf_optimal, (sip.basis, evf_basis)
 
 
 def offload_price_comparison(
@@ -443,7 +454,8 @@ def offload_price_comparison(
     ``node_limit`` caps the SIP solve and the expected-value plan's
     deterministic solve. ``evf_cost`` is ``inf`` when that
     deterministic program has no feasible point, so no expected-value
-    plan exists."""
+    plan exists. Only the costs change between multipliers, so each SIP
+    and DIP solve starts from the previous multiplier's optimal basis."""
     if len(multipliers) < 1:
         raise ValueError("need at least one price multiplier")
     if any(b >= a for a, b in zip(multipliers[1:], multipliers)):
@@ -453,7 +465,7 @@ def offload_price_comparison(
     if len(seeds) < 30:
         raise ValueError(f"random baseline needs >= 30 seeds, got {len(seeds)}")
     drawn = [_draw_random_plan(instance, s) for s in seeds]
-    rows = []
+    rows, starts = [], (None, None)
     for mult in multipliers:
         inst = dataclasses.replace(
             instance,
@@ -461,6 +473,6 @@ def offload_price_comparison(
                 instance.costs, service_fee=instance.costs.service_fee * float(mult)
             ),
         )
-        costs, optimal = _compare_drawn(inst, drawn, node_limit)
+        costs, optimal, starts = _compare_drawn(inst, drawn, node_limit, starts)
         rows.append({"multiplier": float(mult), **costs, "optimal": optimal})
     return rows

@@ -4,7 +4,12 @@ Three entry points with deliberately independent solution paths:
 
 - :func:`solve_lp_relaxation`: bounded-variable two-phase primal
   simplex (dense, revised, Bland's-rule fallback for anti-cycling).
-  Every solve starts from a slack crash basis: a row whose slack can
+  A solve may start from a basis the caller passes, such as the
+  optimal basis of an earlier solve of the same matrix with other
+  costs (``Solution.basis``). It is taken when its sizes match, its
+  basis matrix inverts, and the point it fixes meets every bound and
+  row to 1e-9; that point is primal feasible, so phase 1 is skipped.
+  Every other solve starts from a slack crash basis: a row whose slack can
   absorb the residual at the starting point (variables at their bound
   nearest zero) starts with that slack basic, and only the other rows
   get an artificial, so phase 1 works only on violated rows. Each pivot
@@ -41,6 +46,7 @@ __all__ = [
     "VariableDef",
     "LinearConstraint",
     "IPModel",
+    "Basis",
     "Solution",
     "SolverError",
     "solve_lp_relaxation",
@@ -57,6 +63,7 @@ _INT_TOL = 1e-6  # integrality tolerance
 _DUAL_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _ABS_GAP = 1e-9  # nodes whose bound comes this close to the incumbent are pruned
+_START_TOL = 1e-9  # a start basis's point must meet bounds and rows this closely
 _REFACTOR_EVERY = 64
 _STALL_LIMIT = 100
 
@@ -83,6 +90,17 @@ class LinearConstraint:
     name: str = ""
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis of one LP, held as values: the basic column of
+    each row, and the status of every column of
+    ``[A | I_slack | I_artificial]``. A later solve of a matrix with the
+    same rows and columns may start from it."""
+
+    columns: np.ndarray  # (rows,) basic column per row
+    status: np.ndarray  # (columns,) _AT_LOWER, _AT_UPPER, _FREE or _BASIC
+
+
 @dataclass
 class Solution:
     status: str  # optimal | infeasible | unbounded | node_limit
@@ -91,11 +109,8 @@ class Solution:
     nodes_explored: int = 0
     # (phase-1, phase-2) simplex entering steps over every LP solved
     simplex_pivots: tuple[int, int] = (0, 0)
-
-    def value(self, model: "IPModel", name: str) -> float:
-        if self.assignment is None:
-            raise ValueError("solution carries no assignment")
-        return float(self.assignment[model.variable_id(name)])
+    # the root LP's optimal basis: a start for the next solve of the matrix
+    basis: Basis | None = None
 
 
 class IPModel:
@@ -274,6 +289,21 @@ _FREE = 2
 _BASIC = 3
 
 
+def _starting_point(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonbasic status and value of each variable at the crash start: a
+    free variable at 0, a variable with one infinite bound at its finite
+    one, any other at the bound nearer zero, the lower one on a tie."""
+    lo_inf = lo == -math.inf
+    to_upper = lo_inf | ((np.abs(lo) > np.abs(up)) & (up != math.inf))
+    x = np.where(to_upper, up, lo)
+    status = to_upper.astype(np.int8)  # _AT_LOWER is 0, _AT_UPPER is 1
+    free = lo_inf & (up == math.inf)
+    if free.any():
+        status[free] = _FREE
+        x[free] = 0.0
+    return status, x
+
+
 class _PreparedLP:
     """Dense standard form [A | I_slack | I_artificial] x = b, reusable
     across branch-and-bound nodes (only structural bounds change).
@@ -286,7 +316,6 @@ class _PreparedLP:
         a, b, senses = model.constraint_matrix()
         self.m, self.n = a.shape
         self.c_struct = model.objective_vector()
-        self.senses = senses
         self.b = b
         n_total = self.n + 2 * self.m
         self.a_full = np.zeros((self.m, n_total))
@@ -302,9 +331,19 @@ class _PreparedLP:
                 self.slack_lo[i], self.slack_up[i] = -math.inf, 0.0
             else:
                 self.slack_lo[i], self.slack_up[i] = 0.0, 0.0
+        # every slack starts at 0: its lower bound on <= and == rows, its
+        # upper bound on >= rows
+        self.slack_status = np.where(self.slack_lo == 0.0, _AT_LOWER, _AT_UPPER)
 
-    def solve(self, lo_struct: np.ndarray, up_struct: np.ndarray):
-        """Returns (status, x_struct, objective, (phase-1, phase-2) steps)."""
+    def solve(
+        self, lo_struct: np.ndarray, up_struct: np.ndarray, start: Basis | None = None
+    ):
+        """Returns (status, x_struct, objective, (phase-1, phase-2) steps,
+        optimal basis or None).
+
+        ``start`` is taken when ``_restart`` accepts it under these
+        bounds; the solve then skips phase 1. Any other start is ignored,
+        and the solve begins from the slack crash basis."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         lo = np.empty(n_total)
@@ -312,21 +351,76 @@ class _PreparedLP:
         lo[:n], up[:n] = lo_struct, up_struct
         lo[n : n + m], up[n : n + m] = self.slack_lo, self.slack_up
 
+        restart = None if start is None else self._restart(start, lo, up)
+        if restart is not None:
+            steps1, (basis, status, x, b_inv) = 0, restart
+        else:
+            steps1, crashed = self._crash(lo, up)
+            if crashed is None:
+                return "infeasible", None, None, (steps1, 0), None
+            basis, status, x, b_inv = crashed
+
+        c_phase2 = np.zeros(n_total)
+        c_phase2[:n] = self.c_struct
+        outcome, steps2 = self._simplex(c_phase2, lo, up, basis, status, x, b_inv)
+        if outcome == "unbounded":
+            return "unbounded", None, None, (steps1, steps2), None
+        x_struct = np.clip(x[:n], lo_struct, up_struct)
+        return (
+            "optimal",
+            x_struct,
+            float(self.c_struct @ x_struct),
+            (steps1, steps2),
+            Basis(columns=np.array(basis), status=status),
+        )
+
+    def _restart(self, start: Basis, lo: np.ndarray, up: np.ndarray):
+        """(basis, status, x, B^-1) of ``start`` under the bounds
+        ``lo``/``up``, or None unless every check holds: the sizes match,
+        the basic columns are exactly the columns marked basic, ``B``
+        inverts, and the point (nonbasics at their marked bound, free
+        ones at 0, basics solved from the rows) meets every bound and row
+        to ``_START_TOL``. Reads ``start`` and never writes it; pins the
+        artificials' bounds at 0 for phase 2."""
+        columns, status = start.columns, start.status
+        if (
+            columns.shape != (self.m,)
+            or status.shape != (self.n + 2 * self.m,)
+            or columns.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(columns), np.flatnonzero(status == _BASIC))
+            or not np.isin(status, (_AT_LOWER, _AT_UPPER, _FREE, _BASIC)).all()
+        ):
+            return None
+        a = self.a_full
+        lo[self.n + self.m :] = up[self.n + self.m :] = 0.0
+        try:
+            b_inv = np.linalg.inv(a[:, columns])
+        except np.linalg.LinAlgError:
+            return None
+        x = np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, up, 0.0))
+        x[columns] = 0.0
+        if not np.isfinite(x).all():
+            return None
+        x[columns] = b_inv @ (self.b - a @ x)
+        if not (
+            np.all(x >= lo - _START_TOL)
+            and np.all(x <= up + _START_TOL)
+            and np.all(np.abs(a @ x - self.b) <= _START_TOL)
+        ):
+            return None
+        return columns.tolist(), status.astype(np.int8), x, b_inv
+
+    def _crash(self, lo: np.ndarray, up: np.ndarray):
+        """Slack crash start and phase 1. Returns the phase-1 steps and
+        (basis, status, x, B^-1) at a feasible point, or None in its place
+        when the rows cannot be met. Widens the bounds of the artificials
+        that phase 1 uses and pins them at 0 again after it."""
+        m, n = self.m, self.n
+        n_total = n + 2 * m
         status = np.empty(n_total, dtype=np.int8)
         x = np.zeros(n_total)
-        for j in range(n):
-            if lo[j] == -math.inf and up[j] == math.inf:
-                status[j], x[j] = _FREE, 0.0
-            elif lo[j] == -math.inf:
-                status[j], x[j] = _AT_UPPER, up[j]
-            elif up[j] == math.inf or abs(lo[j]) <= abs(up[j]):
-                status[j], x[j] = _AT_LOWER, lo[j]
-            else:
-                status[j], x[j] = _AT_UPPER, up[j]
-        for i in range(m):
-            j = n + i
-            status[j] = _AT_UPPER if self.senses[i] == ">=" else _AT_LOWER
-            x[j] = 0.0
+        status[:n], x[:n] = _starting_point(lo[:n], up[:n])
+        status[n : n + m] = self.slack_status
 
         # slack crash basis: a row whose slack can absorb the residual at
         # the starting point starts with that slack basic; every other row
@@ -357,19 +451,12 @@ class _PreparedLP:
             if outcome == "unbounded":  # cannot happen for a bounded-below phase 1
                 raise SolverError("phase-1 simplex reported unbounded")
             if float(c_phase1 @ x) > 1e-7:
-                return "infeasible", None, None, (steps1, 0)
+                return steps1, None
             # pin artificials at zero for phase 2
             lo[art_cols] = 0.0
             up[art_cols] = 0.0
             x[art_cols] = np.where(status[art_cols] == _BASIC, x[art_cols], 0.0)
-
-        c_phase2 = np.zeros(n_total)
-        c_phase2[:n] = self.c_struct
-        outcome, steps2 = self._simplex(c_phase2, lo, up, basis, status, x, b_inv)
-        if outcome == "unbounded":
-            return "unbounded", None, None, (steps1, steps2)
-        x_struct = np.clip(x[:n], lo_struct, up_struct)
-        return "optimal", x_struct, float(self.c_struct @ x_struct), (steps1, steps2)
+        return steps1, (basis, status, x, b_inv)
 
     def _simplex(self, c, lo, up, basis, status, x, b_inv) -> tuple[str, int]:
         """Run primal iterations to optimality on the current basis.
@@ -486,15 +573,21 @@ def _certify(model: IPModel, x: np.ndarray) -> None:
         raise SolverError(f"solver point violates a row by {violation:.3g}")
 
 
-def solve_lp_relaxation(model: IPModel) -> Solution:
-    """Solve the continuous relaxation (integrality dropped)."""
+def solve_lp_relaxation(model: IPModel, start_basis: Basis | None = None) -> Solution:
+    """Solve the continuous relaxation (integrality dropped).
+
+    ``start_basis`` is a basis of an earlier solve of a model with the
+    same rows and columns, such as its ``Solution.basis``. The solve
+    starts from it when it fits this model's bounds and rows, and from
+    the slack crash basis otherwise; the result is the same optimum
+    either way, up to ties between optimal vertices."""
     if model.num_variables == 0:
         return Solution(
             status="optimal", objective=model.objective_constant, assignment=np.zeros(0)
         )
     prepared = _PreparedLP(model)
     lo, up = model.bounds_arrays()
-    status, x, obj, pivots = prepared.solve(lo, up)
+    status, x, obj, pivots, basis = prepared.solve(lo, up, start_basis)
     if status != "optimal":
         return Solution(
             status=status, objective=None, assignment=None, simplex_pivots=pivots
@@ -505,6 +598,7 @@ def solve_lp_relaxation(model: IPModel) -> Solution:
         objective=obj + model.objective_constant,
         assignment=x,
         simplex_pivots=pivots,
+        basis=basis,
     )
 
 
@@ -547,6 +641,7 @@ def solve_exact(
     model: IPModel,
     node_limit: int | None = None,
     warm_start: np.ndarray | None = None,
+    start_basis: Basis | None = None,
 ) -> Solution:
     """Branch and bound to proven optimality, to an absolute gap of 1e-9.
 
@@ -558,6 +653,10 @@ def solve_exact(
     ``warm_start`` seeds the incumbent with a known feasible integer
     assignment so pruning starts at the root. It must satisfy every
     row to 1e-6; a violating warm start raises ``ValueError``.
+
+    ``start_basis`` is offered to the root LP only, as in
+    ``solve_lp_relaxation``; every other node starts cold. The result's
+    ``basis`` is the root LP's optimal basis.
     """
     int_ids = np.array(
         [v.id for v in model.variables if v.kind in (BINARY, INTEGER)], dtype=int
@@ -567,7 +666,7 @@ def solve_exact(
         if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
             raise ValueError(f"integer variable {v.name!r} must have finite bounds")
     if int_ids.size == 0:
-        return solve_lp_relaxation(model)
+        return solve_lp_relaxation(model, start_basis)
     binary_mask = np.array(
         [model.variables[vid].kind == BINARY for vid in int_ids], dtype=bool
     )
@@ -588,14 +687,15 @@ def solve_exact(
     truncated = False  # set whenever the node budget cuts work short
     incumbent_obj = math.inf
     incumbent_x: np.ndarray | None = None
+    root_basis: Basis | None = None
 
-    def solve_node(lo: np.ndarray, up: np.ndarray):
+    def solve_node(lo: np.ndarray, up: np.ndarray, start: Basis | None = None):
         nonlocal nodes
-        status, x, obj, (steps1, steps2) = prepared.solve(lo, up)
+        status, x, obj, (steps1, steps2), basis = prepared.solve(lo, up, start)
         nodes += 1
         pivots[0] += steps1
         pivots[1] += steps2
-        return status, x, obj
+        return status, x, obj, basis
 
     def finish(status: str) -> Solution:
         """The result; an incumbent it returns must satisfy every row."""
@@ -608,6 +708,7 @@ def solve_exact(
             assignment=x,
             nodes_explored=nodes,
             simplex_pivots=(pivots[0], pivots[1]),
+            basis=root_basis,
         )
 
     def make_incumbent(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -630,7 +731,7 @@ def solve_exact(
             raise ValueError("warm start violates model constraints")
         incumbent_obj, incumbent_x = make_incumbent(xw)
 
-    status0, x0, obj0 = solve_node(lo0, up0)
+    status0, x0, obj0, root_basis = solve_node(lo0, up0, start_basis)
     if status0 != "optimal":
         return finish(status0)
 
@@ -670,7 +771,7 @@ def solve_exact(
                 if node_limit is not None and nodes >= node_limit:
                     truncated = True
                     return
-                st, x_c, obj_c = solve_node(lo_c, up_c)
+                st, x_c, obj_c, _ = solve_node(lo_c, up_c)
                 if st != "optimal":
                     continue
                 if obj_c >= incumbent_obj - _ABS_GAP:

@@ -58,7 +58,7 @@ from .costs import (
     on_demand_cost,
     reservation_cost,
 )
-from .milp import IPModel, Solution, solve_exact
+from .milp import Basis, IPModel, Solution, solve_exact
 from .physics import Environment, Position3D, UavType
 from .scenario import (
     ModelSize,
@@ -450,7 +450,9 @@ class Phase2Plan:
     scenario, loss prefix, station), stage 2 being the empty prefix, and
     a residual flag by (demand scenario, loss indices, station) of its
     terminal path. ``expected_cost`` and ``stage_breakdown`` cover all
-    ``time_slots`` of the instance."""
+    ``time_slots`` of the instance. ``basis`` is the root LP basis of
+    the solve that made the plan, a start for the next solve of a model
+    with the same rows and columns; drawn plans have none."""
 
     subscriptions: tuple[int, ...]  # bs index -> 0/1
     decisions: dict[tuple[int, int, tuple[int, ...], int], StageDecision]
@@ -458,6 +460,7 @@ class Phase2Plan:
     expected_cost: float
     stage_breakdown: dict[str, float] = field(default_factory=dict)
     optimal: bool = True
+    basis: Basis | None = field(default=None, compare=False, repr=False)
 
     def subscription_count(self) -> int:
         """Subscriptions in the plan's one slot; every slot repeats them."""
@@ -774,6 +777,7 @@ def decode_phase2(
         residuals={key: x[rv] for key, rv in built.residual_ids.items()},
         expected_cost=instance.time_slots * float(sol.objective),
         optimal=sol.status == "optimal",
+        basis=sol.basis,
     )
     paths = built.pricing.paths
     _, plan.stage_breakdown = _expectation(
@@ -820,7 +824,11 @@ def solve_phase2(
     shortfall: Sequence[float] | None = None,
     type_ids: Sequence[int] | None = None,
     node_limit: int | None = None,
+    start_basis: Basis | None = None,
 ) -> Phase2Plan:
+    """Build, solve and decode one slot's SIP or DIP. ``start_basis``,
+    such as the ``basis`` of a plan solved for the same model shape at
+    other prices, is offered to the root LP (see ``solve_exact``)."""
     if formulation == "sip":
         built = build_phase2_sip(instance, type_ids=type_ids)
         warm = _phase2_warm_start(instance, built)
@@ -831,7 +839,9 @@ def solve_phase2(
         warm = None
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
-    sol = solve_exact(built.model, node_limit=node_limit, warm_start=warm)
+    sol = solve_exact(
+        built.model, node_limit=node_limit, warm_start=warm, start_basis=start_basis
+    )
     if sol.status == "infeasible":
         raise InfeasibleModelError(f"phase-2 {formulation} model infeasible")
     if sol.status == "node_limit" and sol.assignment is None:
@@ -869,6 +879,7 @@ def evf_plan(
     instance: NetworkInstance,
     type_ids: Sequence[int] | None = None,
     node_limit: int | None = None,
+    start_basis: Basis | None = None,
 ) -> Phase2Plan:
     """Expected-value baseline: solve the deterministic program on mean
     demand and mean shortfall, then freeze those decisions across every
@@ -876,7 +887,8 @@ def evf_plan(
     plan (recourse stages stay at zero; residual penalties fall where
     the frozen provision cannot cover a path's losses). ``node_limit``
     caps the deterministic solve; the plan is ``optimal`` when that
-    solve was proven. Raises ``InfeasibleModelError`` when the
+    solve was proven. ``start_basis`` goes to that solve, and the plan's
+    ``basis`` is its root basis. Raises ``InfeasibleModelError`` when the
     mean-value program has no feasible point (it has no residual
     variables, so its coverage rows can ask for more copies than the
     local cap and the base-station seats supply)."""
@@ -889,13 +901,14 @@ def evf_plan(
         shortfall=mean_short,
         type_ids=pricing.type_ids,
         node_limit=node_limit,
+        start_basis=start_basis,
     )
     plan = _freeze_stage2_plan(
         instance,
         subscriptions=dip.subscriptions,
         decision_for=lambda li, y: dip.decisions[2, 0, (), y],
     )
-    plan.optimal = dip.optimal
+    plan.optimal, plan.basis = dip.optimal, dip.basis
     return pricing.price(plan)
 
 

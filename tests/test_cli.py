@@ -116,8 +116,8 @@ class TestPlan:
     ):
         """A solver point that breaks a row never reaches the plan files."""
 
-        def solve(self, lo, up):
-            return "optimal", lo.copy(), 0.0, (0, 0)
+        def solve(self, lo, up, start=None):
+            return "optimal", lo.copy(), 0.0, (0, 0), None
 
         monkeypatch.setattr(milp._PreparedLP, "solve", solve)
         cfg, out = flat_setup

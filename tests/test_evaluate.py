@@ -187,6 +187,38 @@ class TestSweep:
         penalty = {"parameter": "penalty_C_p", "grid": [1.0]}
         assert sweep(inst, penalty, node_limit=1).optimal == (True,)
 
+    @pytest.mark.parametrize(
+        "spec, restarted",
+        [
+            ({"parameter": "hover_multiplier", "grid": [0.5, 1.0, 2.0]}, True),
+            ({"parameter": "uav_type", "grid": [1, 2, 3]}, True),
+            ({"parameter": "z", "grid": [2, 3]}, False),
+        ],
+        ids=["hover_multiplier", "uav_type", "z"],
+    )
+    def test_points_restart_from_previous_point(
+        self, bundled_instance, monkeypatch, spec, restarted
+    ):
+        """Each phase-2 point offers its root the previous point's basis.
+        A point of the same model shape takes it and skips phase 1; a z
+        point has another shape and starts cold. Either way every row is
+        the one the point gives when swept alone."""
+        phase1_steps = []
+        solve = planner.solve_exact
+
+        def counted(model, **kwargs):
+            sol = solve(model, **kwargs)
+            phase1_steps.append(sol.simplex_pivots[0])
+            return sol
+
+        monkeypatch.setattr(planner, "solve_exact", counted)
+        rows = sweep(bundled_instance, spec).rows()
+        assert phase1_steps[0] > 0
+        assert all((steps == 0) == restarted for steps in phase1_steps[1:])
+        for value, row in zip(spec["grid"], rows):
+            (alone,) = sweep(bundled_instance, {**spec, "grid": [value]}).rows()
+            assert row == alone
+
     def test_parameter_catalog_is_exposed(self):
         assert "penalty_C_p" in SWEEP_PARAMETERS
         assert len(SWEEP_PARAMETERS) == 7
@@ -272,6 +304,29 @@ class TestPriceComparison:
         monkeypatch.setattr(evaluate, "_draw_random_plan", counted)
         offload_price_comparison(inst, multipliers=(0.5, 1.0, 2.0), seeds=range(30))
         assert seeds == list(range(30))
+
+    def test_roots_restart_from_previous_multiplier(self, bundled_instance, monkeypatch):
+        """Only the service fee changes between multipliers, so every root
+        after the first of its kind starts from the previous optimal basis
+        and skips phase 1. Cold, the eight SIP roots take 2,126 entering
+        steps."""
+        solves = []
+        solve = planner.solve_exact
+
+        def counted(model, **kwargs):
+            sol = solve(model, **kwargs)
+            solves.append((model.name, sol.nodes_explored, sol.simplex_pivots))
+            return sol
+
+        monkeypatch.setattr(planner, "solve_exact", counted)
+        offload_price_comparison(bundled_instance)
+        assert [name for name, _, _ in solves] == ["phase2_sip", "phase2_dip"] * 8
+        assert all(nodes == 1 for _, nodes, _ in solves)  # steps are the root's
+        sip = [steps for name, _, steps in solves if name == "phase2_sip"]
+        dip = [steps for name, _, steps in solves if name == "phase2_dip"]
+        assert [s[0] for s in sip] == [125] + [0] * 7
+        assert [s[0] for s in dip] == [37] + [0] * 7
+        assert sum(map(sum, sip)) == 309
 
     def test_rows_flag_solves_cut_short(self):
         inst = branching_instance()

@@ -1,5 +1,6 @@
 """Branch-and-bound core against hand solutions and the enumeration oracle."""
 
+import copy
 import itertools
 import math
 import sys
@@ -107,7 +108,8 @@ class TestKnownAnswers:
         sol = solve_exact(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-220.0)
-        assert [sol.value(m, f"pick[{i}]") for i in range(3)] == [0.0, 1.0, 1.0]
+        picks = [sol.assignment[m.variable_id(f"pick[{i}]")] for i in range(3)]
+        assert picks == [0.0, 1.0, 1.0]
 
     def test_equality_row(self):
         m = IPModel()
@@ -117,7 +119,7 @@ class TestKnownAnswers:
         m.add_objective_term(x, 1.0)
         sol = solve_exact(m)
         assert sol.status == "optimal"
-        assert (sol.value(m, "x"), sol.value(m, "y")) == (0.0, 5.0)
+        assert (sol.assignment[x], sol.assignment[y]) == (0.0, 5.0)
 
     def test_objective_constant_carried(self):
         m, _ = knapsack_model()
@@ -149,7 +151,7 @@ class TestKnownAnswers:
         sol = solve_exact(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-10.0)
-        assert sol.value(m, "y") == pytest.approx(4.0)
+        assert sol.assignment[m.variable_id("y")] == pytest.approx(4.0)
 
     def test_lp_relaxation_of_knapsack(self):
         m, _ = knapsack_model()
@@ -179,36 +181,209 @@ class TestKnownAnswers:
         assert not np.signbit(sol.assignment).any()
 
 
+def assert_same_solve(got, want):
+    """Two ``_PreparedLP.solve`` results agree bit for bit, basis included."""
+    (status, x, obj, steps, basis), (status_w, x_w, obj_w, steps_w, basis_w) = got, want
+    assert (status, obj, steps) == (status_w, obj_w, steps_w)
+    assert (x is None and x_w is None) or np.array_equal(x, x_w)
+    if basis is None or basis_w is None:
+        assert basis is None and basis_w is None
+    else:
+        assert np.array_equal(basis.columns, basis_w.columns)
+        assert np.array_equal(basis.status, basis_w.status)
+
+
+def cost_shifted(model, rng, scale=0.5):
+    """A copy of the model whose objective moved by normal noise; same rows."""
+    shifted = copy.deepcopy(model)
+    for vid in range(model.num_variables):
+        shifted.add_objective_term(vid, float(scale * rng.normal()))
+    return shifted
+
+
 class TestReentrancy:
-    def test_interleaved_solves_match_serial(self, monkeypatch):
-        """A second solve runs in the middle of the first one. The two
-        bound sets need artificials of opposite sign on the equality
-        row; neither solve may leave them in the shared matrix."""
-        m = mixed_rows_lp()
+    def bound_sets(self, m):
         lo, up = m.bounds_arrays()
         lo_b, up_b = lo.copy(), up.copy()
         lo_b[m.variable_id("x")], up_b[m.variable_id("x")] = 3.0, 3.5
-        serial_a = milp._PreparedLP(m).solve(lo, up)
-        serial_b = milp._PreparedLP(m).solve(lo_b, up_b)
-        assert (serial_a[2], serial_b[2]) == pytest.approx((-2.0, -1.5), abs=1e-12)
+        return (lo, up), (lo_b, up_b)
 
-        prepared = milp._PreparedLP(m)
-        a_before = prepared.a_full.copy()
+    def interleave(self, monkeypatch, prepared, outer_args, inner_args):
+        """Run one solve in the middle of another's first simplex call."""
         simplex = prepared._simplex
         inner = []
 
         def interrupted(*args):
             if not inner:
                 inner.append(None)
-                inner[0] = prepared.solve(lo_b, up_b)
+                inner[0] = prepared.solve(*inner_args)
             return simplex(*args)
 
         monkeypatch.setattr(prepared, "_simplex", interrupted)
-        outer = prepared.solve(lo, up)
-        for got, want in ((outer, serial_a), (inner[0], serial_b)):
-            assert got[0] == want[0] and got[2:] == want[2:]
-            assert np.array_equal(got[1], want[1])
+        outer = prepared.solve(*outer_args)
+        monkeypatch.undo()
+        return outer, inner[0]
+
+    def test_interleaved_solves_match_serial(self, monkeypatch):
+        """A second solve runs in the middle of the first one. The two
+        bound sets need artificials of opposite sign on the equality
+        row; neither solve may leave them in the shared matrix."""
+        m = mixed_rows_lp()
+        (lo, up), (lo_b, up_b) = self.bound_sets(m)
+        serial_a = milp._PreparedLP(m).solve(lo, up)
+        serial_b = milp._PreparedLP(m).solve(lo_b, up_b)
+        assert (serial_a[2], serial_b[2]) == pytest.approx((-2.0, -1.5), abs=1e-12)
+
+        prepared = milp._PreparedLP(m)
+        a_before = prepared.a_full.copy()
+        outer, inner = self.interleave(monkeypatch, prepared, (lo, up), (lo_b, up_b))
+        assert_same_solve(outer, serial_a)
+        assert_same_solve(inner, serial_b)
         assert np.array_equal(prepared.a_full, a_before)
+
+    def test_warm_solve_inside_cold_solve_matches_serial(self, monkeypatch):
+        """The inner solve starts from the optimal basis of a model with
+        other costs on the same rows: feasible, not optimal here."""
+        m = mixed_rows_lp()
+        (lo, up), (lo_b, up_b) = self.bound_sets(m)
+        other = mixed_rows_lp()
+        other.add_objective_term(other.variable_id("y"), 4.0)
+        start = milp._PreparedLP(other).solve(lo, up)[4]
+        serial_cold = milp._PreparedLP(m).solve(lo_b, up_b)
+        serial_warm = milp._PreparedLP(m).solve(lo, up, start)
+        assert serial_warm[3] == (0, 1)
+
+        prepared = milp._PreparedLP(m)
+        outer, inner = self.interleave(
+            monkeypatch, prepared, (lo_b, up_b), (lo, up, start)
+        )
+        assert_same_solve(outer, serial_cold)
+        assert_same_solve(inner, serial_warm)
+
+    def test_returned_basis_is_not_aliased(self):
+        """A solve never writes its start, and mutating a basis it returned
+        changes no later solve."""
+        m = mixed_rows_lp()
+        (lo, up), (lo_b, up_b) = self.bound_sets(m)
+        prepared = milp._PreparedLP(m)
+        start = prepared.solve(lo_b, up_b)[4]
+        start_copy = copy.deepcopy(start)
+        warm = prepared.solve(lo, up, start)
+        want_warm = copy.deepcopy(warm)
+        want_cold = copy.deepcopy(prepared.solve(lo, up))
+        assert np.array_equal(start.columns, start_copy.columns)
+        assert np.array_equal(start.status, start_copy.status)
+        warm[4].columns[:] = 0
+        warm[4].status[:] = milp._BASIC
+        assert_same_solve(prepared.solve(lo, up, start), want_warm)
+        assert_same_solve(prepared.solve(lo, up), want_cold)
+
+
+class TestStartingPoint:
+    @staticmethod
+    def reference(lo, up):
+        """The crash start as a loop over the variables."""
+        status = np.empty(len(lo), dtype=np.int8)
+        x = np.zeros(len(lo))
+        for j in range(len(lo)):
+            if lo[j] == -math.inf and up[j] == math.inf:
+                status[j], x[j] = milp._FREE, 0.0
+            elif lo[j] == -math.inf:
+                status[j], x[j] = milp._AT_UPPER, up[j]
+            elif up[j] == math.inf or abs(lo[j]) <= abs(up[j]):
+                status[j], x[j] = milp._AT_LOWER, lo[j]
+            else:
+                status[j], x[j] = milp._AT_UPPER, up[j]
+        return status, x
+
+    def test_matches_reference_loop(self):
+        """Random bounds with infinite sides and |lo| == |up| ties."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            a = rng.integers(-4, 5, size=n).astype(float)
+            b = rng.integers(-4, 5, size=n).astype(float)
+            a[rng.random(n) < 0.3] *= 0.37
+            lo, up = np.minimum(a, b), np.maximum(a, b)
+            ties = rng.random(n) < 0.2
+            lo[ties], up[ties] = -np.abs(up[ties]), np.abs(up[ties])
+            lo[rng.random(n) < 0.25] = -math.inf
+            up[rng.random(n) < 0.25] = math.inf
+            status, x = milp._starting_point(lo, up)
+            want_status, want_x = self.reference(lo, up)
+            assert status.dtype == np.int8
+            assert np.array_equal(status, want_status)
+            assert np.array_equal(x, want_x)
+            assert not np.signbit(x[status == milp._FREE]).any()
+
+
+class TestStartBasis:
+    """Warm against cold on the first 50 models of acceptance gate 3."""
+
+    MODELS = workloads.gate3_models(50)
+
+    def test_restart_after_cost_change_matches_cold(self):
+        rng = np.random.default_rng(5)
+        phase1_skipped = 0
+        for i, model in enumerate(self.MODELS):
+            first = solve_lp_relaxation(model)
+            if first.status != "optimal":
+                continue
+            shifted = cost_shifted(model, rng)
+            warm = solve_lp_relaxation(shifted, start_basis=first.basis)
+            cold = solve_lp_relaxation(shifted)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9, rel=0)
+            assert warm.simplex_pivots[0] == 0
+            phase1_skipped += cold.simplex_pivots[0] > 0
+            if i >= 20:  # branch and bound on the rest would take seconds
+                continue
+            # the exact solve takes the start at its root and agrees too
+            exact_warm = solve_exact(shifted, start_basis=first.basis)
+            exact_cold = solve_exact(shifted)
+            assert exact_warm.status == exact_cold.status
+            assert exact_warm.objective == pytest.approx(
+                exact_cold.objective, abs=1e-9, rel=0
+            )
+        assert phase1_skipped >= 20
+
+    def test_unfit_starts_fall_back_to_cold(self):
+        """A wrong-size basis, a singular one, and one that a child's
+        tightened bound makes infeasible: each solve is the cold one."""
+        checked = {"size": 0, "singular": 0, "child": 0}
+        for model in self.MODELS:
+            prepared = milp._PreparedLP(model)
+            lo, up = model.bounds_arrays()
+            status, x, _, _, basis = prepared.solve(lo, up)
+            if status != "optimal":
+                continue
+            m, n = prepared.m, prepared.n
+            cold = prepared.solve(lo, up)
+
+            wrong_size = milp.Basis(basis.columns, np.append(basis.status, milp._AT_LOWER))
+            assert_same_solve(prepared.solve(lo, up, wrong_size), cold)
+            checked["size"] += 1
+
+            if m >= 2:
+                # slack 0 and artificial 0 are the same unit column
+                columns = np.array([n, n + m, *range(n + 1, n + m - 1)])
+                singular = np.full(n + 2 * m, milp._AT_LOWER, dtype=np.int8)
+                singular[columns] = milp._BASIC
+                assert np.linalg.matrix_rank(prepared.a_full[:, columns]) < m
+                start = milp.Basis(columns, singular)
+                assert_same_solve(prepared.solve(lo, up, start), cold)
+                checked["singular"] += 1
+
+            frac = np.abs(x - np.round(x)) > 1e-6
+            if frac.any():
+                j = int(np.flatnonzero(frac)[0])
+                up_child = up.copy()
+                up_child[j] = math.floor(x[j])
+                assert_same_solve(
+                    prepared.solve(lo, up_child, basis), prepared.solve(lo, up_child)
+                )
+                checked["child"] += 1
+        assert min(checked.values()) >= 10, checked
 
 
 class TestCertificate:
@@ -216,8 +391,8 @@ class TestCertificate:
     def violating_lp(self, monkeypatch):
         """Every LP solve returns all items picked, 10 over capacity."""
 
-        def solve(self, lo, up):
-            return "optimal", np.ones(3), -280.0, (0, 0)
+        def solve(self, lo, up, start=None):
+            return "optimal", np.ones(3), -280.0, (0, 0), None
 
         monkeypatch.setattr(milp._PreparedLP, "solve", solve)
 
