@@ -85,8 +85,6 @@ from .planner import (
     exact_expected_cost,
     offload_curve,
     plan_both_phases,
-    random_plan,
-    realized_path_parts,
     solve_phase1,
     solve_phase2,
 )

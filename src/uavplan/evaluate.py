@@ -145,17 +145,17 @@ def evaluate_plan(
     """Monte Carlo estimate of the plan's expected cost.
 
     Samples terminal scenario paths with their branch probabilities and
-    reads each draw's realized cost from the plan's per-path stage costs:
-    the frozen decisions along the path in every slot, plus the
-    completion penalty for every (slot, station) whose cumulative copies
-    fall short of the threshold plus its offload-gated losses or whose
-    residual flag is set. Reports the unbiased mean with its standard error. Same seed,
-    same report. A plan that lacks a decision this tree needs raises
-    ``PlanningError``.
+    reads each draw's realized cost from the plan's per-path stage costs,
+    priced for the fleet the plan was made for: the frozen decisions
+    along the path in every slot, plus the completion penalty for every
+    (slot, station) whose cumulative copies fall short of the threshold
+    plus its offload-gated losses or whose residual flag is set. Reports
+    the unbiased mean with its standard error. Same seed, same report. A
+    plan that lacks a decision this tree needs raises ``PlanningError``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    pricing = _Pricing.of(instance)
+    pricing = _Pricing.of(instance, plan.type_ids)
     paths = pricing.paths
     stages, part_matrix = pricing.path_costs(plan)
     probs = np.array([p.probability for p in paths])

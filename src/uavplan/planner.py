@@ -26,11 +26,13 @@ Key structural choices:
   every base station, so any station that offloads needs every BS
   subscribed and provisioned to at least k - local copies.
 
-A plan's cost is priced in one place, a (terminal path x stage) cost
-array that the decoder's stage breakdown, ``exact_expected_cost``,
-``realized_path_parts`` and the Monte Carlo evaluator all read. Its one
-completion-penalty rule: a (path, station) pays the penalty when
-its cumulative copies fall short of k + exposure * stage-2 offload
+A plan carries the fleet it was made for, and its cost is priced in one
+place, ``_Pricing.path_costs``: a (terminal path x stage) cost array
+from that fleet's cost tables, which the decoder's stage breakdown,
+``exact_expected_cost`` and the Monte Carlo evaluator all read; another
+fleet's tables refuse the plan with ``PlanningError``. Its one
+completion-penalty rule: a (path, station) pays the penalty when its
+cumulative copies fall short of k + exposure * stage-2 offload
 indicator, or when the plan's residual flag is set there. Coverage
 alone prices a plan on another tree of the same shape; the flag keeps
 an incumbent that buys out coverage it already meets priced as its
@@ -91,7 +93,6 @@ __all__ = [
     "build_phase2_sip",
     "solve_phase2",
     "evf_plan",
-    "random_plan",
     "exact_expected_cost",
     "offload_curve",
     "plan_both_phases",
@@ -449,11 +450,14 @@ class Phase2Plan:
     way ``Phase2Model`` keys its variables: a decision by (stage, demand
     scenario, loss prefix, station), stage 2 being the empty prefix, and
     a residual flag by (demand scenario, loss indices, station) of its
-    terminal path. ``expected_cost`` and ``stage_breakdown`` cover all
-    ``time_slots`` of the instance. ``basis`` is the root LP basis of
-    the solve that made the plan, a start for the next solve of a model
-    with the same rows and columns; drawn plans have none."""
+    terminal path. ``type_ids`` is the fleet the plan was made for, one
+    UAV type per station; the plan is priced with that fleet's cost
+    tables and no other. ``expected_cost`` and ``stage_breakdown`` cover
+    all ``time_slots`` of the instance. ``basis`` is the root LP basis
+    of the solve that made the plan, a start for the next solve of a
+    model with the same rows and columns; drawn plans have none."""
 
+    type_ids: tuple[int, ...]  # station idx -> UAV type id
     subscriptions: tuple[int, ...]  # bs index -> 0/1
     decisions: dict[tuple[int, int, tuple[int, ...], int], StageDecision]
     residuals: dict[tuple[int, tuple[int, ...], int], int]
@@ -765,6 +769,7 @@ def decode_phase2(
     x = np.round(sol.assignment).astype(int).tolist()
     n_f = len(instance.base_stations)
     plan = Phase2Plan(
+        type_ids=built.pricing.type_ids,
         subscriptions=tuple(x[vid] for vid in built.sub_ids.values()),
         decisions={
             key: StageDecision(
@@ -779,10 +784,7 @@ def decode_phase2(
         optimal=sol.status == "optimal",
         basis=sol.basis,
     )
-    paths = built.pricing.paths
-    _, plan.stage_breakdown = _expectation(
-        paths, *_path_costs(instance, plan, built.pricing.tables, paths)
-    )
+    _, plan.stage_breakdown = built.pricing.expectation(plan)
     total = sum(plan.stage_breakdown.values())
     if abs(total - plan.expected_cost) > 1e-6:
         raise PlanningError(
@@ -812,7 +814,10 @@ def _phase2_warm_start(
         local=local, offload=(need,) * n_f, offload_indicator=int(need > 0)
     )
     plan = _freeze_stage2_plan(
-        instance, subscriptions=(int(need > 0),) * n_f, decision_for=lambda li, y: dec
+        instance,
+        built.pricing.type_ids,
+        subscriptions=(int(need > 0),) * n_f,
+        decision_for=lambda li, y: dec,
     )
     return built.encode(plan)
 
@@ -905,6 +910,7 @@ def evf_plan(
     )
     plan = _freeze_stage2_plan(
         instance,
+        pricing.type_ids,
         subscriptions=dip.subscriptions,
         decision_for=lambda li, y: dip.decisions[2, 0, (), y],
     )
@@ -912,10 +918,9 @@ def evf_plan(
     return pricing.price(plan)
 
 
-def random_plan(
-    instance: NetworkInstance, seed: int, type_ids: Sequence[int] | None = None
-) -> Phase2Plan:
-    """Feasibility-constrained uniform baseline (deterministic per seed).
+def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
+    """Feasibility-constrained uniform baseline (deterministic per seed)
+    for the stations' own fleet, not yet priced.
 
     Subscribes a uniform random BS subset (all, when the local-copy cap
     cannot meet the per-BS threshold rows alone), then per demand
@@ -923,16 +928,9 @@ def random_plan(
     threshold and capacity rows; a draw that runs out of capacity is
     rejected and redrawn, scenario block by scenario block. Recourse
     stages stay at zero; residual penalties land wherever the drawn
-    provision cannot cover a path's losses."""
-    pricing = _Pricing.of(instance, type_ids)
-    return pricing.price(_draw_random_plan(instance, seed))
-
-
-def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
-    """``random_plan``'s decisions and residual flags, not yet priced.
-
-    The draw reads no price, so one draw serves the instance at every
-    price; ``_Pricing.price`` sets its cost."""
+    provision cannot cover a path's losses. The draw reads no price, so
+    one draw serves the instance at every price; ``_Pricing.price``
+    sets its cost."""
     rng = np.random.default_rng(seed)
     tree = instance.tree
     k = instance.split.k
@@ -996,16 +994,22 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
         blocks.append(block)
 
     return _freeze_stage2_plan(
-        instance, tuple(subs_row), decision_for=lambda li, y: blocks[li][y]
+        instance,
+        instance.station_types(),
+        tuple(subs_row),
+        decision_for=lambda li, y: blocks[li][y],
     )
 
 
 def _freeze_stage2_plan(
-    instance: NetworkInstance, subscriptions: tuple[int, ...], decision_for
+    instance: NetworkInstance,
+    type_ids: tuple[int, ...],
+    subscriptions: tuple[int, ...],
+    decision_for,
 ) -> Phase2Plan:
-    """Assemble an unpriced Phase2Plan from fixed stage-2 decisions,
-    ``decision_for(demand, station)``: zero recourse and residual flags
-    derived from path coverage."""
+    """Assemble an unpriced Phase2Plan for the fleet ``type_ids`` from
+    fixed stage-2 decisions, ``decision_for(demand, station)``: zero
+    recourse and residual flags derived from path coverage."""
     tree = instance.tree
     k = instance.split.k
     n_y = len(instance.stations)
@@ -1025,7 +1029,7 @@ def _freeze_stage2_plan(
             residuals[li, losses, y] = int(
                 _falls_short(tree, k, dec.total, dec.offload_indicator, losses, y)
             )
-    return Phase2Plan(subscriptions, decisions, residuals, expected_cost=0.0)
+    return Phase2Plan(type_ids, subscriptions, decisions, residuals, expected_cost=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,58 +1066,12 @@ def _decision_cost(tab: _CostTable, dec: StageDecision, wait: float) -> float:
     return cost + tab.wait * wait
 
 
-def _path_costs(
-    instance: NetworkInstance,
-    plan: Phase2Plan,
-    tables: Sequence[Sequence[_CostTable]],
-    paths: Sequence[ScenarioPath],
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """The cost the plan pays on each path over all slots, split by
-    stage.
-
-    Returns the stage labels (stage1, stage2, stage3.., terminal) and a
-    paths x stages array with one row per path, in the given order: one
-    slot's costs times the number of slots. Subscriptions are charged on
-    every path; the terminal column follows the completion-penalty rule
-    in the module docstring."""
-    tree = instance.tree
-    k = instance.split.k
-    gated = instance.wait_cost_gated_by_offload
-    penalty = instance.costs.completion_penalty
-    n_recourse = len(paths[0].loss_indices) if paths else 0
-    labels = (
-        "stage1",
-        *(f"stage{zz}" for zz in range(2, n_recourse + 3)),
-        "terminal",
-    )
-    stage1 = instance.costs.subscription_fee * plan.subscription_count()
-    rows = []
-    for path in paths:
-        li, losses = path.demand_index, path.loss_indices
-        row = [stage1] + [0.0] * (n_recourse + 2)
-        for y, tab in enumerate(tables[li]):
-            dec = _decision(plan, (2, li, (), y))
-            wait = dec.offload_indicator if gated else 1.0
-            row[1] += _decision_cost(tab, dec, wait) + tab.decode
-            provided = dec.total
-            for zz in range(3, n_recourse + 3):
-                rdec = _decision(plan, (zz, li, losses[: zz - 2], y))
-                row[zz - 1] += _decision_cost(tab, rdec, rdec.offload_indicator)
-                provided += rdec.total
-            if plan.residuals.get((li, losses, y)) or _falls_short(
-                tree, k, provided, dec.offload_indicator, losses, y
-            ):
-                row[-1] += penalty
-        rows.append(row)
-    costs = np.array(rows, dtype=float).reshape(len(paths), len(labels))
-    return labels, instance.time_slots * costs
-
-
 @dataclass(frozen=True)
 class _Pricing:
     """The paths and cost tables of one instance and fleet: the terminal
     paths of its tree, or the one path of a deterministic program. Built
-    once, they price any number of plans on that instance."""
+    once, they price any number of plans made for that fleet, and
+    refuse a plan made for another."""
 
     instance: NetworkInstance
     type_ids: tuple[int, ...]
@@ -1134,10 +1092,58 @@ class _Pricing:
         )
 
     def path_costs(self, plan: Phase2Plan) -> tuple[tuple[str, ...], np.ndarray]:
-        return _path_costs(self.instance, plan, self.tables, self.paths)
+        """The cost the plan pays on each path over all slots, split by
+        stage.
+
+        Returns the stage labels (stage1, stage2, stage3.., terminal) and
+        a paths x stages array with one row per path, in path order: one
+        slot's costs times the number of slots. Subscriptions are charged
+        on every path; the terminal column follows the completion-penalty
+        rule in the module docstring. A plan made for another fleet
+        raises ``PlanningError``."""
+        if plan.type_ids != self.type_ids:
+            raise PlanningError(
+                f"plan made for fleet {plan.type_ids} priced with fleet {self.type_ids}"
+            )
+        instance, paths = self.instance, self.paths
+        tree = instance.tree
+        k = instance.split.k
+        gated = instance.wait_cost_gated_by_offload
+        penalty = instance.costs.completion_penalty
+        n_recourse = len(paths[0].loss_indices) if paths else 0
+        labels = (
+            "stage1",
+            *(f"stage{zz}" for zz in range(2, n_recourse + 3)),
+            "terminal",
+        )
+        stage1 = instance.costs.subscription_fee * plan.subscription_count()
+        rows = []
+        for path in paths:
+            li, losses = path.demand_index, path.loss_indices
+            row = [stage1] + [0.0] * (n_recourse + 2)
+            for y, tab in enumerate(self.tables[li]):
+                dec = _decision(plan, (2, li, (), y))
+                wait = dec.offload_indicator if gated else 1.0
+                row[1] += _decision_cost(tab, dec, wait) + tab.decode
+                provided = dec.total
+                for zz in range(3, n_recourse + 3):
+                    rdec = _decision(plan, (zz, li, losses[: zz - 2], y))
+                    row[zz - 1] += _decision_cost(tab, rdec, rdec.offload_indicator)
+                    provided += rdec.total
+                if plan.residuals.get((li, losses, y)) or _falls_short(
+                    tree, k, provided, dec.offload_indicator, losses, y
+                ):
+                    row[-1] += penalty
+            rows.append(row)
+        costs = np.array(rows, dtype=float).reshape(len(paths), len(labels))
+        return labels, instance.time_slots * costs
 
     def expectation(self, plan: Phase2Plan) -> tuple[float, dict[str, float]]:
-        return _expectation(self.paths, *self.path_costs(plan))
+        """Probability-weighted path costs, in total and per stage."""
+        labels, costs = self.path_costs(plan)
+        probs = np.array([p.probability for p in self.paths])
+        total = float(probs @ costs.sum(axis=1))
+        return total, dict(zip(labels, (probs @ costs).tolist()))
 
     def price(self, plan: Phase2Plan) -> Phase2Plan:
         """Set the plan's expected cost and stage breakdown; returns it."""
@@ -1145,51 +1151,10 @@ class _Pricing:
         return plan
 
 
-def _expectation(
-    paths: Sequence[ScenarioPath], labels: tuple[str, ...], costs: np.ndarray
-) -> tuple[float, dict[str, float]]:
-    """Probability-weighted path costs, in total and per stage."""
-    probs = np.array([p.probability for p in paths])
-    total = float(probs @ costs.sum(axis=1))
-    return total, dict(zip(labels, (probs @ costs).tolist()))
-
-
-def realized_path_parts(
-    instance: NetworkInstance,
-    plan: Phase2Plan,
-    demand_index: int,
-    loss_indices: tuple[int, ...],
-    type_ids: Sequence[int] | None = None,
-) -> dict[str, float]:
-    """Per-stage cost the plan actually pays on one terminal path.
-
-    Subscriptions are charged in full (they are path-independent), then
-    the stage-2 decision for the path's demand scenario and the recourse
-    decisions along the path's prefixes, in every slot. A station pays
-    the completion penalty in a slot when its cumulative copies fall
-    short of the threshold plus its offload-gated losses, or when the
-    plan's residual flag is set there. Keys: stage1, stage2, stage3..,
-    terminal.
-    """
-    pricing = _Pricing.of(instance, type_ids)
-    labels, costs = pricing.path_costs(plan)
-    wanted = (demand_index, tuple(loss_indices))
-    for path, row in zip(pricing.paths, costs):
-        if (path.demand_index, path.loss_indices) == wanted:
-            return dict(zip(labels, row.tolist()))
-    raise ValueError(f"no terminal path ({demand_index}, {loss_indices}) in the tree")
-
-
-def exact_expected_cost(
-    instance: NetworkInstance,
-    plan: Phase2Plan,
-    type_ids: Sequence[int] | None = None,
-    with_breakdown: bool = False,
-):
+def exact_expected_cost(instance: NetworkInstance, plan: Phase2Plan) -> float:
     """Exact expectation of the plan's realized cost over all terminal
-    paths (no sampling)."""
-    total, breakdown = _Pricing.of(instance, type_ids).expectation(plan)
-    return (total, breakdown) if with_breakdown else total
+    paths (no sampling), priced for the fleet the plan was made for."""
+    return _Pricing.of(instance, plan.type_ids).expectation(plan)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1252,8 +1217,12 @@ def plan_both_phases(
 
     Returns the phase-1 plan, the phase-2 plan per (slot, weather
     scenario), and the composed expected cost: phase-1 objective plus
-    the probability-weighted phase-2 objectives. Identical effective
-    type vectors share one solve.
+    the probability-weighted phase-2 objectives. Each phase-2 plan
+    carries the effective fleet it was solved for, and is solved on the
+    instance with ``time_slots=1``, so its ``expected_cost`` and
+    ``stage_breakdown`` cover one slot, and so does its exact expectation
+    on that one-slot instance. Identical effective type vectors share
+    one solve.
     """
     p1 = solve_phase1(instance)
     single = dataclasses.replace(instance, time_slots=1)

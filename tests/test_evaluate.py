@@ -305,6 +305,22 @@ class TestPriceComparison:
         offload_price_comparison(inst, multipliers=(0.5, 1.0, 2.0), seeds=range(30))
         assert seeds == list(range(30))
 
+    def test_cost_tables_built_per_multiplier_not_per_plan(
+        self, bundled_instance, monkeypatch
+    ):
+        """Per multiplier: the SIP and DIP builds, the expected-value
+        plan's pricing and one pricing shared by all 30 drawn plans."""
+        calls = []
+        tables = planner._stage_cost_tables
+
+        def counted(*args):
+            calls.append(None)
+            return tables(*args)
+
+        monkeypatch.setattr(planner, "_stage_cost_tables", counted)
+        offload_price_comparison(bundled_instance)
+        assert len(calls) <= 32
+
     def test_roots_restart_from_previous_multiplier(self, bundled_instance, monkeypatch):
         """Only the service fee changes between multipliers, so every root
         after the first of its kind starts from the previous optimal basis

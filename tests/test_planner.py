@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 
 from uavplan.milp import solve_exact
+from uavplan.evaluate import evaluate_plan
 from uavplan.planner import (
     BaseStation,
     NetworkInstance,
+    PlanningError,
     ResourceLimitError,
     Station,
+    _draw_random_plan,
     _mean_demand_and_shortfall,
     _phase2_warm_start,
+    _Pricing,
     build_phase1,
     build_phase2_dip,
     build_phase2_sip,
@@ -23,8 +27,6 @@ from uavplan.planner import (
     exact_expected_cost,
     offload_curve,
     plan_both_phases,
-    random_plan,
-    realized_path_parts,
     solve_phase1,
     solve_phase2,
 )
@@ -218,18 +220,27 @@ class TestPhase2Solutions:
         dip = solve_phase2(inst, "dip", demand=[240])
         assert abs(sip.expected_cost - dip.expected_cost) <= 1e-9
 
-    @pytest.mark.parametrize("kind", ["sip", "dip", "evf", "random"])
-    def test_slots_repeat_one_slot_plan(self, kind):
-        """A multi-slot plan is the one-slot plan, priced over every slot."""
+    @pytest.mark.parametrize(
+        "kind, fleet",
+        [("sip", (1,)), ("dip", (1,)), ("evf", (1,)), ("random", (3,))],
+        ids=["sip", "dip", "evf", "random"],
+    )
+    def test_slots_repeat_one_slot_plan(self, kind, fleet):
+        """A multi-slot plan is the one-slot plan, priced over every slot,
+        and carries the fleet it was made for: the one asked for, or the
+        stations' own (type 3) for a random draw."""
         make = {
-            "sip": lambda inst: solve_phase2(inst, "sip"),
-            "dip": lambda inst: solve_phase2(inst, "dip", demand=[240], shortfall=[1.0]),
-            "evf": evf_plan,
-            "random": lambda inst: random_plan(inst, seed=3),
+            "sip": lambda inst: solve_phase2(inst, "sip", type_ids=fleet),
+            "dip": lambda inst: solve_phase2(
+                inst, "dip", demand=[240], shortfall=[1.0], type_ids=fleet
+            ),
+            "evf": lambda inst: evf_plan(inst, type_ids=fleet),
+            "random": lambda inst: _Pricing.of(inst).price(_draw_random_plan(inst, 3)),
         }[kind]
         one = small_instance(z3_tree())
         two = dataclasses.replace(one, time_slots=2)
         base, plan = make(one), make(two)
+        assert base.type_ids == plan.type_ids == fleet
         assert plan.subscriptions == base.subscriptions
         assert plan.decisions == base.decisions
         assert plan.residuals == base.residuals
@@ -338,11 +349,11 @@ class TestWarmStart:
 class TestBaselines:
     def test_random_plan_deterministic(self):
         inst = small_instance(z3_tree())
-        a = random_plan(inst, seed=7)
-        b = random_plan(inst, seed=7)
+        a = _draw_random_plan(inst, seed=7)
+        b = _draw_random_plan(inst, seed=7)
         assert a.subscriptions == b.subscriptions
         assert a.decisions == b.decisions
-        assert a.expected_cost == b.expected_cost
+        assert exact_expected_cost(inst, a) == exact_expected_cost(inst, b)
 
     def test_random_plan_draw_ignores_service_fee(self):
         inst = branching_instance()
@@ -351,16 +362,16 @@ class TestBaselines:
         )
         repriced = 0
         for seed in range(5):
-            a, b = random_plan(inst, seed), random_plan(dear, seed)
+            a, b = _draw_random_plan(inst, seed), _draw_random_plan(dear, seed)
             assert a.subscriptions == b.subscriptions
             assert a.decisions == b.decisions
             assert a.residuals == b.residuals
-            repriced += a.expected_cost != b.expected_cost
+            repriced += exact_expected_cost(inst, a) != exact_expected_cost(dear, b)
         assert repriced  # some draws offload, so the fee reaches their cost
 
     def test_random_plan_cost_is_exact_evaluation(self):
         inst = small_instance(z3_tree())
-        plan = random_plan(inst, seed=3)
+        plan = _Pricing.of(inst).price(_draw_random_plan(inst, seed=3))
         gap = abs(plan.expected_cost - exact_expected_cost(inst, plan))
         assert gap <= 1e-9
 
@@ -372,8 +383,8 @@ class TestBaselines:
         evf = evf_plan(inst)
         assert sip.expected_cost <= evf.expected_cost + 1e-9
         for seed in range(5):
-            rnd = random_plan(inst, seed)
-            assert sip.expected_cost <= rnd.expected_cost + 1e-9
+            rnd = _draw_random_plan(inst, seed)
+            assert sip.expected_cost <= exact_expected_cost(inst, rnd) + 1e-9
 
     def test_evf_freezes_recourse_at_zero(self):
         inst = small_instance(z3_tree())
@@ -388,16 +399,11 @@ class TestRealizedCosts:
     def test_parts_sum_and_keys(self):
         inst = small_instance(z3_tree())
         plan = solve_phase2(inst, "sip")
-        parts = realized_path_parts(inst, plan, 0, (0,))
-        assert set(parts) == {"stage1", "stage2", "stage3", "terminal"}
-        et = sum(
-            p.probability
-            * sum(realized_path_parts(inst, plan, 0, p.loss_indices).values())
-            for p in enumerate_terminal_paths(inst.tree)
-        )
+        pricing = _Pricing.of(inst, plan.type_ids)
+        labels, costs = pricing.path_costs(plan)
+        assert labels == ("stage1", "stage2", "stage3", "terminal")
+        et = sum(p.probability * sum(row) for p, row in zip(pricing.paths, costs))
         assert et == pytest.approx(plan.expected_cost, abs=1e-9)
-        with pytest.raises(ValueError, match="no terminal path"):
-            realized_path_parts(inst, plan, 0, ())
 
     def test_residual_flag_charges_penalty_where_coverage_holds(self):
         inst = small_instance(z3_tree())
@@ -408,7 +414,7 @@ class TestRealizedCosts:
         key = (calm.demand_index, calm.loss_indices, 0)
         assert plan.residuals[key] == 0
         flagged = dataclasses.replace(plan, residuals={**plan.residuals, key: 1})
-        total, breakdown = exact_expected_cost(inst, flagged, with_breakdown=True)
+        total, breakdown = _Pricing.of(inst, flagged.type_ids).expectation(flagged)
         rise = calm.probability * inst.costs.completion_penalty
         assert total == pytest.approx(plan.expected_cost + rise, abs=1e-9)
         assert breakdown["terminal"] == pytest.approx(
@@ -478,6 +484,19 @@ class TestNodeLimits:
         )
 
 
+class TestFleet:
+    def test_pricing_refuses_another_fleet(self):
+        inst = small_instance(z3_tree())
+        plan = solve_phase2(inst, "sip", type_ids=(1,))
+        assert plan.type_ids == (1,)
+        with pytest.raises(PlanningError, match="fleet"):
+            _Pricing.of(inst, (3,)).expectation(plan)
+
+    def test_fleet_is_part_of_plan_identity(self):
+        plan = solve_phase2(small_instance(z3_tree()), "sip", type_ids=(1,))
+        assert dataclasses.replace(plan, type_ids=(3,)) != plan
+
+
 class TestComposition:
     def test_composed_cost_and_caching(self):
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
@@ -491,3 +510,29 @@ class TestComposition:
             for mu, w in enumerate(tree.weather)
         )
         assert composed == pytest.approx(expect, rel=1e-12)
+
+    def test_every_plan_priced_for_its_fleet(self):
+        """The calm-weather plan flies type 1, not the stations' type 3;
+        every pricing reader takes that fleet from the plan. The tree has
+        one path, so the sample mean is exact."""
+        inst = small_instance(tree_z2(1, [(240,)], [1.0], p_strong=0.3))
+        _, plans, _ = plan_both_phases(inst)
+        calm = plans[0, 1]
+        assert evaluate_plan(calm, inst, 1000).mean_cost == pytest.approx(
+            1.7829770795846827, abs=1e-9
+        )
+        for plan in plans.values():
+            assert exact_expected_cost(inst, plan) == pytest.approx(
+                plan.expected_cost, abs=1e-9
+            )
+        assert [plans[0, mu].type_ids for mu in range(2)] == [(3,), (1,)]
+
+    def test_plans_cover_one_slot(self):
+        tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
+        inst = small_instance(tree, time_slots=3)
+        _, plans, _ = plan_both_phases(inst)
+        one_slot = dataclasses.replace(inst, time_slots=1)
+        for plan in plans.values():
+            assert exact_expected_cost(one_slot, plan) == pytest.approx(
+                plan.expected_cost, abs=1e-9
+            )
