@@ -1,8 +1,9 @@
 """First-phase fleet reservation under weather uncertainty.
 
 Solves the reservation program on the bundled network in closed form
-(one cheapest hedge per slot and station), prints the booked class per
-station and the replacement pattern per weather scenario, then sweeps
+(one cheapest hedge per station, which every slot repeats), prints the
+booked class per station and the replacement pattern per weather
+scenario, then sweeps
 the crash penalty to locate the point where the plan jumps from the
 cheapest class to the largest.
 """
@@ -22,15 +23,16 @@ def main() -> None:
     print(f"expected first-phase cost: {plan.expected_cost:.6f}")
     print()
 
-    n_y = len(inst.stations)
-    for t in range(inst.time_slots):
-        booked = "  ".join(str(plan.reservations[t, y]) for y in range(n_y))
-        print(f"slot {t}: reserved class per station: {booked}")
-        for w, sc in enumerate(inst.tree.weather):
-            eff = effective_station_types(inst, plan, w, t)
-            flags = "".join(str(f) for f in sc.strong_wind)
-            print(f"  weather {w} (p={sc.probability:.2f}, wind {flags}): "
-                  f"flying {eff}")
+    # every slot repeats the plan's one slot
+    last = inst.time_slots - 1
+    slots = f"slots 0-{last}" if last else "slot 0"
+    booked = "  ".join(str(tid) for tid in plan.reservations)
+    print(f"{slots}: reserved class per station: {booked}")
+    for w, sc in enumerate(inst.tree.weather):
+        eff = effective_station_types(inst, plan, w)
+        flags = "".join(str(f) for f in sc.strong_wind)
+        print(f"  weather {w} (p={sc.probability:.2f}, wind {flags}): "
+              f"flying {eff}")
     print()
 
     grid = [0.5, 1.0, 1.5, 1.6, 1.7, 2.0, 3.0]

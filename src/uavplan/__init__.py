@@ -5,9 +5,9 @@ Two planning phases over a shared scenario tree: reserve a UAV class
 per charging station against weather losses, then split each station's
 coded task copies between onboard computation and subscribed edge
 servers under demand and copy-shortfall uncertainty. Both phases are
-solved exactly: phase 1 in closed form, one choice per (slot, station);
-phase 2 with the bundled branch-and-bound integer programming kernel,
-on one time slot's program that every slot repeats.
+solved exactly on one time slot's program that every slot repeats:
+phase 1 in closed form, one choice per station; phase 2 with the
+bundled branch-and-bound integer programming kernel.
 """
 
 from .coding import (

@@ -17,6 +17,7 @@ every random draw in a run.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,13 +145,20 @@ def cmd_plan(args: argparse.Namespace) -> int:
     p1, plans, composed = plan_both_phases(instance, node_limit=config.node_limit)
 
     write_json_atomic(out / "phase1_plan.json", phase1_plan_to_dict(instance, p1))
-    scenario_plans = []
-    for (t, mu), plan in sorted(plans.items()):
+    # every slot repeats the one-slot plans; the outputs list each slot
+    slots = range(instance.time_slots)
+    scenario_plans, plan_lines = [], []
+    for t, (mu, plan) in itertools.product(slots, plans.items()):
         entry = phase2_plan_to_dict(instance, plan, slot=t)
         entry["slot"] = t
         entry["weather_scenario"] = mu
         entry["probability"] = instance.tree.weather[mu].probability
         scenario_plans.append(entry)
+        flag = "" if plan.optimal else "  [NOT PROVEN OPTIMAL]"
+        plan_lines.append(
+            f"phase 2 slot {t} weather {mu}: expected cost "
+            f"{plan.expected_cost:.6f}, subscriptions {plan.subscription_count()}{flag}"
+        )
     write_json_atomic(
         out / "phase2_plan.json",
         {
@@ -167,16 +175,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"phase 1 expected cost: {p1.expected_cost:.6f}",
         "reservations: "
         + ", ".join(
-            f"slot {t} station {instance.stations[y].id} -> type {tid}"
-            for (t, y), tid in sorted(p1.reservations.items())
+            f"slot {t} station {st.id} -> type {tid}"
+            for t in slots
+            for st, tid in zip(instance.stations, p1.reservations)
         ),
+        *plan_lines,
     ]
-    for (t, mu), plan in sorted(plans.items()):
-        flag = "" if plan.optimal else "  [NOT PROVEN OPTIMAL]"
-        lines.append(
-            f"phase 2 slot {t} weather {mu}: expected cost "
-            f"{plan.expected_cost:.6f}, subscriptions {plan.subscription_count()}{flag}"
-        )
     if not all_optimal:
         lines.append("node limit reached: plans above are feasible, not proven optimal")
     write_text_atomic(out / "summary.txt", "\n".join(lines) + "\n")

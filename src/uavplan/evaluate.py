@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,6 +29,7 @@ from .milp import Basis
 from .planner import (
     InfeasibleModelError,
     NetworkInstance,
+    Phase1Plan,
     Phase2Plan,
     PlanningError,
     _draw_random_plan,
@@ -187,11 +189,10 @@ def evaluate_plan(
 # ---------------------------------------------------------------------------
 
 
-def _phase1_summary(plan) -> str:
-    counts: dict[int, int] = {}
-    for tid in plan.reservations.values():
-        counts[tid] = counts.get(tid, 0) + 1
-    body = ", ".join(f"type {tid} x{n}" for tid, n in sorted(counts.items()))
+def _phase1_summary(plan: Phase1Plan, time_slots: int) -> str:
+    """Reservation counts over all ``time_slots``."""
+    counts = sorted(Counter(plan.reservations).items())
+    body = ", ".join(f"type {tid} x{time_slots * n}" for tid, n in counts)
     return f"reserve {body}" if body else "reserve nothing"
 
 
@@ -256,7 +257,7 @@ def _sweep_point(
             instance, costs=dataclasses.replace(costs, crash_penalty=float(value))
         )
         plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan), {}, True, None
+        return plan.expected_cost, _phase1_summary(plan, inst.time_slots), {}, True, None
 
     if parameter == "weather_prob":
         if len(tree.weather) != 2:
@@ -282,7 +283,7 @@ def _sweep_point(
             instance, tree=dataclasses.replace(tree, weather=weather)
         )
         plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan), {}, True, None
+        return plan.expected_cost, _phase1_summary(plan, inst.time_slots), {}, True, None
 
     inst, type_ids, extra = instance, None, {}
     if parameter == "z":

@@ -480,30 +480,31 @@ def write_csv_atomic(
 
 
 def phase1_plan_to_dict(instance: NetworkInstance, plan: Phase1Plan) -> dict:
-    reservations = []
-    for (t, y), type_id in sorted(plan.reservations.items()):
-        sid = instance.stations[y].id
-        reservations.append(
-            {
-                "variable": f"T[slot={t}][station={sid}][type={type_id}]",
-                "slot": t,
-                "station": sid,
-                "type": type_id,
-                "value": 1,
-            }
-        )
-    recourse = []
-    for (mu, t, y), value in sorted(plan.recourse.items()):
-        sid = instance.stations[y].id
-        recourse.append(
-            {
-                "variable": f"R[weather={mu}][slot={t}][station={sid}]",
-                "weather": mu,
-                "slot": t,
-                "station": sid,
-                "value": value,
-            }
-        )
+    """Variable-by-variable dump of the plan's one slot for every slot."""
+    slots = range(instance.time_slots)
+    reservations = [
+        {
+            "variable": f"T[slot={t}][station={st.id}][type={type_id}]",
+            "slot": t,
+            "station": st.id,
+            "type": type_id,
+            "value": 1,
+        }
+        for t in slots
+        for st, type_id in zip(instance.stations, plan.reservations)
+    ]
+    recourse = [
+        {
+            "variable": f"R[weather={mu}][slot={t}][station={st.id}]",
+            "weather": mu,
+            "slot": t,
+            "station": st.id,
+            "value": plan.recourse[mu, y],
+        }
+        for mu in range(len(instance.tree.weather))
+        for t in slots
+        for y, st in enumerate(instance.stations)
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "phase": 1,
@@ -539,8 +540,8 @@ def phase2_plan_to_dict(
     instance: NetworkInstance, plan: Phase2Plan, slot: int = 0
 ) -> dict:
     """Variable-by-variable dump of a plan's one slot, its variables
-    named for ``slot``. The expected cost and stage breakdown it writes
-    cover all ``instance.time_slots``."""
+    named for ``slot``. The expected cost and stage breakdown are the
+    plan's own; for the plans of ``plan_both_phases`` they cover one slot."""
     subscriptions = [
         {"variable": f"M_s[slot={slot}][bs={bs.id}]", "value": value}
         for bs, value in zip(instance.base_stations, plan.subscriptions)

@@ -1,8 +1,9 @@
 """Build and solve the two planning phases.
 
-Phase 1 reserves one UAV type per (slot, station) against weather
-uncertainty, with an on-demand largest-type recourse in crash scenarios;
-``solve_phase1`` makes each (slot, station) choice in closed form.
+Phase 1 reserves one UAV type per station against weather uncertainty,
+with an on-demand largest-type recourse in crash scenarios; every slot
+repeats the same choice, so ``solve_phase1`` makes it once per station
+in closed form and its ``Phase1Plan`` holds one slot.
 Phase 2 allocates coded task copies between local computation and
 offloading to subscribed edge servers, as either a deterministic program
 (known demand/shortfall) or a z-stage stochastic program in extensive
@@ -298,8 +299,11 @@ class Phase1Model:
 
 @dataclass
 class Phase1Plan:
-    reservations: dict[tuple[int, int], int]  # (slot, station idx) -> type id
-    recourse: dict[tuple[int, int, int], int]  # (weather, slot, station idx) -> 0/1
+    """One slot's reservations and recourse flags, which every slot
+    repeats; ``expected_cost`` covers all ``time_slots``."""
+
+    reservations: tuple[int, ...]  # station idx -> type id
+    recourse: dict[tuple[int, int], int]  # (weather, station idx) -> 0/1
     expected_cost: float
 
 
@@ -378,12 +382,12 @@ def build_phase1(instance: NetworkInstance) -> Phase1Model:
 def solve_phase1(instance: NetworkInstance) -> Phase1Plan:
     """Optimal reservations in closed form.
 
-    The program splits into one choice per (slot, station). A type other
-    than the largest is replaced by the on-demand largest type, at its
-    price plus the crash penalty, wherever strong wind hits the station,
-    so each (slot, station) takes the type with the lowest reservation
-    price plus P(strong wind) times that bill. Ties go to the larger
-    type."""
+    The program splits into one choice per station that every slot
+    repeats. A type other than the largest is replaced by the on-demand
+    largest type, at its price plus the crash penalty, wherever strong
+    wind hits the station, so each station takes the type with the
+    lowest reservation price plus P(strong wind) times that bill. Ties
+    go to the larger type."""
     tree = instance.tree
     if not tree.weather:
         raise ValueError("phase 1 requires at least one weather scenario")
@@ -395,37 +399,30 @@ def solve_phase1(instance: NetworkInstance) -> Phase1Plan:
         risk = 0.0 if uav is largest else p_strong * bill
         return reservation_cost(uav, instance.costs) + risk
 
-    plan = Phase1Plan(reservations={}, recourse={}, expected_cost=0.0)
+    plan = Phase1Plan(reservations=(), recourse={}, expected_cost=0.0)
     for y in range(len(instance.stations)):
         p_strong = sum(w.probability for w in tree.weather if w.strong_wind[y])
         # types come in ascending battery order, so the reversed scan
         # meets the larger of two tied types first
         uav = min(reversed(instance.uav_types), key=lambda u: cost(u, p_strong))
         plan.expected_cost += instance.time_slots * cost(uav, p_strong)
-        replaced = uav is not largest
-        for t in range(instance.time_slots):
-            plan.reservations[t, y] = uav.id
-            for mu, w in enumerate(tree.weather):
-                plan.recourse[mu, t, y] = int(replaced and bool(w.strong_wind[y]))
+        plan.reservations += (uav.id,)
+        for mu, w in enumerate(tree.weather):
+            plan.recourse[mu, y] = int(uav is not largest and bool(w.strong_wind[y]))
     return plan
 
 
 def effective_station_types(
-    instance: NetworkInstance, plan: Phase1Plan, weather_index: int, slot: int
+    instance: NetworkInstance, plan: Phase1Plan, weather_index: int
 ) -> tuple[int, ...]:
     """Per-station type ids actually flying in one weather scenario: the
-    reservation, except that a crashed non-largest type is replaced by
-    the on-demand largest type."""
-    weather = instance.tree.weather[weather_index]
+    on-demand largest type where the plan's recourse flag is 1, the
+    reservation otherwise."""
     largest_id = instance.largest_type.id
-    out = []
-    for y in range(len(instance.stations)):
-        reserved = plan.reservations[slot, y]
-        if weather.strong_wind[y] and reserved != largest_id:
-            out.append(largest_id)
-        else:
-            out.append(reserved)
-    return tuple(out)
+    return tuple(
+        largest_id if plan.recourse[weather_index, y] else reserved
+        for y, reserved in enumerate(plan.reservations)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1211,13 +1208,13 @@ def offload_curve(
 
 def plan_both_phases(
     instance: NetworkInstance, node_limit: int | None = None
-) -> tuple[Phase1Plan, dict[tuple[int, int], Phase2Plan], float]:
+) -> tuple[Phase1Plan, dict[int, Phase2Plan], float]:
     """Reserve types under weather uncertainty, then allocate tasks per
     weather scenario with the effective (reserved or recourse) types.
 
-    Returns the phase-1 plan, the phase-2 plan per (slot, weather
-    scenario), and the composed expected cost: phase-1 objective plus
-    the probability-weighted phase-2 objectives. Each phase-2 plan
+    Returns the phase-1 plan, the phase-2 plan per weather scenario, and
+    the composed expected cost: phase-1 objective plus ``time_slots``
+    times the probability-weighted phase-2 objectives. Each phase-2 plan
     carries the effective fleet it was solved for, and is solved on the
     instance with ``time_slots=1``, so its ``expected_cost`` and
     ``stage_breakdown`` cover one slot, and so does its exact expectation
@@ -1226,16 +1223,12 @@ def plan_both_phases(
     """
     p1 = solve_phase1(instance)
     single = dataclasses.replace(instance, time_slots=1)
-    cache: dict[tuple[int, ...], Phase2Plan] = {}
-    plans: dict[tuple[int, int], Phase2Plan] = {}
-    composed = p1.expected_cost
-    for t in range(instance.time_slots):
-        for mu, weather in enumerate(instance.tree.weather):
-            ids = effective_station_types(instance, p1, mu, t)
-            if ids not in cache:
-                cache[ids] = solve_phase2(
-                    single, "sip", type_ids=ids, node_limit=node_limit
-                )
-            plans[t, mu] = cache[ids]
-            composed += weather.probability * plans[t, mu].expected_cost
-    return p1, plans, composed
+    weather = instance.tree.weather
+    fleets = [effective_station_types(instance, p1, mu) for mu in range(len(weather))]
+    solved = {
+        ids: solve_phase2(single, "sip", type_ids=ids, node_limit=node_limit)
+        for ids in dict.fromkeys(fleets)
+    }
+    plans = {mu: solved[ids] for mu, ids in enumerate(fleets)}
+    phase2 = sum(w.probability * plans[mu].expected_cost for mu, w in enumerate(weather))
+    return p1, plans, p1.expected_cost + instance.time_slots * phase2

@@ -127,13 +127,13 @@ def test_4_crash_penalty_flip_point():
     tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
     below = solve_phase1(small_instance(tree, costs=make_costs(crash=1.567)))
     above = solve_phase1(small_instance(tree, costs=make_costs(crash=1.667)))
-    assert below.reservations[0, 0] == 1
-    assert above.reservations[0, 0] == 3
+    assert below.reservations == (1,)
+    assert above.reservations == (3,)
 
     for p_strong, expected in ((0.0, 1), (0.5, 3), (0.9, 3)):
         tree = tree_z2(1, [(240,)], [1.0], p_strong=p_strong)
         plan = solve_phase1(small_instance(tree, costs=make_costs(crash=0.5)))
-        assert plan.reservations[0, 0] == expected, p_strong
+        assert plan.reservations == (expected,), p_strong
     print("ACCEPT 4/9 crash penalty flip point: PASS")
 
 

@@ -174,6 +174,15 @@ class TestSweep:
         assert res.breakdowns[0]["k"] == 16
         assert res.breakdowns[1]["k"] == 12
 
+    def test_penalty_sweep_counts_every_slot(self, bundled_instance):
+        """The README penalty sweep on a three-slot copy of the bundled
+        network: objectives and reservation counts cover all three
+        slots of six stations."""
+        inst = dataclasses.replace(bundled_instance, time_slots=3)
+        res = sweep(inst, {"parameter": "penalty_C_p", "grid": [0.5, 1, 1.5, 2]})
+        assert res.objectives == pytest.approx((87.57, 90.27, 92.97, 93.6), abs=1e-9)
+        assert res.summaries == ("reserve type 1 x18",) * 3 + ("reserve type 3 x18",)
+
     def test_sweep_is_deterministic(self):
         inst = small_instance(z3_tree())
         spec = {"parameter": "shortfall_prob", "grid": [0.2, 0.8]}

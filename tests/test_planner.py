@@ -117,32 +117,35 @@ class TestPhase1:
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
         cheap = solve_phase1(small_instance(tree, costs=make_costs(crash=1.60)))
         dear = solve_phase1(small_instance(tree, costs=make_costs(crash=1.65)))
-        assert cheap.reservations[0, 0] == 1
-        assert dear.reservations[0, 0] == 3
+        assert cheap.reservations == (1,)
+        assert dear.reservations == (3,)
 
     def test_calm_forecast_reserves_smallest(self):
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.0)
         plan = solve_phase1(small_instance(tree, costs=make_costs(crash=0.5)))
-        assert plan.reservations[0, 0] == 1
+        assert plan.reservations == (1,)
         # the zero-probability storm still books a (free) replacement
-        assert plan.recourse[1, 0, 0] == 0
+        assert plan.recourse[1, 0] == 0
         assert plan.expected_cost == pytest.approx(2.375, rel=1e-12)
 
     def test_stormy_forecast_reserves_largest(self):
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.5)
         plan = solve_phase1(small_instance(tree, costs=make_costs(crash=0.5)))
-        assert plan.reservations[0, 0] == 3
+        assert plan.reservations == (3,)
 
     def test_expected_cost_analytic(self):
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
         plan = solve_phase1(small_instance(tree, costs=make_costs(crash=1.0)))
         # type 1: 0.001 * 2375 + 0.3 * (0.0015 * 5200 + 1.0)
         assert plan.expected_cost == pytest.approx(5.015, rel=1e-12)
-        assert plan.recourse[0, 0, 0] == 1  # strong-wind scenario replaces it
+        assert plan.recourse[0, 0] == 1  # strong-wind scenario replaces it
 
     def test_closed_form_matches_branch_and_bound(self):
         """The closed form against the integer model on 200 random
-        gate-2 shapes with random crash penalties."""
+        gate-2 shapes (1-3 slots) with random crash penalties: every
+        slot of the optimum reserves and replaces as the one-slot plan,
+        and each weather's effective fleet is the type the optimum flies
+        there, the largest where R = 1 and the reservation otherwise."""
         rng = np.random.default_rng(11)
         for _ in range(200):
             shape = [int(rng.integers(1, 4)), int(rng.integers(1, 5))]
@@ -156,22 +159,34 @@ class TestPhase1:
             sol = solve_exact(built.model)
             assert sol.status == "optimal"
             assert plan.expected_cost == pytest.approx(sol.objective, abs=1e-9)
-            for (t, y), tid in plan.reservations.items():
-                sid = inst.stations[y].id
-                for uav in inst.uav_types:
-                    vid = built.model.variable_id(f"T[slot={t}][station={sid}][type={uav.id}]")
-                    assert round(sol.assignment[vid]) == int(uav.id == tid)
-            for (mu, t, y), flag in plan.recourse.items():
-                sid = inst.stations[y].id
-                vid = built.model.variable_id(f"R[weather={mu}][slot={t}][station={sid}]")
-                assert round(sol.assignment[vid]) == flag
+
+            def value(name: str) -> int:
+                return round(sol.assignment[built.model.variable_id(name)])
+
+            largest = inst.largest_type.id
+            for t in range(inst.time_slots):
+                booked = []  # the optimum's reserved type per station
+                for st, tid in zip(inst.stations, plan.reservations):
+                    for uav in inst.uav_types:
+                        x = value(f"T[slot={t}][station={st.id}][type={uav.id}]")
+                        assert x == int(uav.id == tid)
+                        booked += [uav.id] * x
+                for mu in range(len(inst.tree.weather)):
+                    flags = [
+                        value(f"R[weather={mu}][slot={t}][station={st.id}]")
+                        for st in inst.stations
+                    ]
+                    for y, flag in enumerate(flags):
+                        assert flag == plan.recourse[mu, y]
+                    flown = [largest if f else tid for f, tid in zip(flags, booked)]
+                    assert effective_station_types(inst, plan, mu) == tuple(flown)
 
     def test_effective_types_substitute_largest(self):
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
         inst = small_instance(tree, costs=make_costs(crash=1.0))
         plan = solve_phase1(inst)
-        assert effective_station_types(inst, plan, 0, 0) == (3,)
-        assert effective_station_types(inst, plan, 1, 0) == (1,)
+        assert effective_station_types(inst, plan, 0) == (3,)
+        assert effective_station_types(inst, plan, 1) == (1,)
 
 
 class TestPhase2Solutions:
@@ -502,11 +517,11 @@ class TestComposition:
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
         inst = small_instance(tree, costs=make_costs(crash=50.0))
         p1, plans, composed = plan_both_phases(inst)
-        assert p1.reservations[0, 0] == 3  # crash risk prices out small types
+        assert p1.reservations == (3,)  # crash risk prices out small types
         # same effective fleet in both weathers, so one shared solve
-        assert plans[0, 0] is plans[0, 1]
+        assert plans[0] is plans[1]
         expect = p1.expected_cost + sum(
-            w.probability * plans[0, mu].expected_cost
+            w.probability * plans[mu].expected_cost
             for mu, w in enumerate(tree.weather)
         )
         assert composed == pytest.approx(expect, rel=1e-12)
@@ -517,7 +532,7 @@ class TestComposition:
         one path, so the sample mean is exact."""
         inst = small_instance(tree_z2(1, [(240,)], [1.0], p_strong=0.3))
         _, plans, _ = plan_both_phases(inst)
-        calm = plans[0, 1]
+        calm = plans[1]
         assert evaluate_plan(calm, inst, 1000).mean_cost == pytest.approx(
             1.7829770795846827, abs=1e-9
         )
@@ -525,7 +540,7 @@ class TestComposition:
             assert exact_expected_cost(inst, plan) == pytest.approx(
                 plan.expected_cost, abs=1e-9
             )
-        assert [plans[0, mu].type_ids for mu in range(2)] == [(3,), (1,)]
+        assert [plans[mu].type_ids for mu in range(2)] == [(3,), (1,)]
 
     def test_plans_cover_one_slot(self):
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
