@@ -20,7 +20,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def main() -> None:
     inst = load_instance(DATA / "instance.json")
     plan = solve_phase1(inst)
-    print(f"expected first-phase cost: {plan.expected_cost:.6f}")
+    print(f"expected first-phase cost: {inst.time_slots * plan.expected_cost:.6f}")
     print()
 
     # every slot repeats the plan's one slot

@@ -172,7 +172,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     all_optimal = all(p.optimal for p in plans.values())
     lines = [
         f"composed expected cost: {composed:.6f}",
-        f"phase 1 expected cost: {p1.expected_cost:.6f}",
+        f"phase 1 expected cost: {instance.time_slots * p1.expected_cost:.6f}",
         "reservations: "
         + ", ".join(
             f"slot {t} station {st.id} -> type {tid}"

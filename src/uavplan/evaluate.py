@@ -144,16 +144,16 @@ def evaluate_plan(
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> EvaluationReport:
-    """Monte Carlo estimate of the plan's expected cost.
+    """Monte Carlo estimate of the plan's one-slot expected cost.
 
     Samples terminal scenario paths with their branch probabilities and
     reads each draw's realized cost from the plan's per-path stage costs,
     priced for the fleet the plan was made for: the frozen decisions
-    along the path in every slot, plus the completion penalty for every
-    (slot, station) whose cumulative copies fall short of the threshold
-    plus its offload-gated losses or whose residual flag is set. Reports
-    the unbiased mean with its standard error. Same seed, same report. A
-    plan that lacks a decision this tree needs raises ``PlanningError``.
+    along the path, plus the completion penalty for every station whose
+    cumulative copies fall short of the threshold plus its offload-gated
+    losses or whose residual flag is set. Reports the unbiased mean with
+    its standard error. Same seed, same report. A plan that lacks a
+    decision this tree needs raises ``PlanningError``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -246,20 +246,20 @@ def _sweep_point(
     node_limit: int | None,
     start_basis: Basis | None,
 ) -> tuple[float, str, dict, bool, Basis | None]:
-    """Objective, summary, breakdown and proven flag of one grid point,
-    and the root basis of its phase-2 solve (None at phase-1 points)."""
+    """Objective, summary, breakdown and proven flag of one grid point
+    over all ``time_slots``, and the root basis of its phase-2 solve
+    (None at phase-1 points)."""
     costs = instance.costs
     tree = instance.tree
     n_y = len(instance.stations)
+    slots = instance.time_slots
 
+    inst, type_ids, extra = instance, None, {}
     if parameter == "penalty_C_p":
         inst = dataclasses.replace(
             instance, costs=dataclasses.replace(costs, crash_penalty=float(value))
         )
-        plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan, inst.time_slots), {}, True, None
-
-    if parameter == "weather_prob":
+    elif parameter == "weather_prob":
         if len(tree.weather) != 2:
             raise ValueError(
                 "weather_prob sweep needs exactly two weather scenarios "
@@ -282,11 +282,7 @@ def _sweep_point(
         inst = dataclasses.replace(
             instance, tree=dataclasses.replace(tree, weather=weather)
         )
-        plan = solve_phase1(inst)
-        return plan.expected_cost, _phase1_summary(plan, inst.time_slots), {}, True, None
-
-    inst, type_ids, extra = instance, None, {}
-    if parameter == "z":
+    elif parameter == "z":
         zi = int(value)
         if zi != value or zi < 2:
             raise ValueError("z grid values must be integers >= 2")
@@ -346,14 +342,18 @@ def _sweep_point(
             raise ValueError(f"uav_type grid value {value!r} is not a known type id")
         type_ids = [tid] * n_y
 
+    if parameter in ("penalty_C_p", "weather_prob"):
+        p1 = solve_phase1(inst)
+        return slots * p1.expected_cost, _phase1_summary(p1, slots), {}, True, None
+
     # a phase-2 grid point: objective, summary, the stage breakdown
     # followed by the extra columns, and whether the solve was proven
     plan = solve_phase2(
         inst, "sip", type_ids=type_ids, node_limit=node_limit, start_basis=start_basis
     )
-    summary = _phase2_summary(plan, instance.time_slots)
-    breakdown = {**plan.stage_breakdown, **extra}
-    return plan.expected_cost, summary, breakdown, plan.optimal, plan.basis
+    summary = _phase2_summary(plan, slots)
+    breakdown = {stage: slots * c for stage, c in plan.stage_breakdown.items()} | extra
+    return slots * plan.expected_cost, summary, breakdown, plan.optimal, plan.basis
 
 
 def sweep(
@@ -408,11 +408,11 @@ def _compare_drawn(
     node_limit: int | None,
     starts: tuple[Basis | None, Basis | None],
 ) -> tuple[dict[str, float], bool, tuple[Basis | None, Basis | None]]:
-    """The three-way comparison with the random plans already drawn,
-    whether every phase-2 solve in it was proven optimal, and the root
-    bases of the SIP and DIP solves. ``starts`` holds the bases those
-    solves start from. One set of cost tables prices the random plans
-    and cross-checks the SIP."""
+    """The three-way comparison over all ``time_slots`` with the random
+    plans already drawn, whether every phase-2 solve in it was proven
+    optimal, and the root bases of the SIP and DIP solves. ``starts``
+    holds the bases those solves start from. One set of cost tables
+    prices the random plans and cross-checks the SIP."""
     pricing = _Pricing.of(instance)
     sip = solve_phase2(instance, "sip", node_limit=node_limit, start_basis=starts[0])
     try:
@@ -427,10 +427,11 @@ def _compare_drawn(
     gap = abs(sip.expected_cost - pricing.expectation(sip)[0])
     if gap > 1e-9:
         raise PlanningError(f"solver objective drifted from tree expectation by {gap}")
+    slots = instance.time_slots
     costs = {
-        "sip_cost": sip.expected_cost,
-        "evf_cost": evf_cost,
-        "random_cost": float(np.mean(rand_costs)),
+        "sip_cost": slots * sip.expected_cost,
+        "evf_cost": slots * evf_cost,
+        "random_cost": slots * float(np.mean(rand_costs)),
     }
     return costs, sip.optimal and evf_optimal, (sip.basis, evf_basis)
 

@@ -37,6 +37,7 @@ from .planner import (
     Phase1Plan,
     Phase2Plan,
     Station,
+    _path_label,
 )
 from .scenario import (
     DemandHistogram,
@@ -480,7 +481,8 @@ def write_csv_atomic(
 
 
 def phase1_plan_to_dict(instance: NetworkInstance, plan: Phase1Plan) -> dict:
-    """Variable-by-variable dump of the plan's one slot for every slot."""
+    """Variable-by-variable dump of the plan's one slot for every slot,
+    with the expected cost of all slots."""
     slots = range(instance.time_slots)
     reservations = [
         {
@@ -508,7 +510,7 @@ def phase1_plan_to_dict(instance: NetworkInstance, plan: Phase1Plan) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "phase": 1,
-        "expected_cost": plan.expected_cost,
+        "expected_cost": instance.time_slots * plan.expected_cost,
         "optimal": True,  # the closed form is always optimal
         "reservations": reservations,
         "recourse": recourse,
@@ -525,7 +527,7 @@ def _decision_entries(
     dec,
 ) -> list[dict]:
     sid = instance.stations[station_index].id
-    ptag = "" if stage == 2 else f"[path={','.join(map(str, path)) or '-'}]"
+    ptag = "" if stage == 2 else f"[path={_path_label(path)}]"
     base = f"[stage={stage}][slot={slot}][scenario={scenario}]{ptag}[station={sid}]"
     entries = [
         {"variable": f"M_L{base}", "value": dec.local},
@@ -540,8 +542,8 @@ def phase2_plan_to_dict(
     instance: NetworkInstance, plan: Phase2Plan, slot: int = 0
 ) -> dict:
     """Variable-by-variable dump of a plan's one slot, its variables
-    named for ``slot``. The expected cost and stage breakdown are the
-    plan's own; for the plans of ``plan_both_phases`` they cover one slot."""
+    named for ``slot``, with the plan's own one-slot expected cost and
+    stage breakdown."""
     subscriptions = [
         {"variable": f"M_s[slot={slot}][bs={bs.id}]", "value": value}
         for bs, value in zip(instance.base_stations, plan.subscriptions)
@@ -556,7 +558,7 @@ def phase2_plan_to_dict(
         residuals.append(
             {
                 "variable": f"rho[slot={slot}][scenario={li}]"
-                f"[path={','.join(map(str, losses)) or '-'}][station={sid}]",
+                f"[path={_path_label(losses)}][station={sid}]",
                 "value": value,
             }
         )

@@ -13,8 +13,9 @@ encodes both with one stage loop: every decision block is keyed by
 prefix is empty, and the deterministic program is the stage-2 block of
 one demand scenario. Every slot repeats the same program, so the model
 and its ``Phase2Plan`` cover one slot, the plan keyed the way the model
-keys its variables, and a plan's cost is the one-slot cost times the
-number of slots.
+keys its variables. Every plan's cost, phase 1 or phase 2, is one
+slot's; only ``plan_both_phases``'s composed cost and the reports built
+on the plans multiply it by the number of slots.
 
 Key structural choices:
 
@@ -43,7 +44,6 @@ two agree, so the model objective equals the exact tree expectation.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -300,7 +300,7 @@ class Phase1Model:
 @dataclass
 class Phase1Plan:
     """One slot's reservations and recourse flags, which every slot
-    repeats; ``expected_cost`` covers all ``time_slots``."""
+    repeats, and their expected cost in that slot."""
 
     reservations: tuple[int, ...]  # station idx -> type id
     recourse: dict[tuple[int, int], int]  # (weather, station idx) -> 0/1
@@ -405,7 +405,7 @@ def solve_phase1(instance: NetworkInstance) -> Phase1Plan:
         # types come in ascending battery order, so the reversed scan
         # meets the larger of two tied types first
         uav = min(reversed(instance.uav_types), key=lambda u: cost(u, p_strong))
-        plan.expected_cost += instance.time_slots * cost(uav, p_strong)
+        plan.expected_cost += cost(uav, p_strong)
         plan.reservations += (uav.id,)
         for mu, w in enumerate(tree.weather):
             plan.recourse[mu, y] = int(uav is not largest and bool(w.strong_wind[y]))
@@ -450,9 +450,9 @@ class Phase2Plan:
     terminal path. ``type_ids`` is the fleet the plan was made for, one
     UAV type per station; the plan is priced with that fleet's cost
     tables and no other. ``expected_cost`` and ``stage_breakdown`` cover
-    all ``time_slots`` of the instance. ``basis`` is the root LP basis
-    of the solve that made the plan, a start for the next solve of a
-    model with the same rows and columns; drawn plans have none."""
+    that one slot. ``basis`` is the root LP basis of the solve that made
+    the plan, a start for the next solve of a model with the same rows
+    and columns; drawn plans have none."""
 
     type_ids: tuple[int, ...]  # station idx -> UAV type id
     subscriptions: tuple[int, ...]  # bs index -> 0/1
@@ -756,15 +756,12 @@ def build_phase2_dip(
     return built
 
 
-def decode_phase2(
-    instance: NetworkInstance, built: Phase2Model, sol: Solution
-) -> Phase2Plan:
-    """The plan of the solved slot; its expected cost is time_slots
-    times the slot's objective."""
+def decode_phase2(built: Phase2Model, sol: Solution) -> Phase2Plan:
+    """The plan of the solved slot, its expected cost the objective."""
     if sol.assignment is None or sol.objective is None:
         raise PlanningError(f"cannot decode a solution with status {sol.status!r}")
     x = np.round(sol.assignment).astype(int).tolist()
-    n_f = len(instance.base_stations)
+    n_f = len(built.instance.base_stations)
     plan = Phase2Plan(
         type_ids=built.pricing.type_ids,
         subscriptions=tuple(x[vid] for vid in built.sub_ids.values()),
@@ -777,7 +774,7 @@ def decode_phase2(
             for key, lv in built.local_ids.items()
         },
         residuals={key: x[rv] for key, rv in built.residual_ids.items()},
-        expected_cost=instance.time_slots * float(sol.objective),
+        expected_cost=float(sol.objective),
         optimal=sol.status == "optimal",
         basis=sol.basis,
     )
@@ -819,6 +816,26 @@ def _phase2_warm_start(
     return built.encode(plan)
 
 
+def _dip_warm_start(
+    built: Phase2Model, shortfall: Sequence[float]
+) -> np.ndarray | None:
+    """All-local incumbent for the deterministic build: every station
+    keeps max(k, ceil(shortfall)) copies on board, offloads nothing and
+    subscribes nowhere. Returns None when that exceeds the local cap."""
+    instance = built.instance
+    k = instance.split.k
+    local = [max(k, math.ceil(s)) for s in shortfall]
+    if any(n > instance.local_cap(n) for n in local):
+        return None
+    n_f = len(instance.base_stations)
+    decisions = {
+        (2, 0, (), y): StageDecision(local=n, offload=(0,) * n_f, offload_indicator=0)
+        for y, n in enumerate(local)
+    }
+    plan = Phase2Plan(built.pricing.type_ids, (0,) * n_f, decisions, {}, 0.0)
+    return built.encode(plan)
+
+
 def solve_phase2(
     instance: NetworkInstance,
     formulation: str = "sip",
@@ -828,17 +845,20 @@ def solve_phase2(
     node_limit: int | None = None,
     start_basis: Basis | None = None,
 ) -> Phase2Plan:
-    """Build, solve and decode one slot's SIP or DIP. ``start_basis``,
-    such as the ``basis`` of a plan solved for the same model shape at
-    other prices, is offered to the root LP (see ``solve_exact``)."""
+    """Build, solve and decode one slot's SIP or DIP, with an all-local
+    incumbent where one fits. ``start_basis``, such as the ``basis`` of a
+    plan solved for the same model shape at other prices, is offered to
+    the root LP (see ``solve_exact``)."""
     if formulation == "sip":
         built = build_phase2_sip(instance, type_ids=type_ids)
         warm = _phase2_warm_start(instance, built)
     elif formulation == "dip":
         if demand is None:
             raise ValueError("dip formulation requires a demand vector")
+        if shortfall is None:
+            shortfall = [0.0] * len(instance.stations)
         built = build_phase2_dip(instance, demand, shortfall, type_ids=type_ids)
-        warm = None
+        warm = _dip_warm_start(built, shortfall)
     else:
         raise ValueError(f"unknown formulation {formulation!r}")
     sol = solve_exact(
@@ -848,7 +868,7 @@ def solve_phase2(
         raise InfeasibleModelError(f"phase-2 {formulation} model infeasible")
     if sol.status == "node_limit" and sol.assignment is None:
         raise ResourceLimitError("phase-2 node limit hit before any incumbent")
-    return decode_phase2(instance, built, sol)
+    return decode_phase2(built, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -1089,12 +1109,12 @@ class _Pricing:
         )
 
     def path_costs(self, plan: Phase2Plan) -> tuple[tuple[str, ...], np.ndarray]:
-        """The cost the plan pays on each path over all slots, split by
+        """The cost the plan pays on each path in its one slot, split by
         stage.
 
         Returns the stage labels (stage1, stage2, stage3.., terminal) and
-        a paths x stages array with one row per path, in path order: one
-        slot's costs times the number of slots. Subscriptions are charged
+        a paths x stages array with one row per path, in path order.
+        Subscriptions are charged
         on every path; the terminal column follows the completion-penalty
         rule in the module docstring. A plan made for another fleet
         raises ``PlanningError``."""
@@ -1133,7 +1153,7 @@ class _Pricing:
                     row[-1] += penalty
             rows.append(row)
         costs = np.array(rows, dtype=float).reshape(len(paths), len(labels))
-        return labels, instance.time_slots * costs
+        return labels, costs
 
     def expectation(self, plan: Phase2Plan) -> tuple[float, dict[str, float]]:
         """Probability-weighted path costs, in total and per stage."""
@@ -1166,20 +1186,15 @@ def offload_curve(
 ) -> list[dict]:
     """Total-cost curve over forced stage-2 offload totals.
 
-    Requires a single-slot, single-station, single-demand-scenario
-    instance (anything else has no one-dimensional curve to trace). For
-    each value v, the stage-2 offloads of the lone station are pinned to
-    sum to v and the rest of the program is re-optimized; each row
-    records the per-stage breakdown and the total.
+    Requires a single-station, single-demand-scenario instance (anything
+    else has no one-dimensional curve to trace). For each value v, the
+    stage-2 offloads of the lone station are pinned to sum to v and the
+    rest of the program is re-optimized; each row records the one-slot
+    per-stage breakdown and total.
     """
-    tree = instance.tree
-    if (
-        instance.time_slots != 1
-        or len(instance.stations) != 1
-        or len(tree.demand) != 1
-    ):
+    if len(instance.stations) != 1 or len(instance.tree.demand) != 1:
         raise ValueError(
-            "offload curve needs exactly one slot, one station, and one demand scenario"
+            "offload curve needs exactly one station and one demand scenario"
         )
     if values is None:
         cap = sum(bs.servers for bs in instance.base_stations)
@@ -1194,7 +1209,7 @@ def offload_curve(
         if sol.status != "optimal":
             rows.append({"offload": int(v), "status": sol.status})
             continue
-        plan = decode_phase2(instance, built, sol)
+        plan = decode_phase2(built, sol)
         row = {"offload": int(v), "status": "optimal", "total": plan.expected_cost}
         row.update(plan.stage_breakdown)
         rows.append(row)
@@ -1213,22 +1228,19 @@ def plan_both_phases(
     weather scenario with the effective (reserved or recourse) types.
 
     Returns the phase-1 plan, the phase-2 plan per weather scenario, and
-    the composed expected cost: phase-1 objective plus ``time_slots``
-    times the probability-weighted phase-2 objectives. Each phase-2 plan
-    carries the effective fleet it was solved for, and is solved on the
-    instance with ``time_slots=1``, so its ``expected_cost`` and
-    ``stage_breakdown`` cover one slot, and so does its exact expectation
-    on that one-slot instance. Identical effective type vectors share
-    one solve.
+    the composed expected cost over all ``time_slots``: the number of
+    slots times the sum of the phase-1 cost and the probability-weighted
+    phase-2 costs, each of them one slot's. Each phase-2 plan carries
+    the effective fleet it was solved for. Identical effective type
+    vectors share one solve.
     """
     p1 = solve_phase1(instance)
-    single = dataclasses.replace(instance, time_slots=1)
     weather = instance.tree.weather
     fleets = [effective_station_types(instance, p1, mu) for mu in range(len(weather))]
     solved = {
-        ids: solve_phase2(single, "sip", type_ids=ids, node_limit=node_limit)
+        ids: solve_phase2(instance, "sip", type_ids=ids, node_limit=node_limit)
         for ids in dict.fromkeys(fleets)
     }
     plans = {mu: solved[ids] for mu, ids in enumerate(fleets)}
     phase2 = sum(w.probability * plans[mu].expected_cost for mu, w in enumerate(weather))
-    return p1, plans, p1.expected_cost + instance.time_slots * phase2
+    return p1, plans, instance.time_slots * (p1.expected_cost + phase2)

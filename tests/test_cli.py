@@ -271,6 +271,30 @@ class TestCompare:
         assert "node limit reached at multiplier 1, 2: " in stdout
         assert cli.main(["compare", "--config", cfg]) == 0
 
+    def test_node_limit_keeps_every_row(self, tmp_path, bundled_instance, capsys):
+        """On the z = 4 network neither phase-2 solve closes at the root;
+        both start from an incumbent, so a node limit of one still fills
+        the row."""
+        n = len(bundled_instance.stations)
+        z4 = dataclasses.replace(
+            bundled_instance,
+            tree=dataclasses.replace(
+                bundled_instance.tree,
+                shortfall_stages=(guaranteed_stage(n, 4), guaranteed_stage(n, 14)),
+            ),
+        )
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            instance=write_instance(tmp_path, z4),
+            out=str(out),
+            compare={"multipliers": [1.0], "n_seeds": 30},
+        )
+        assert cli.main(["compare", "--config", cfg, "--node-limit", "1"]) == 3
+        assert len((out / "compare.csv").read_text().splitlines()) == 2
+        assert "node limit reached at multiplier 1: " in capsys.readouterr().out
+        assert not (out / "error.json").exists()
+
     def test_node_limit_reaches_every_solve(self, branching_setup, monkeypatch):
         cfg, _ = branching_setup
         calls = []
@@ -382,6 +406,9 @@ PINNED_OUTPUTS = {
     },
     ("readme", "compare"): {
         "compare.csv": "c758a259e7759da3a9ee06ca8fec00ba77aa2563f5409feb1c587aea7c65e9d3",
+    },
+    ("three-slot", "compare"): {
+        "compare.csv": "256ce13dd723c80243118aa3247704d7f5d795e7ba924938e7970454f35acbfb",
     },
     ("three-slot", "plan"): {
         "phase1_plan.json": "05a72cbb5473b5af342e26e6f7377bea891bff82a9ce218d261cab862386edd8",

@@ -177,11 +177,17 @@ class TestSweep:
     def test_penalty_sweep_counts_every_slot(self, bundled_instance):
         """The README penalty sweep on a three-slot copy of the bundled
         network: objectives and reservation counts cover all three
-        slots of six stations."""
+        slots of six stations. A phase-2 point's objective and stage
+        columns are three times the one-slot values."""
         inst = dataclasses.replace(bundled_instance, time_slots=3)
         res = sweep(inst, {"parameter": "penalty_C_p", "grid": [0.5, 1, 1.5, 2]})
         assert res.objectives == pytest.approx((87.57, 90.27, 92.97, 93.6), abs=1e-9)
         assert res.summaries == ("reserve type 1 x18",) * 3 + ("reserve type 3 x18",)
+        hover = {"parameter": "hover_multiplier", "grid": [2.0]}
+        one, three = sweep(bundled_instance, hover), sweep(inst, hover)
+        assert three.objectives[0] == pytest.approx(3 * one.objectives[0], abs=1e-9)
+        tripled = {stage: 3 * cost for stage, cost in one.breakdowns[0].items()}
+        assert three.breakdowns[0] == pytest.approx(tripled, abs=1e-9)
 
     def test_sweep_is_deterministic(self):
         inst = small_instance(z3_tree())

@@ -142,10 +142,11 @@ class TestPhase1:
 
     def test_closed_form_matches_branch_and_bound(self):
         """The closed form against the integer model on 200 random
-        gate-2 shapes (1-3 slots) with random crash penalties: every
-        slot of the optimum reserves and replaces as the one-slot plan,
-        and each weather's effective fleet is the type the optimum flies
-        there, the largest where R = 1 and the reservation otherwise."""
+        gate-2 shapes (1-3 slots) with random crash penalties: the
+        optimum costs the number of slots times the one-slot plan, every
+        slot of it reserves and replaces as that plan, and each
+        weather's effective fleet is the type the optimum flies there,
+        the largest where R = 1 and the reservation otherwise."""
         rng = np.random.default_rng(11)
         for _ in range(200):
             shape = [int(rng.integers(1, 4)), int(rng.integers(1, 5))]
@@ -158,7 +159,9 @@ class TestPhase1:
             built = build_phase1(inst)
             sol = solve_exact(built.model)
             assert sol.status == "optimal"
-            assert plan.expected_cost == pytest.approx(sol.objective, abs=1e-9)
+            assert inst.time_slots * plan.expected_cost == pytest.approx(
+                sol.objective, abs=1e-9
+            )
 
             def value(name: str) -> int:
                 return round(sol.assignment[built.model.variable_id(name)])
@@ -241,9 +244,10 @@ class TestPhase2Solutions:
         ids=["sip", "dip", "evf", "random"],
     )
     def test_slots_repeat_one_slot_plan(self, kind, fleet):
-        """A multi-slot plan is the one-slot plan, priced over every slot,
-        and carries the fleet it was made for: the one asked for, or the
-        stations' own (type 3) for a random draw."""
+        """A multi-slot instance makes the one-slot plan, its one-slot
+        cost and stage breakdown included, and the plan carries the fleet
+        it was made for: the one asked for, or the stations' own (type 3)
+        for a random draw."""
         make = {
             "sip": lambda inst: solve_phase2(inst, "sip", type_ids=fleet),
             "dip": lambda inst: solve_phase2(
@@ -255,11 +259,8 @@ class TestPhase2Solutions:
         one = small_instance(z3_tree())
         two = dataclasses.replace(one, time_slots=2)
         base, plan = make(one), make(two)
-        assert base.type_ids == plan.type_ids == fleet
-        assert plan.subscriptions == base.subscriptions
-        assert plan.decisions == base.decisions
-        assert plan.residuals == base.residuals
-        assert plan.expected_cost == pytest.approx(2 * base.expected_cost, abs=1e-9)
+        assert plan == base
+        assert plan.type_ids == fleet
         assert sum(plan.stage_breakdown.values()) == pytest.approx(
             plan.expected_cost, abs=1e-9
         )
@@ -336,7 +337,7 @@ class TestPhase2Model:
     def test_encode_inverts_decode(self, build):
         built = build()
         sol = solve_exact(built.model)
-        plan = decode_phase2(built.instance, built, sol)
+        plan = decode_phase2(built, sol)
         assert np.array_equal(built.encode(plan), np.round(sol.assignment))
 
 
@@ -450,8 +451,12 @@ class TestOffloadCurve:
 
     def test_rejects_multi_station(self):
         inst = small_instance(tree_z2(2, [(240, 240)], [1.0]), n_stations=2)
-        with pytest.raises(ValueError, match="one slot"):
+        with pytest.raises(ValueError, match="one station"):
             offload_curve(inst)
+
+    def test_slots_leave_rows_unchanged(self, curve_instance):
+        three = dataclasses.replace(curve_instance, time_slots=3)
+        assert offload_curve(three) == offload_curve(curve_instance)
 
 
 class TestNodeLimits:
@@ -473,9 +478,12 @@ class TestNodeLimits:
                 shortfall_stages=(guaranteed_stage(n, 4), guaranteed_stage(n, 14)),
             ),
         )
-        # its mean-value DIP needs more than one node and has no warm start
-        with pytest.raises(ResourceLimitError, match="node limit"):
-            evf_plan(z4, node_limit=1)
+        # its mean-value DIP needs more than one node, so the limit
+        # leaves the all-local incumbent, dearer than the proven plan's
+        # 398.8758790788
+        plan = evf_plan(z4, node_limit=1)
+        assert not plan.optimal
+        assert plan.expected_cost == pytest.approx(505.4679328921, abs=1e-9)
         # this one's DIP closes at the root, so its plan is proven
         assert evf_plan(branching_instance(), node_limit=1).optimal
 
@@ -525,12 +533,18 @@ class TestComposition:
             for mu, w in enumerate(tree.weather)
         )
         assert composed == pytest.approx(expect, rel=1e-12)
+        # the composition alone counts the slots
+        _, _, three = plan_both_phases(dataclasses.replace(inst, time_slots=3))
+        assert three == pytest.approx(3 * composed, rel=1e-12)
 
-    def test_every_plan_priced_for_its_fleet(self):
+    @pytest.mark.parametrize("slots", [1, 3], ids=["one-slot", "three-slot"])
+    def test_every_plan_priced_for_its_fleet(self, slots):
         """The calm-weather plan flies type 1, not the stations' type 3;
-        every pricing reader takes that fleet from the plan. The tree has
-        one path, so the sample mean is exact."""
-        inst = small_instance(tree_z2(1, [(240,)], [1.0], p_strong=0.3))
+        every pricing reader takes that fleet from the plan, and prices
+        one slot however many the instance has. The tree has one path,
+        so the sample mean is exact."""
+        tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
+        inst = small_instance(tree, time_slots=slots)
         _, plans, _ = plan_both_phases(inst)
         calm = plans[1]
         assert evaluate_plan(calm, inst, 1000).mean_cost == pytest.approx(
@@ -541,13 +555,3 @@ class TestComposition:
                 plan.expected_cost, abs=1e-9
             )
         assert [plans[mu].type_ids for mu in range(2)] == [(3,), (1,)]
-
-    def test_plans_cover_one_slot(self):
-        tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
-        inst = small_instance(tree, time_slots=3)
-        _, plans, _ = plan_both_phases(inst)
-        one_slot = dataclasses.replace(inst, time_slots=1)
-        for plan in plans.values():
-            assert exact_expected_cost(one_slot, plan) == pytest.approx(
-                plan.expected_cost, abs=1e-9
-            )
