@@ -20,11 +20,9 @@ from .coding import (
     symbol_counts,
 )
 from .costs import (
+    CopyPrices,
     CostCoefficients,
-    decode_cost,
-    hover_threshold_cost,
-    local_copy_cost,
-    offload_copy_cost,
+    copy_prices,
     on_demand_cost,
     reservation_cost,
 )

@@ -124,7 +124,8 @@ def optimal_split(m: int, objective: str = "max_k") -> CodeSplit:
 
 @dataclass(frozen=True)
 class SymbolCounts:
-    """Symbol totals for one task of an N x N matrix product."""
+    """Symbol counts of one coded copy of an N x N matrix product; the
+    decode count covers the whole task."""
 
     d_enc: float
     d_dec: float
@@ -133,15 +134,10 @@ class SymbolCounts:
     d_comm_fr: float
 
 
-def symbol_counts(
-    n_dim: int,
-    split: CodeSplit | FractionalSplit,
-    n_local: int,
-    n_offload: int,
-) -> SymbolCounts:
-    """Per-step symbol counts for ``n_local`` + ``n_offload`` copies.
+def symbol_counts(n_dim: int, split: CodeSplit | FractionalSplit) -> SymbolCounts:
+    """Per-step symbol counts for one coded copy.
 
-    - encode: N^2 per prepared copy
+    - encode one copy: N^2
     - transmit one copy to a server: N^2 / m
     - compute one copy: N^3 / (m t)
     - receive one computed copy back: N^2 / t^2
@@ -149,14 +145,12 @@ def symbol_counts(
     """
     if not isinstance(n_dim, int) or n_dim < 1:
         raise ValueError(f"matrix dimension must be a positive integer, got {n_dim!r}")
-    if n_local < 0 or n_offload < 0:
-        raise ValueError("copy counts must be non-negative")
     n2 = float(n_dim) ** 2
     n3 = float(n_dim) ** 3
     kk = split.t * split.t * (2 * split.s - 1)
     log_k = math.log2(kk) if kk > 1 else 0.0
     return SymbolCounts(
-        d_enc=n2 * (n_local + n_offload),
+        d_enc=n2,
         d_dec=n2 * kk * log_k * log_k,
         d_comm_to=n2 / split.m,
         d_cmp=n3 / (split.m * split.t),

@@ -4,7 +4,9 @@ Two groups of prices. Fleet prices are per-mAh rates on the reserved or
 on-demand battery capacity plus a crash repair penalty. Task prices turn
 seconds, joules, and watts into dollars through the per_second,
 per_joule, and hover rate coefficients, plus flat per-copy service and
-per-BS subscription fees.
+per-BS subscription fees. ``copy_prices`` gives the task prices of one
+coded copy in one table: on board, offloaded to each server, hovering
+while waiting, and decoding.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ __all__ = [
     "CostCoefficients",
     "reservation_cost",
     "on_demand_cost",
-    "local_copy_cost",
-    "offload_copy_cost",
-    "hover_threshold_cost",
-    "decode_cost",
+    "CopyPrices",
+    "copy_prices",
 ]
 
 
@@ -79,93 +79,56 @@ def reservation_cost(uav: UavType, coeff: CostCoefficients) -> float:
     return coeff.reservation_per_mah * uav.battery_mah
 
 
-def on_demand_cost(
-    largest: UavType,
-    coeff: CostCoefficients,
-    fleet: Sequence[UavType] | None = None,
-) -> float:
-    """Price of renting the largest class after a weather loss.
-
-    Only the largest class is rentable on demand; passing the fleet
-    enables the largest-ness check.
-    """
-    if fleet is not None:
-        top = max(fleet, key=lambda u: u.battery_mah)
-        if largest.battery_mah < top.battery_mah:
-            raise ValueError(
-                f"on-demand class must be the largest battery: got "
-                f"{largest.battery_mah} mAh, fleet has {top.battery_mah} mAh"
-            )
+def on_demand_cost(largest: UavType, coeff: CostCoefficients) -> float:
+    """Price of renting the largest class after a weather loss; only
+    the fleet's largest class is rentable on demand."""
     return coeff.on_demand_per_mah * largest.battery_mah
 
 
-def local_copy_cost(
+@dataclass(frozen=True)
+class CopyPrices:
+    """Dollars for one coded copy of an N x N task on one UAV at one
+    station, each of the four ways phase 2 prices it."""
+
+    local: float  # compute on board, plus encode
+    offload: tuple[float, ...]  # push to each server and take back, in order
+    wait: float  # hover while waiting out the recovery threshold
+    decode: float  # decode the returned product
+
+
+def copy_prices(
     uav: UavType,
     env: Environment,
     n_dim: int,
     split,
     coeff: CostCoefficients,
-) -> float:
-    """Dollars to compute one coded copy on the UAV: busy time priced
-    at per_second, covering compute plus encode."""
-    timings = task_timings(uav, env, n_dim, split, rate_to=1.0, rate_from=1.0)
-    return coeff.per_second * (timings.t_local + timings.t_enc)
-
-
-def offload_copy_cost(
-    uav: UavType,
-    env: Environment,
-    n_dim: int,
-    split,
     uav_pos: Position3D,
-    bs_pos: Position3D,
-    coeff: CostCoefficients,
-) -> float:
-    """Dollars to push one coded copy to a server and take it back.
+    server_positions: Sequence[Position3D],
+) -> CopyPrices:
+    """The per-copy prices of one UAV hovering at ``uav_pos``.
 
-    Transmission plus encode time at per_second, receive energy at
-    per_joule, and the flat per-copy service fee. Link-rate errors
-    (bad geometry) propagate.
+    - local: compute plus encode time at per_second;
+    - offload, one entry per server: transmit plus encode time at
+      per_second, receive energy at per_joule, and the flat service
+      fee; link-rate errors (bad geometry) propagate;
+    - wait: the hover energy budgeted while waiting on k copies, whose
+      worst case computes all k on board one after another,
+      t_thresh = k * (t_local + t_enc), charged as
+      t_thresh * k * hover_rate * hover_power;
+    - decode: decode time at per_second.
     """
-    rate = link_rate(uav, env, uav_pos, bs_pos)
-    timings = task_timings(uav, env, n_dim, split, rate_to=rate, rate_from=rate)
-    return (
-        coeff.per_second * (timings.t_to + timings.t_enc)
-        + coeff.per_joule * timings.e_receive
-        + coeff.service_fee
+    rates = [link_rate(uav, env, uav_pos, pos) for pos in server_positions]
+    timings = task_timings(uav, env, n_dim, split, rates)
+    t_copy = timings.t_local + timings.t_enc
+    t_thresh = split.k * t_copy
+    return CopyPrices(
+        local=coeff.per_second * t_copy,
+        offload=tuple(
+            coeff.per_second * (t_to + timings.t_enc)
+            + coeff.per_joule * e_receive
+            + coeff.service_fee
+            for t_to, e_receive in zip(timings.t_to, timings.e_receive)
+        ),
+        wait=t_thresh * split.k * coeff.hover_per_watt_second * hover_power(uav, env),
+        decode=coeff.per_second * timings.t_dec,
     )
-
-
-def hover_threshold_cost(
-    uav: UavType,
-    env: Environment,
-    n_dim: int,
-    split,
-    coeff: CostCoefficients,
-) -> float:
-    """Dollars of hover energy budgeted while waiting on k copies.
-
-    The waiting budget is the worst case of computing all k copies
-    locally one after another, t_thresh = k * (t_local + t_enc), and
-    the charge is t_thresh * k * hover_rate * hover_power.
-    """
-    timings = task_timings(uav, env, n_dim, split, rate_to=1.0, rate_from=1.0)
-    t_thresh = split.k * (timings.t_local + timings.t_enc)
-    return (
-        t_thresh
-        * split.k
-        * coeff.hover_per_watt_second
-        * hover_power(uav, env)
-    )
-
-
-def decode_cost(
-    uav: UavType,
-    env: Environment,
-    n_dim: int,
-    split,
-    coeff: CostCoefficients,
-) -> float:
-    """Dollars of UAV time spent decoding the returned copies."""
-    timings = task_timings(uav, env, n_dim, split, rate_to=1.0, rate_from=1.0)
-    return coeff.per_second * timings.t_dec

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .coding import symbol_counts
 
@@ -209,13 +210,14 @@ def link_rate(
 
 @dataclass(frozen=True)
 class TaskTimings:
-    """Seconds (and one joule figure) for the per-copy pipeline steps."""
+    """Seconds (and joule figures) for the per-copy pipeline steps; the
+    link steps hold one entry per server."""
 
     t_local: float  # compute one copy on the UAV
     t_enc: float  # encode one copy
     t_dec: float  # decode once k copies returned
-    t_to: float  # transmit one copy to a server
-    e_receive: float  # energy to receive one computed copy back
+    t_to: tuple[float, ...]  # transmit one copy to each server
+    e_receive: tuple[float, ...]  # energy to receive one computed copy back
 
 
 def task_timings(
@@ -223,17 +225,17 @@ def task_timings(
     env: Environment,
     n_dim: int,
     split,
-    rate_to: float,
-    rate_from: float,
+    rates: Sequence[float],
 ) -> TaskTimings:
     """Copy-level timings for an N x N product under the given split.
 
     Compute/encode/decode scale with cycles_per_bit over the CPU rate;
-    transmit/receive scale with the link rates. ``split`` needs m, s, t
-    fields (integer or fractional splits both work).
+    transmit/receive scale with the link rate to each server, one entry
+    of ``rates`` per server (empty prices compute only). ``split`` needs
+    m, s, t fields (integer or fractional splits both work).
     """
-    counts = symbol_counts(n_dim, split, 1, 0)
-    if rate_to <= 0 or rate_from <= 0:
+    counts = symbol_counts(n_dim, split)
+    if any(rate <= 0 for rate in rates):
         raise ValueError("link rates must be positive")
     bits = float(env.bits_per_symbol)
     cycles_per_symbol = uav.cycles_per_bit * bits
@@ -241,6 +243,8 @@ def task_timings(
         t_local=cycles_per_symbol * counts.d_cmp / uav.cpu_rate,
         t_enc=cycles_per_symbol * counts.d_enc / uav.cpu_rate,
         t_dec=cycles_per_symbol * counts.d_dec / uav.cpu_rate,
-        t_to=bits * counts.d_comm_to / rate_to,
-        e_receive=uav.rx_power * bits * counts.d_comm_fr / rate_from,
+        t_to=tuple(bits * counts.d_comm_to / rate for rate in rates),
+        e_receive=tuple(
+            uav.rx_power * bits * counts.d_comm_fr / rate for rate in rates
+        ),
     )

@@ -53,11 +53,9 @@ import numpy as np
 
 from .coding import CodeSplit
 from .costs import (
+    CopyPrices,
     CostCoefficients,
-    decode_cost,
-    hover_threshold_cost,
-    local_copy_cost,
-    offload_copy_cost,
+    copy_prices,
     on_demand_cost,
     reservation_cost,
 )
@@ -233,55 +231,21 @@ class NetworkInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CostTable:
-    """Stage-cost ingredients for one (station, demand-dimension, type)."""
-
-    local: float  # per locally computed copy
-    offload: tuple[float, ...]  # per offloaded copy, one entry per base station
-    wait: float  # hover cost while waiting out the return threshold
-    decode: float  # decoding the returned product
-
-
-def _cost_table(
-    instance: NetworkInstance, station: Station, uav: UavType, n_dim: int
-) -> _CostTable:
-    env = instance.environment
-    split = instance.split
-    coeff = instance.costs
-    uav_pos = Position3D(station.a, station.b, uav.hover_height)
-    per_bs = tuple(
-        offload_copy_cost(
-            uav,
-            env,
-            n_dim,
-            split,
-            uav_pos,
-            Position3D(bs.a, bs.b, bs.height),
-            coeff,
-        )
-        for bs in instance.base_stations
-    )
-    return _CostTable(
-        local=local_copy_cost(uav, env, n_dim, split, coeff),
-        offload=per_bs,
-        wait=hover_threshold_cost(uav, env, n_dim, split, coeff),
-        decode=decode_cost(uav, env, n_dim, split, coeff),
-    )
-
-
 def _stage_cost_tables(
     instance: NetworkInstance,
     type_ids: Sequence[int],
     demand_dims: Sequence[Sequence[int]],
-) -> list[list[_CostTable]]:
+) -> list[list[CopyPrices]]:
     """tables[demand_index][station_index], one row per demand vector."""
+    env, split, coeff = instance.environment, instance.split, instance.costs
+    servers = [Position3D(bs.a, bs.b, bs.height) for bs in instance.base_stations]
     tables = []
     for dims in demand_dims:
         row = []
         for y, st in enumerate(instance.stations):
             uav = instance.uav_type_by_id(type_ids[y])
-            row.append(_cost_table(instance, st, uav, dims[y]))
+            pos = Position3D(st.a, st.b, uav.hover_height)
+            row.append(copy_prices(uav, env, dims[y], split, coeff, pos, servers))
         tables.append(row)
     return tables
 
@@ -316,7 +280,7 @@ def build_phase1(instance: NetworkInstance) -> Phase1Model:
     model = IPModel("phase1_reservation")
     largest = instance.largest_type
     largest_idx = instance.uav_types.index(largest)
-    c_on_demand = on_demand_cost(largest, instance.costs, instance.uav_types)
+    c_on_demand = on_demand_cost(largest, instance.costs)
 
     reserve_ids: dict[tuple[int, int, int], int] = {}
     recourse_ids: dict[tuple[int, int, int], int] = {}
@@ -392,7 +356,7 @@ def solve_phase1(instance: NetworkInstance) -> Phase1Plan:
     if not tree.weather:
         raise ValueError("phase 1 requires at least one weather scenario")
     largest = instance.largest_type
-    bill = on_demand_cost(largest, instance.costs, instance.uav_types)
+    bill = on_demand_cost(largest, instance.costs)
     bill += instance.costs.crash_penalty
 
     def cost(uav: UavType, p_strong: float) -> float:
@@ -780,16 +744,14 @@ def decode_phase2(built: Phase2Model, sol: Solution) -> Phase2Plan:
     )
     _, plan.stage_breakdown = built.pricing.expectation(plan)
     total = sum(plan.stage_breakdown.values())
-    if abs(total - plan.expected_cost) > 1e-6:
+    if abs(total - plan.expected_cost) > 1e-9:
         raise PlanningError(
             f"stage breakdown {total} disagrees with objective {plan.expected_cost}"
         )
     return plan
 
 
-def _phase2_warm_start(
-    instance: NetworkInstance, built: Phase2Model
-) -> np.ndarray | None:
+def _phase2_warm_start(built: Phase2Model) -> np.ndarray | None:
     """All-local incumbent for the stochastic build.
 
     Keep k copies on board per station and scenario; when the local cap
@@ -798,6 +760,7 @@ def _phase2_warm_start(
     coverage rule, as in every frozen stage-2 plan. Gives branch and
     bound a finite incumbent at the root. Returns None when the routed
     copies do not fit BS capacity (caller just solves cold)."""
+    instance = built.instance
     k = instance.split.k
     local = instance.local_cap(k)
     need = k - local
@@ -851,7 +814,7 @@ def solve_phase2(
     the root LP (see ``solve_exact``)."""
     if formulation == "sip":
         built = build_phase2_sip(instance, type_ids=type_ids)
-        warm = _phase2_warm_start(instance, built)
+        warm = _phase2_warm_start(built)
     elif formulation == "dip":
         if demand is None:
             raise ValueError("dip formulation requires a demand vector")
@@ -1077,7 +1040,7 @@ def _decision(plan: Phase2Plan, key: tuple) -> StageDecision:
         raise PlanningError(f"plan has no stage-{stage} decision for {key!r}") from None
 
 
-def _decision_cost(tab: _CostTable, dec: StageDecision, wait: float) -> float:
+def _decision_cost(tab: CopyPrices, dec: StageDecision, wait: float) -> float:
     cost = tab.local * dec.local
     cost += sum(c * o for c, o in zip(tab.offload, dec.offload))
     return cost + tab.wait * wait
@@ -1093,7 +1056,7 @@ class _Pricing:
     instance: NetworkInstance
     type_ids: tuple[int, ...]
     paths: list[ScenarioPath]
-    tables: list[list[_CostTable]]
+    tables: list[list[CopyPrices]]
 
     @classmethod
     def of(

@@ -442,6 +442,10 @@ def run_pinned(tmp_path, setup, command) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("setup, command", sorted(PINNED_OUTPUTS), ids="-".join)
+@pytest.mark.parametrize(
+    "setup, command",
+    sorted(PINNED_OUTPUTS),
+    ids=[f"{setup}-{command}" for setup, command in sorted(PINNED_OUTPUTS)],
+)
 def test_outputs_pinned(tmp_path, setup, command):
     assert run_pinned(tmp_path, setup, command) == PINNED_OUTPUTS[setup, command]

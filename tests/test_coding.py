@@ -112,30 +112,25 @@ class TestSymbolCounts:
 
     def test_decode_total(self):
         # N=240, k=4: decode touches N^2 * k * (log2 k)^2 symbols
-        counts = symbol_counts(240, self.SPLIT, n_local=4, n_offload=0)
+        counts = symbol_counts(240, self.SPLIT)
         assert counts.d_dec == pytest.approx(240**2 * 4 * 4.0)
 
     def test_per_copy_counts(self):
-        counts = symbol_counts(240, self.SPLIT, n_local=1, n_offload=1)
+        counts = symbol_counts(240, self.SPLIT)
         assert counts.d_comm_to == pytest.approx(240**2 / 2)
         assert counts.d_comm_fr == pytest.approx(240**2 / 4)
         assert counts.d_cmp == pytest.approx(240**3 / 4)
-        assert counts.d_enc == pytest.approx(2 * 240**2)
+        assert counts.d_enc == pytest.approx(240**2)
 
     def test_single_copy_no_log_blowup(self):
         trivial = CodeSplit.from_slices(1, 1, 1)  # k = 1, log2 k = 0
-        counts = symbol_counts(10, trivial, 1, 0)
+        counts = symbol_counts(10, trivial)
         assert counts.d_dec == 0.0
-
-    def test_rejects_negative_copies(self):
-        with pytest.raises(ValueError):
-            symbol_counts(240, self.SPLIT, -1, 0)
 
     def test_rejects_non_integer_dimension(self):
         with pytest.raises(ValueError):
-            symbol_counts(240.5, self.SPLIT, 1, 0)
+            symbol_counts(240.5, self.SPLIT)
 
-    @given(st.integers(1, 500), st.integers(0, 8), st.integers(0, 8))
-    def test_encode_scales_with_copies(self, n, nl, no):
-        counts = symbol_counts(n, self.SPLIT, nl, no)
-        assert counts.d_enc == pytest.approx(n * n * (nl + no))
+    @given(st.integers(1, 500))
+    def test_encode_is_n_squared_per_copy(self, n):
+        assert symbol_counts(n, self.SPLIT).d_enc == float(n) ** 2

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from uavplan.coding import CodeSplit
 from uavplan.costs import (
     CostCoefficients,
-    decode_cost,
-    hover_threshold_cost,
-    local_copy_cost,
-    offload_copy_cost,
+    copy_prices,
     on_demand_cost,
     reservation_cost,
 )
-from uavplan.physics import Position3D, hover_power, link_rate
+from uavplan.physics import Position3D, hover_power
 
 from conftest import ENV, UAV_TYPES, make_costs
 
@@ -24,6 +21,11 @@ SPLIT = CodeSplit.from_slices(2, 1, 2)
 COSTS = make_costs()
 UAV_POS = Position3D(0.0, 0.0, 100.0)
 BS_POS = Position3D(100.0, 100.0, 20.0)
+FAR_POS = Position3D(400.0, -300.0, 20.0)
+
+
+def prices(uav, n=240, split=SPLIT, coeff=COSTS, uav_pos=UAV_POS, servers=(BS_POS,)):
+    return copy_prices(uav, ENV, n, split, coeff, uav_pos, servers)
 
 
 class TestFleetPricing:
@@ -33,9 +35,6 @@ class TestFleetPricing:
 
     def test_on_demand_largest_only(self):
         assert on_demand_cost(UAV_TYPES[2], COSTS) == pytest.approx(7.8)
-        assert on_demand_cost(UAV_TYPES[2], COSTS, UAV_TYPES) == pytest.approx(7.8)
-        with pytest.raises(ValueError, match="largest"):
-            on_demand_cost(UAV_TYPES[0], COSTS, UAV_TYPES)
 
     def test_on_demand_dearer_than_reservation(self):
         for uav in UAV_TYPES:
@@ -45,16 +44,16 @@ class TestFleetPricing:
 class TestCopyPricing:
     def test_local_registered_value(self):
         """0.5 * (t_local + t_enc) on the 1 GHz class at N = 240."""
-        got = local_copy_cost(UAV_TYPES[2], ENV, 240, SPLIT, COSTS)
+        got = prices(UAV_TYPES[2]).local
         assert got == pytest.approx(0.5 * (0.27648 + 0.004608), rel=1e-12)
 
     def test_decode_registered_value(self):
-        got = decode_cost(UAV_TYPES[2], ENV, 240, SPLIT, COSTS)
+        got = prices(UAV_TYPES[2]).decode
         assert got == pytest.approx(0.036864, rel=1e-12)
 
     def test_decode_free_when_single_copy_recovers(self):
         whole = CodeSplit.from_slices(1, 1, 1)
-        assert decode_cost(UAV_TYPES[2], ENV, 240, whole, COSTS) == 0.0
+        assert prices(UAV_TYPES[2], split=whole).decode == 0.0
 
     def test_offload_assembled_from_parts(self):
         """Recompute the offload price from the raw link and symbol
@@ -65,7 +64,7 @@ class TestCopyPricing:
         t_enc = 240**2 * 4 * 20 / 1e9
         e_rx = 0.032 * 4.0 * (240**2 / 4) / rate
         expected = 0.5 * (t_to + t_enc) + 0.5 * e_rx + 0.05
-        got = offload_copy_cost(uav, ENV, 240, SPLIT, UAV_POS, BS_POS, COSTS)
+        (got,) = prices(uav).offload
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.060183, abs=1e-4)
 
@@ -74,21 +73,35 @@ class TestCopyPricing:
         quadratic while local compute grows cubically."""
         uav = UAV_TYPES[2]
         for n, offload_wins in ((24, False), (240, True)):
-            local = local_copy_cost(uav, ENV, n, SPLIT, COSTS)
-            off = offload_copy_cost(uav, ENV, n, SPLIT, UAV_POS, BS_POS, COSTS)
-            assert (off < local) == offload_wins
+            p = prices(uav, n)
+            assert (p.offload[0] < p.local) == offload_wins
+
+    def test_offload_follows_server_order(self):
+        uav = UAV_TYPES[2]
+        near, far = prices(uav).offload[0], prices(uav, servers=[FAR_POS]).offload[0]
+        assert near < far
+        assert prices(uav, servers=[BS_POS, FAR_POS]).offload == (near, far)
+        assert prices(uav, servers=[FAR_POS, BS_POS]).offload == (far, near)
+
+    def test_no_servers_prices_compute_only(self):
+        uav = UAV_TYPES[2]
+        alone, linked = prices(uav, servers=[]), prices(uav, servers=[BS_POS, FAR_POS])
+        assert alone.offload == ()
+        assert (alone.local, alone.wait, alone.decode) == (
+            linked.local,
+            linked.wait,
+            linked.decode,
+        )
 
     def test_offload_propagates_geometry_errors(self):
         with pytest.raises(ValueError, match="altitude"):
-            offload_copy_cost(
-                UAV_TYPES[2], ENV, 240, SPLIT, Position3D(0, 0, 5.0), BS_POS, COSTS
-            )
+            prices(UAV_TYPES[2], uav_pos=Position3D(0, 0, 5.0))
 
     def test_hover_threshold_assembled_from_parts(self):
         uav = UAV_TYPES[2]
         t_copy = 0.27648 + 0.004608
         expected = (SPLIT.k * t_copy) * SPLIT.k * 1e-4 * hover_power(uav, ENV)
-        got = hover_threshold_cost(uav, ENV, 240, SPLIT, COSTS)
+        got = prices(uav).wait
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_zero_rate_prices_nothing(self):
@@ -103,10 +116,10 @@ class TestCopyPricing:
             crash_penalty=1.0,
             completion_penalty=200.0,
         )
-        assert local_copy_cost(UAV_TYPES[2], ENV, 240, SPLIT, free) == 0.0
-        assert decode_cost(UAV_TYPES[2], ENV, 240, SPLIT, free) == 0.0
-        off = offload_copy_cost(UAV_TYPES[2], ENV, 240, SPLIT, UAV_POS, BS_POS, free)
-        assert off == pytest.approx(0.05, rel=1e-12)
+        p = prices(UAV_TYPES[2], coeff=free)
+        assert p.local == 0.0
+        assert p.decode == 0.0
+        assert p.offload[0] == pytest.approx(0.05, rel=1e-12)
 
     @given(st.floats(0.01, 50.0))
     def test_offload_homogeneous_in_prices(self, lam):
@@ -123,8 +136,8 @@ class TestCopyPricing:
             completion_penalty=base.completion_penalty,
         )
         uav = UAV_TYPES[1]
-        one = offload_copy_cost(uav, ENV, 120, SPLIT, UAV_POS, BS_POS, base)
-        two = offload_copy_cost(uav, ENV, 120, SPLIT, UAV_POS, BS_POS, scaled)
+        one = prices(uav, 120, coeff=base).offload[0]
+        two = prices(uav, 120, coeff=scaled).offload[0]
         assert two == pytest.approx(lam * one, rel=1e-9)
 
 

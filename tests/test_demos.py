@@ -5,6 +5,7 @@ Demo 06 is left out: its z = 4 sweep point alone takes close to a
 minute.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -42,6 +43,18 @@ def test_demo_set():
 def test_demo_runs(name):
     result = run_from_root(str(ROOT / "demos" / name))
     assert result.returncode == 0, result.stderr
+
+
+# sha256 of demo 03's stdout: its per-copy price table is printed to four
+# decimals, so a wrong price changes the bytes
+COPY_ECONOMICS_STDOUT = "897a484fd07c1cfb973834d3601bd73a90ad3bdf5f40083caaa2808122c43ade"
+
+
+def test_copy_economics_output_pinned():
+    result = run_from_root(str(ROOT / "demos" / "03_copy_economics.py"))
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == COPY_ECONOMICS_STDOUT, result.stdout
 
 
 def test_readme_quick_start_runs():

@@ -128,12 +128,12 @@ class TestTaskTimings:
     def test_compute_time_registered_value(self):
         """240^3 / (m t) symbols, 4 bits each, 20 cycles/bit, 1 GHz."""
         uav = UAV_TYPES[2]
-        tt = task_timings(uav, ENV, 240, self.SPLIT, rate_to=7.43e6, rate_from=7.43e6)
+        tt = task_timings(uav, ENV, 240, self.SPLIT, rates=[7.43e6])
         assert tt.t_local == pytest.approx(0.27648, rel=1e-12)
 
     def test_encode_decode_times(self):
         uav = UAV_TYPES[2]
-        tt = task_timings(uav, ENV, 240, self.SPLIT, rate_to=7.43e6, rate_from=7.43e6)
+        tt = task_timings(uav, ENV, 240, self.SPLIT, rates=[7.43e6])
         assert tt.t_enc == pytest.approx(240**2 * 4 * 20 / 1e9, rel=1e-12)
         # decode touches N^2 k (log2 k)^2 = 921600 symbols
         assert tt.t_dec == pytest.approx(921600 * 4 * 20 / 1e9, rel=1e-12)
@@ -141,15 +141,33 @@ class TestTaskTimings:
     def test_transmit_time_and_receive_energy(self):
         uav = UAV_TYPES[2]
         rate = 7.43e6
-        tt = task_timings(uav, ENV, 240, self.SPLIT, rate_to=rate, rate_from=rate)
-        assert tt.t_to == pytest.approx(4 * 28800 / rate, rel=1e-12)
-        assert tt.e_receive == pytest.approx(0.032 * 57600 / rate, rel=1e-12)
+        tt = task_timings(uav, ENV, 240, self.SPLIT, rates=[rate])
+        assert tt.t_to[0] == pytest.approx(4 * 28800 / rate, rel=1e-12)
+        assert tt.e_receive[0] == pytest.approx(0.032 * 57600 / rate, rel=1e-12)
+
+    def test_one_link_entry_per_server(self):
+        uav = UAV_TYPES[2]
+        one = task_timings(uav, ENV, 240, self.SPLIT, rates=[7.43e6])
+        two = task_timings(uav, ENV, 240, self.SPLIT, rates=[7.43e6, 2 * 7.43e6])
+        assert two.t_to == pytest.approx((one.t_to[0], one.t_to[0] / 2), rel=1e-12)
+        assert two.e_receive[0] == one.e_receive[0]
+        none = task_timings(uav, ENV, 240, self.SPLIT, rates=[])
+        assert none.t_to == () and none.e_receive == ()
+        assert (none.t_local, none.t_enc, none.t_dec) == (
+            one.t_local,
+            one.t_enc,
+            one.t_dec,
+        )
+
+    def test_rejects_nonpositive_rate(self):
+        with pytest.raises(ValueError, match="link rates"):
+            task_timings(UAV_TYPES[2], ENV, 240, self.SPLIT, rates=[7.43e6, 0.0])
 
     def test_cpu_rate_scaling(self):
         slow = make_uav(1, 1000.0, 8.0, 380.0, 0.5e9)
         fast = make_uav(2, 1000.0, 8.0, 380.0, 1e9)
-        a = task_timings(slow, ENV, 240, self.SPLIT, 1e6, 1e6)
-        b = task_timings(fast, ENV, 240, self.SPLIT, 1e6, 1e6)
+        a = task_timings(slow, ENV, 240, self.SPLIT, [1e6])
+        b = task_timings(fast, ENV, 240, self.SPLIT, [1e6])
         assert a.t_local == pytest.approx(2 * b.t_local, rel=1e-12)
 
 

@@ -344,7 +344,7 @@ class TestPhase2Model:
 class TestWarmStart:
     def assert_feasible(self, inst):
         built = build_phase2_sip(inst)
-        warm = _phase2_warm_start(inst, built)
+        warm = _phase2_warm_start(built)
         assert warm is not None
         lo, up = built.model.bounds_arrays()
         assert np.all(warm >= lo - 1e-9) and np.all(warm <= up + 1e-9)
@@ -359,7 +359,7 @@ class TestWarmStart:
     def test_capacity_short_returns_none(self):
         inst = small_instance(z3_tree(), max_local_copies=0, n_bs=1, q=3)
         built = build_phase2_sip(inst)
-        assert _phase2_warm_start(inst, built) is None
+        assert _phase2_warm_start(built) is None
 
 
 class TestBaselines:
