@@ -6,19 +6,27 @@ Three entry points with deliberately independent solution paths:
   simplex (dense, revised, Bland's-rule fallback for anti-cycling).
   A solve may start from a basis the caller passes, such as the
   optimal basis of an earlier solve of the same matrix with other
-  costs (``Solution.basis``). It is taken when its sizes match, its
-  basis matrix inverts, and the point it fixes meets every bound and
-  row to 1e-9; that point is primal feasible, so phase 1 is skipped.
-  Every other solve starts from a slack crash basis: a row whose slack can
-  absorb the residual at the starting point (variables at their bound
-  nearest zero) starts with that slack basic, and only the other rows
-  get an artificial, so phase 1 works only on violated rows. Each pivot
-  updates the explicit basis inverse only on the rows where the
-  entering column is nonzero, and the ratio test visits only the rows
-  whose basic variable moves.
+  costs or bounds (``Solution.basis``). The start is checked once for
+  shape and status codes, its basis matrix is inverted once, and the
+  point it fixes decides the route: a point that meets every bound and
+  row to 1e-9 goes straight to phase 2; one that misses a bound while
+  its reduced costs keep their signs goes through a bounded dual
+  simplex (largest bound violation leaves, dual ratio test enters,
+  Bland's rule on a stall), which either reaches a feasible point for
+  phase 2 or finds a row that proves the bounds and rows have no
+  point. Every other solve starts from a slack crash basis: a row whose
+  slack can absorb the residual at the starting point (variables at
+  their bound nearest zero) starts with that slack basic, and only the
+  other rows get an artificial, so phase 1 works only on violated rows.
+  Each pivot updates the explicit basis inverse only on the rows where
+  the entering column is nonzero, and the primal ratio test visits only
+  the rows whose basic variable moves.
 - :func:`solve_exact`: branch and bound over the LP relaxation with
   best-bound node selection, most-fractional branching, and an initial
-  depth-first dive until the first incumbent.
+  depth-first dive until the first incumbent. Each node keeps the
+  optimal basis of its LP; a child differs from it by one bound, so the
+  basis stays dual feasible and the child starts from it through the
+  dual simplex.
 - :func:`solve_enumerate`: exhaustive scoring of every integer
   assignment, used as an oracle against ``solve_exact``. It splits the
   variables into a leading and a trailing half (meet in the middle,
@@ -107,7 +115,8 @@ class Solution:
     objective: float | None
     assignment: np.ndarray | None
     nodes_explored: int = 0
-    # (phase-1, phase-2) simplex entering steps over every LP solved
+    # entering steps over every LP solved: (steps that restore
+    # feasibility, by primal phase 1 or the dual simplex; phase-2 steps)
     simplex_pivots: tuple[int, int] = (0, 0)
     # the root LP's optimal basis: a start for the next solve of the matrix
     basis: Basis | None = None
@@ -334,35 +343,50 @@ class _PreparedLP:
         # every slack starts at 0: its lower bound on <= and == rows, its
         # upper bound on >= rows
         self.slack_status = np.where(self.slack_lo == 0.0, _AT_LOWER, _AT_UPPER)
+        self.c_phase2 = np.zeros(n_total)
+        self.c_phase2[: self.n] = self.c_struct
+
+    def checked(self, start: Basis | None) -> Basis | None:
+        """``start`` if it is a well-formed basis of this LP, else None:
+        its sizes match, its column indices are integers, every status is
+        a known code, and the basic columns are exactly the columns marked
+        basic. The public entry points check a caller's start once;
+        ``solve`` trusts the starts it is given."""
+        if start is None:
+            return None
+        columns, status = start.columns, start.status
+        if (
+            columns.shape != (self.m,)
+            or status.shape != (self.n + 2 * self.m,)
+            or columns.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(columns), np.flatnonzero(status == _BASIC))
+            or not np.isin(status, (_AT_LOWER, _AT_UPPER, _FREE, _BASIC)).all()
+        ):
+            return None
+        return start
 
     def solve(
         self, lo_struct: np.ndarray, up_struct: np.ndarray, start: Basis | None = None
     ):
-        """Returns (status, x_struct, objective, (phase-1, phase-2) steps,
-        optimal basis or None).
+        """Returns (status, x_struct, objective, (feasibility, optimality)
+        steps, optimal basis or None).
 
-        ``start`` is taken when ``_restart`` accepts it under these
-        bounds; the solve then skips phase 1. Any other start is ignored,
-        and the solve begins from the slack crash basis."""
+        ``start`` (well-formed, see ``checked``) is tried first through
+        ``_restart``; when that cannot use it, the solve begins from the
+        slack crash basis."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         lo = np.empty(n_total)
         up = np.empty(n_total)
         lo[:n], up[:n] = lo_struct, up_struct
         lo[n : n + m], up[n : n + m] = self.slack_lo, self.slack_up
+        restarted = None if start is None else self._restart(start, lo, up)
+        steps1, state = self._crash(lo, up) if restarted is None else restarted
+        if state is None:
+            return "infeasible", None, None, (steps1, 0), None
+        basis, status, x, b_inv = state
 
-        restart = None if start is None else self._restart(start, lo, up)
-        if restart is not None:
-            steps1, (basis, status, x, b_inv) = 0, restart
-        else:
-            steps1, crashed = self._crash(lo, up)
-            if crashed is None:
-                return "infeasible", None, None, (steps1, 0), None
-            basis, status, x, b_inv = crashed
-
-        c_phase2 = np.zeros(n_total)
-        c_phase2[:n] = self.c_struct
-        outcome, steps2 = self._simplex(c_phase2, lo, up, basis, status, x, b_inv)
+        outcome, steps2 = self._simplex(self.c_phase2, lo, up, basis, status, x, b_inv)
         if outcome == "unbounded":
             return "unbounded", None, None, (steps1, steps2), None
         x_struct = np.clip(x[:n], lo_struct, up_struct)
@@ -374,41 +398,49 @@ class _PreparedLP:
             Basis(columns=np.array(basis), status=status),
         )
 
+    def _factor(self, basis, x: np.ndarray, b_inv: np.ndarray) -> None:
+        """Invert the basis matrix into ``b_inv`` and solve the rows for
+        the basic entries of ``x``, the nonbasic ones held where they are.
+        Raises ``LinAlgError`` when the basis matrix is singular."""
+        basis_arr = np.asarray(basis)
+        b_inv[:, :] = np.linalg.inv(self.a_full[:, basis_arr])
+        x[basis_arr] = 0.0
+        x[basis_arr] = b_inv @ (self.b - self.a_full @ x)
+
     def _restart(self, start: Basis, lo: np.ndarray, up: np.ndarray):
-        """(basis, status, x, B^-1) of ``start`` under the bounds
-        ``lo``/``up``, or None unless every check holds: the sizes match,
-        the basic columns are exactly the columns marked basic, ``B``
-        inverts, and the point (nonbasics at their marked bound, free
-        ones at 0, basics solved from the rows) meets every bound and row
-        to ``_START_TOL``. Reads ``start`` and never writes it; pins the
-        artificials' bounds at 0 for phase 2."""
-        columns, status = start.columns, start.status
-        if (
-            columns.shape != (self.m,)
-            or status.shape != (self.n + 2 * self.m,)
-            or columns.dtype.kind not in "iu"
-            or not np.array_equal(np.sort(columns), np.flatnonzero(status == _BASIC))
-            or not np.isin(status, (_AT_LOWER, _AT_UPPER, _FREE, _BASIC)).all()
-        ):
-            return None
-        a = self.a_full
+        """Start from ``start`` under the bounds ``lo``/``up``: invert its
+        basis matrix once, put the nonbasic variables at their marked
+        bounds (free ones at 0) and solve the rows for the basic ones.
+
+        - If that point meets every bound and row to ``_START_TOL``, it is
+          primal feasible: no step is needed.
+        - Else, if its phase-2 reduced costs are dual feasible, as at a
+          branch-and-bound child whose parent's optimal basis lost primal
+          feasibility to one tightened bound, the dual simplex restores
+          feasibility.
+
+        Returns what ``_crash`` returns, or None when neither holds (or
+        the basis matrix is singular, or the point misses a row) and the
+        solve must start cold. Reads ``start`` and never writes it; pins
+        the artificials' bounds at 0 for phase 2."""
+        columns = start.columns
         lo[self.n + self.m :] = up[self.n + self.m :] = 0.0
-        try:
-            b_inv = np.linalg.inv(a[:, columns])
-        except np.linalg.LinAlgError:
-            return None
+        status = start.status.astype(np.int8)
         x = np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, up, 0.0))
         x[columns] = 0.0
         if not np.isfinite(x).all():
             return None
-        x[columns] = b_inv @ (self.b - a @ x)
-        if not (
-            np.all(x >= lo - _START_TOL)
-            and np.all(x <= up + _START_TOL)
-            and np.all(np.abs(a @ x - self.b) <= _START_TOL)
-        ):
+        b_inv = np.empty((self.m, self.m))
+        try:
+            self._factor(columns, x, b_inv)
+        except np.linalg.LinAlgError:
             return None
-        return columns.tolist(), status.astype(np.int8), x, b_inv
+        if not (np.abs(self.a_full @ x - self.b) <= _START_TOL).all():
+            return None
+        basis = columns.tolist()
+        if (x >= lo - _START_TOL).all() and (x <= up + _START_TOL).all():
+            return 0, (basis, status, x, b_inv)
+        return self._dual_simplex(lo, up, basis, status, x, b_inv)
 
     def _crash(self, lo: np.ndarray, up: np.ndarray):
         """Slack crash start and phase 1. Returns the phase-1 steps and
@@ -458,6 +490,99 @@ class _PreparedLP:
             x[art_cols] = np.where(status[art_cols] == _BASIC, x[art_cols], 0.0)
         return steps1, (basis, status, x, b_inv)
 
+    def _dual_simplex(self, lo, up, basis, status, x, b_inv):
+        """Bounded dual simplex under the phase-2 costs, until every basic
+        variable meets its bounds to ``_START_TOL``. Returns None at once
+        when the basis is not dual feasible (a reduced cost beyond
+        ``_DUAL_TOL`` on the wrong side for its status). Otherwise
+        returns what ``_crash`` returns: the steps taken and (basis,
+        status, x, B^-1) at a primal feasible point, or None in its place
+        when a row proves that the bounds and rows cannot be met.
+
+        The leaving row is the basic variable with the largest bound
+        violation. The entering column minimises |d_j| / |alpha_rj| over
+        the movable nonbasic columns that move that variable back toward
+        its bound, with ties to the larger |alpha_rj|. After
+        ``_STALL_LIMIT`` steps without a rise in the objective, both
+        choices go to the smallest index (Bland's rule for the dual)."""
+        a, c = self.a_full, self.c_phase2
+        d = c - (c[basis] @ b_inv) @ a
+        # nonbasic columns that may rise or fall; fixed ones can never enter
+        movable = lo < up
+        free = status == _FREE
+        can_rise = movable & ((status == _AT_LOWER) | free)
+        can_fall = movable & ((status == _AT_UPPER) | free)
+        if ((can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))).any():
+            return None
+        bland = False
+        stall = 0
+        max_iter = 20000 + 50 * (self.m + self.n)
+        for iteration in range(max_iter):
+            if iteration and iteration % _REFACTOR_EVERY == 0:
+                try:
+                    self._factor(basis, x, b_inv)
+                except np.linalg.LinAlgError as exc:
+                    raise SolverError("singular basis during refactorization") from exc
+                d = c - (c[basis] @ b_inv) @ a
+            basic = np.asarray(basis)
+            x_basic = x[basic]
+            below = lo[basic] - x_basic
+            above = x_basic - up[basic]
+            violation = np.maximum(below, above)
+            if bland:
+                rows = (violation > _START_TOL).nonzero()[0]
+                if rows.size == 0:
+                    return iteration, (basis, status, x, b_inv)
+                r = int(rows[basic[rows].argmin()])
+            else:
+                r = int(violation.argmax())
+                if violation[r] <= _START_TOL:
+                    return iteration, (basis, status, x, b_inv)
+            leaving = basis[r]
+            rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
+            # row r reads x_leaving = beta_r - sum_j alpha_rj x_j over the nonbasics
+            alpha = b_inv[r] @ a
+            toward = -alpha if rise else alpha  # > 0: x_j must rise, < 0: fall
+            eligible = (
+                ((toward > _PIVOT_TOL) & can_rise) | ((toward < -_PIVOT_TOL) & can_fall)
+            ).nonzero()[0]
+            if eligible.size == 0:  # no nonbasic can move row r back: infeasible
+                return iteration, None
+            ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
+            ties = eligible[ratios <= ratios.min() + 1e-12]
+            if bland:
+                enter = int(ties[0])
+            else:
+                enter = int(ties[np.abs(alpha[ties]).argmax()])
+
+            w = b_inv @ a[:, enter]
+            target = lo[leaving] if rise else up[leaving]
+            theta = (x[leaving] - target) / w[r]
+            x[basic] -= theta * w
+            x[enter] += theta
+            x[leaving] = target
+            status[leaving] = _AT_LOWER if rise else _AT_UPPER
+            can_rise[leaving] = rise and movable[leaving]
+            can_fall[leaving] = not rise and movable[leaving]
+            can_rise[enter] = can_fall[enter] = False
+            basis[r] = enter
+            status[enter] = _BASIC
+            d_enter = float(d[enter])
+            d -= (d_enter / alpha[enter]) * alpha
+            d[enter] = 0.0
+            row = b_inv[r, :] / w[r]
+            nz = w.nonzero()[0]
+            b_inv[nz] -= w[nz, None] * row
+            b_inv[r, :] = row
+
+            if theta * d_enter > 1e-12:  # the objective rose
+                stall = 0
+            else:
+                stall += 1
+                if stall >= _STALL_LIMIT:
+                    bland = True
+        raise SolverError("dual simplex iteration limit exceeded")
+
     def _simplex(self, c, lo, up, basis, status, x, b_inv) -> tuple[str, int]:
         """Run primal iterations to optimality on the current basis.
 
@@ -470,14 +595,10 @@ class _PreparedLP:
         max_iter = 20000 + 50 * (self.m + self.n)
         for iteration in range(max_iter):
             if iteration and iteration % _REFACTOR_EVERY == 0:
-                basis_arr = np.asarray(basis)
                 try:
-                    b_inv[:, :] = np.linalg.inv(a[:, basis_arr])
+                    self._factor(basis, x, b_inv)
                 except np.linalg.LinAlgError as exc:
                     raise SolverError("singular basis during refactorization") from exc
-                x_masked = x.copy()
-                x_masked[basis_arr] = 0.0
-                x[basis_arr] = b_inv @ (self.b - a @ x_masked)
 
             y = c[basis] @ b_inv
             d = c - y @ a
@@ -485,13 +606,13 @@ class _PreparedLP:
             at_lower = (status == _AT_LOWER) & (d < -_DUAL_TOL) & movable
             at_upper = (status == _AT_UPPER) & (d > _DUAL_TOL) & movable
             free = (status == _FREE) & (np.abs(d) > _DUAL_TOL)
-            eligible = np.flatnonzero(at_lower | at_upper | free)
+            eligible = (at_lower | at_upper | free).nonzero()[0]
             if eligible.size == 0:
                 return "optimal", iteration
             if bland:
                 enter = int(eligible[0])
             else:
-                enter = int(eligible[np.argmax(np.abs(d[eligible]))])
+                enter = int(eligible[np.abs(d[eligible]).argmax()])
             direction = 1.0 if d[enter] < 0 else -1.0
 
             w = b_inv @ a[:, enter]
@@ -501,7 +622,7 @@ class _PreparedLP:
             leave_row = -1
             rates = -direction * w
             # only rows whose basic variable moves can bound the step
-            for i in np.flatnonzero(np.abs(rates) > _PIVOT_TOL).tolist():
+            for i in (np.abs(rates) > _PIVOT_TOL).nonzero()[0].tolist():
                 rate = rates[i]
                 k = basis[i]
                 if rate > 0.0:
@@ -551,7 +672,7 @@ class _PreparedLP:
                     raise SolverError("numerically zero pivot")
                 # rank-1 update on the rows the entering column touches
                 row = b_inv[leave_row, :] / pivot
-                nz = np.flatnonzero(w)
+                nz = w.nonzero()[0]
                 b_inv[nz] -= w[nz, None] * row
                 b_inv[leave_row, :] = row
 
@@ -578,16 +699,17 @@ def solve_lp_relaxation(model: IPModel, start_basis: Basis | None = None) -> Sol
 
     ``start_basis`` is a basis of an earlier solve of a model with the
     same rows and columns, such as its ``Solution.basis``. The solve
-    starts from it when it fits this model's bounds and rows, and from
-    the slack crash basis otherwise; the result is the same optimum
-    either way, up to ties between optimal vertices."""
+    starts from it when its point meets this model's bounds and rows,
+    or, through the dual simplex, when its reduced costs keep their
+    signs; from the slack crash basis otherwise. The result is the same
+    optimum either way, up to ties between optimal vertices."""
     if model.num_variables == 0:
         return Solution(
             status="optimal", objective=model.objective_constant, assignment=np.zeros(0)
         )
     prepared = _PreparedLP(model)
     lo, up = model.bounds_arrays()
-    status, x, obj, pivots, basis = prepared.solve(lo, up, start_basis)
+    status, x, obj, pivots, basis = prepared.solve(lo, up, prepared.checked(start_basis))
     if status != "optimal":
         return Solution(
             status=status, objective=None, assignment=None, simplex_pivots=pivots
@@ -614,6 +736,8 @@ class _Node:
     lo: np.ndarray = field(compare=False)
     up: np.ndarray = field(compare=False)
     x: np.ndarray = field(compare=False)
+    basis: Basis = field(compare=False)  # optimal basis of this node's LP
+    branch: int | None = field(compare=False)  # _fractional_index of x
 
 
 def _fractional_index(
@@ -626,15 +750,14 @@ def _fractional_index(
     while branching a count leaves the indicator free to go fractional
     again. Ties break toward the smallest variable id."""
     vals = x[int_ids]
-    frac = np.abs(vals - np.round(vals))
+    frac = np.abs(vals - vals.round())
     fractional = frac > _INT_TOL
     if not fractional.any():
         return None
     frac_bin = fractional & binary_mask
     pick_from = frac_bin if frac_bin.any() else fractional
     dist = np.where(pick_from, np.abs(frac - 0.5), math.inf)
-    best = np.flatnonzero(dist == dist.min())
-    return int(int_ids[best[0]])
+    return int(int_ids[dist.argmin()])  # argmin takes the first minimum
 
 
 def solve_exact(
@@ -654,9 +777,11 @@ def solve_exact(
     assignment so pruning starts at the root. It must satisfy every
     row to 1e-6; a violating warm start raises ``ValueError``.
 
-    ``start_basis`` is offered to the root LP only, as in
-    ``solve_lp_relaxation``; every other node starts cold. The result's
-    ``basis`` is the root LP's optimal basis.
+    ``start_basis`` is offered to the root LP, as in
+    ``solve_lp_relaxation``. Every other node starts from its parent's
+    optimal basis, through the dual simplex, and cold only when that
+    basis does not serve. The result's ``basis`` is the root LP's
+    optimal basis.
     """
     int_ids = np.array(
         [v.id for v in model.variables if v.kind in (BINARY, INTEGER)], dtype=int
@@ -683,7 +808,7 @@ def solve_exact(
 
     c = model.objective_vector()
     nodes = 0
-    pivots = [0, 0]  # (phase-1, phase-2) simplex steps over every node LP
+    pivots = [0, 0]  # (feasibility, phase-2) entering steps over every node LP
     truncated = False  # set whenever the node budget cuts work short
     incumbent_obj = math.inf
     incumbent_x: np.ndarray | None = None
@@ -731,7 +856,7 @@ def solve_exact(
             raise ValueError("warm start violates model constraints")
         incumbent_obj, incumbent_x = make_incumbent(xw)
 
-    status0, x0, obj0, root_basis = solve_node(lo0, up0, start_basis)
+    status0, x0, obj0, root_basis = solve_node(lo0, up0, prepared.checked(start_basis))
     if status0 != "optimal":
         return finish(status0)
 
@@ -741,7 +866,8 @@ def solve_exact(
 
     seq = 0
     heap: list[_Node] = []
-    root = _Node(bound=obj0, seq=seq, lo=lo0, up=up0, x=x0)
+    branch0 = _fractional_index(x0, int_ids, binary_mask)
+    root = _Node(obj0, seq, lo0, up0, x0, root_basis, branch0)
     seq += 1
 
     def expand(node: _Node, dive: bool) -> None:
@@ -751,7 +877,7 @@ def solve_exact(
         nonlocal seq, incumbent_obj, incumbent_x, truncated
         current = node
         while True:
-            branch_id = _fractional_index(current.x, int_ids, binary_mask)
+            branch_id = current.branch
             if branch_id is None:
                 obj_i, x_i = make_incumbent(current.x)
                 if obj_i < incumbent_obj - 1e-15:
@@ -771,14 +897,15 @@ def solve_exact(
                 if node_limit is not None and nodes >= node_limit:
                     truncated = True
                     return
-                st, x_c, obj_c, _ = solve_node(lo_c, up_c)
+                st, x_c, obj_c, basis_c = solve_node(lo_c, up_c, current.basis)
                 if st != "optimal":
                     continue
                 if obj_c >= incumbent_obj - _ABS_GAP:
                     continue
-                child = _Node(bound=obj_c, seq=seq, lo=lo_c, up=up_c, x=x_c)
+                branch_c = _fractional_index(x_c, int_ids, binary_mask)
+                child = _Node(obj_c, seq, lo_c, up_c, x_c, basis_c, branch_c)
                 seq += 1
-                if _fractional_index(x_c, int_ids, binary_mask) is None:
+                if child.branch is None:
                     obj_i, x_i = make_incumbent(x_c)
                     if obj_i < incumbent_obj - 1e-15:
                         incumbent_obj, incumbent_x = obj_i, x_i

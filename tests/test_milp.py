@@ -193,6 +193,49 @@ def assert_same_solve(got, want):
         assert np.array_equal(basis.status, basis_w.status)
 
 
+def assert_same_solution(got, want):
+    """Two public solves agree bit for bit, basis included."""
+    assert (got.status, got.objective, got.simplex_pivots) == (
+        want.status,
+        want.objective,
+        want.simplex_pivots,
+    )
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.basis.columns, want.basis.columns)
+    assert np.array_equal(got.basis.status, want.basis.status)
+
+
+def cost_negated(model):
+    """A copy of the model with every objective coefficient negated."""
+    negated = copy.deepcopy(model)
+    for vid, coef in enumerate(model.objective_vector()):
+        negated.add_objective_term(vid, -2.0 * coef)
+    return negated
+
+
+def dual_feasible(prepared, lo, up, basis):
+    """Whether the basis's reduced costs have the sign its statuses ask
+    for under these bounds (fixed columns excepted)."""
+    c = prepared.c_phase2
+    b_inv = np.linalg.inv(prepared.a_full[:, basis.columns])
+    d = c - (c[basis.columns] @ b_inv) @ prepared.a_full
+    movable = np.concatenate((lo < up, prepared.slack_lo < prepared.slack_up))
+    movable = np.concatenate((movable, np.zeros(prepared.m, dtype=bool)))
+    wrong = (
+        ((basis.status == milp._AT_LOWER) & (d < -1e-9))
+        | ((basis.status == milp._AT_UPPER) & (d > 1e-9))
+        | ((basis.status == milp._FREE) & (np.abs(d) > 1e-9))
+    )
+    return not (movable & wrong).any()
+
+
+def fixings(lo, up, j):
+    """Variable j fixed at its upper and at its lower bound."""
+    at_upper, at_lower = lo.copy(), up.copy()
+    at_upper[j], at_lower[j] = up[j], lo[j]
+    return [(at_upper, up), (lo, at_lower)]
+
+
 def cost_shifted(model, rng, scale=0.5):
     """A copy of the model whose objective moved by normal noise; same rows."""
     shifted = copy.deepcopy(model)
@@ -208,18 +251,19 @@ class TestReentrancy:
         lo_b[m.variable_id("x")], up_b[m.variable_id("x")] = 3.0, 3.5
         return (lo, up), (lo_b, up_b)
 
-    def interleave(self, monkeypatch, prepared, outer_args, inner_args):
-        """Run one solve in the middle of another's first simplex call."""
-        simplex = prepared._simplex
+    def interleave(self, monkeypatch, prepared, outer_args, inner_args, at="_simplex"):
+        """Run one solve in the middle of another's first call of the
+        method named ``at``."""
+        method = getattr(prepared, at)
         inner = []
 
         def interrupted(*args):
             if not inner:
                 inner.append(None)
                 inner[0] = prepared.solve(*inner_args)
-            return simplex(*args)
+            return method(*args)
 
-        monkeypatch.setattr(prepared, "_simplex", interrupted)
+        monkeypatch.setattr(prepared, at, interrupted)
         outer = prepared.solve(*outer_args)
         monkeypatch.undo()
         return outer, inner[0]
@@ -259,6 +303,39 @@ class TestReentrancy:
         )
         assert_same_solve(outer, serial_cold)
         assert_same_solve(inner, serial_warm)
+
+    def test_warm_children_interleaved_match_serial(self, monkeypatch):
+        """Both children of y (3 at the root optimum) start from the root's
+        basis through the dual simplex: y <= 2 reaches -1 at (3, 2, 0),
+        and y >= 4 has no point, since x = 1 + y + z <= 4. Each child
+        solve runs inside the other, and inside a cold solve."""
+        m = mixed_rows_lp()
+        (lo, up), (lo_b, up_b) = self.bound_sets(m)
+        y = m.variable_id("y")
+        up_down, lo_up = up.copy(), lo.copy()
+        up_down[y], lo_up[y] = 2.0, 4.0
+        root = milp._PreparedLP(m).solve(lo, up)[4]
+        down, up_child = (lo, up_down, root), (lo_up, up, root)
+        serial_down = milp._PreparedLP(m).solve(*down)
+        serial_up = milp._PreparedLP(m).solve(*up_child)
+        assert serial_down[0] == "optimal" and serial_up[0] == "infeasible"
+        assert serial_down[2] == pytest.approx(-1.0, abs=1e-12)
+        # y leaves at the down child; at the up child row y has no entering
+        # column, which proves it empty before any step
+        assert serial_down[3][0] == 1 and serial_up[3][0] == 0
+        serial_cold = milp._PreparedLP(m).solve(lo_b, up_b)
+
+        for outer_args, inner_args, at, want in (
+            (down, up_child, "_dual_simplex", (serial_down, serial_up)),
+            (up_child, down, "_dual_simplex", (serial_up, serial_down)),
+            ((lo_b, up_b), down, "_simplex", (serial_cold, serial_down)),
+        ):
+            prepared = milp._PreparedLP(m)
+            outer, inner = self.interleave(
+                monkeypatch, prepared, outer_args, inner_args, at
+            )
+            assert_same_solve(outer, want[0])
+            assert_same_solve(inner, want[1])
 
     def test_returned_basis_is_not_aliased(self):
         """A solve never writes its start, and mutating a basis it returned
@@ -348,9 +425,10 @@ class TestStartBasis:
         assert phase1_skipped >= 20
 
     def test_unfit_starts_fall_back_to_cold(self):
-        """A wrong-size basis, a singular one, and one that a child's
-        tightened bound makes infeasible: each solve is the cold one."""
-        checked = {"size": 0, "singular": 0, "child": 0}
+        """A wrong-size basis, a singular one, and the optimal basis of a
+        parent under negated costs at a child (neither primal nor dual
+        feasible there): each solve is the cold one."""
+        checked = {"size": 0, "singular": 0, "negated": 0}
         for model in self.MODELS:
             prepared = milp._PreparedLP(model)
             lo, up = model.bounds_arrays()
@@ -358,12 +436,17 @@ class TestStartBasis:
             if status != "optimal":
                 continue
             m, n = prepared.m, prepared.n
-            cold = prepared.solve(lo, up)
 
+            # the public entry points check a caller's start once
             wrong_size = milp.Basis(basis.columns, np.append(basis.status, milp._AT_LOWER))
-            assert_same_solve(prepared.solve(lo, up, wrong_size), cold)
+            assert prepared.checked(wrong_size) is None
+            assert_same_solution(
+                solve_lp_relaxation(model, start_basis=wrong_size),
+                solve_lp_relaxation(model),
+            )
             checked["size"] += 1
 
+            cold = prepared.solve(lo, up)
             if m >= 2:
                 # slack 0 and artificial 0 are the same unit column
                 columns = np.array([n, n + m, *range(n + 1, n + m - 1)])
@@ -379,11 +462,88 @@ class TestStartBasis:
                 j = int(np.flatnonzero(frac)[0])
                 up_child = up.copy()
                 up_child[j] = math.floor(x[j])
-                assert_same_solve(
-                    prepared.solve(lo, up_child, basis), prepared.solve(lo, up_child)
-                )
-                checked["child"] += 1
+                negated = milp._PreparedLP(cost_negated(model))
+                if not dual_feasible(negated, lo, up_child, basis):
+                    assert_same_solve(
+                        negated.solve(lo, up_child, basis), negated.solve(lo, up_child)
+                    )
+                    checked["negated"] += 1
         assert min(checked.values()) >= 10, checked
+
+    def test_warm_child_matches_cold_child(self, monkeypatch):
+        """The parent's optimal basis at a child with one tightened bound:
+        the dual simplex restores feasibility, so no primal phase 1 runs,
+        and the solve agrees with the cold one on status and objective."""
+        crashes = []
+        crash = milp._PreparedLP._crash
+
+        def counted(self, lo, up):
+            crashes.append(None)
+            return crash(self, lo, up)
+
+        monkeypatch.setattr(milp._PreparedLP, "_crash", counted)
+        children = 0
+        for model in self.MODELS:
+            prepared = milp._PreparedLP(model)
+            lo, up = model.bounds_arrays()
+            status, x, _, _, basis = prepared.solve(lo, up)
+            frac = np.abs(x - np.round(x)) > 1e-6 if status == "optimal" else []
+            if not np.any(frac):
+                continue
+            j = int(np.flatnonzero(frac)[0])
+            up_child = up.copy()
+            up_child[j] = math.floor(x[j])
+            crashes.clear()
+            warm = prepared.solve(lo, up_child, basis)
+            assert crashes == []
+            cold = prepared.solve(lo, up_child)
+            assert crashes == [None]
+            assert warm[0] == cold[0]
+            if cold[0] == "optimal":
+                assert warm[2] == pytest.approx(cold[2], abs=1e-9, rel=0)
+            children += 1
+        assert children >= 20
+
+    def test_children_of_every_root_match_cold(self):
+        """Warm against cold at every child of every root: the floor and
+        the ceil child of each fractional variable, and one fixing of a
+        variable at a bound that leaves the rows no point, where the dual
+        simplex's row proof must agree with cold phase 1. The dual ratio
+        test keeps the reduced costs' signs, so the primal phase-2 check
+        after it takes no step."""
+        seen = {"optimal": 0, "infeasible": 0, "empty": 0}
+        for model in self.MODELS:
+            prepared = milp._PreparedLP(model)
+            lo, up = model.bounds_arrays()
+            status, x, _, _, basis = prepared.solve(lo, up)
+            if status != "optimal":
+                continue
+            children = []
+            for j in np.flatnonzero(np.abs(x - np.round(x)) > 1e-6):
+                up_down, lo_up = up.copy(), lo.copy()
+                up_down[j], lo_up[j] = math.floor(x[j]), math.ceil(x[j])
+                children += [(lo, up_down), (lo_up, up)]
+            empty = next(
+                (
+                    child
+                    for j in range(prepared.n)
+                    for child in fixings(lo, up, j)
+                    if prepared.solve(*child)[0] == "infeasible"
+                ),
+                None,
+            )
+            if empty is not None:
+                children.append(empty)
+                seen["empty"] += 1
+            for child in children:
+                warm = prepared.solve(*child, basis)
+                cold = prepared.solve(*child)
+                assert warm[0] == cold[0]
+                seen[cold[0]] += 1
+                if cold[0] == "optimal":
+                    assert warm[2] == pytest.approx(cold[2], abs=1e-9, rel=0)
+                    assert warm[3][1] == 0
+        assert min(seen.values()) >= 10, seen
 
 
 class TestCertificate:

@@ -42,6 +42,7 @@ from uavplan.scenario import (
 from conftest import (
     UAV_TYPES,
     branching_instance,
+    dip_infeasible_instance,
     guaranteed_stage,
     make_costs,
     phase1_instance,
@@ -505,6 +506,40 @@ class TestNodeLimits:
         assert exact_expected_cost(z4, plan) == pytest.approx(
             plan.expected_cost, abs=1e-9
         )
+
+
+def z4_point(instance: NetworkInstance) -> NetworkInstance:
+    """The bundled network with guaranteed losses of 4 and 14 copies."""
+    n = len(instance.stations)
+    stages = (guaranteed_stage(n, 4), guaranteed_stage(n, 14))
+    return dataclasses.replace(
+        instance, tree=dataclasses.replace(instance.tree, shortfall_stages=stages)
+    )
+
+
+class TestBranchingTrees:
+    """SIPs whose roots are fractional: the tree, the optimum, and the
+    work per node. Children start from their parent's basis, so the z = 4
+    point takes about 15 entering steps per node (about 309 when every
+    node started cold)."""
+
+    @pytest.mark.parametrize(
+        "make, nodes, objective, steps_per_node",
+        [
+            (lambda bundled: branching_instance(), 5, 5.97982282571592, None),
+            (lambda bundled: dip_infeasible_instance(), 21, 7.433182307114871, None),
+            (z4_point, 119, 194.59380308410854, 30),
+        ],
+        ids=["branching", "dip-infeasible", "z4"],
+    )
+    def test_tree_pinned(self, bundled_instance, make, nodes, objective, steps_per_node):
+        built = build_phase2_sip(make(bundled_instance))
+        sol = solve_exact(built.model, warm_start=_phase2_warm_start(built))
+        assert sol.status == "optimal"
+        assert sol.nodes_explored == nodes
+        assert sol.objective == pytest.approx(objective, abs=1e-9, rel=0)
+        if steps_per_node is not None:
+            assert sum(sol.simplex_pivots) <= steps_per_node * nodes
 
 
 class TestFleet:
