@@ -5,8 +5,8 @@ deeper trees expose offloaded copies to more destruction. The sweep
 re-solves the allocation per depth and reports the point where the
 plan abandons offloading entirely.
 
-The depth-4 solve takes about half a minute; pass a shorter grid to
-skip it, e.g. python3 demos/06_stage_depth_sweep.py 2 3 5
+The sweep runs in a few seconds; pass a grid to choose the depths,
+e.g. python3 demos/06_stage_depth_sweep.py 2 3 5
 """
 
 import sys

@@ -49,10 +49,8 @@ from .physics import (
     task_timings,
 )
 from .evaluate import (
-    EvaluationReport,
     SweepResult,
     SWEEP_PARAMETERS,
-    evaluate_plan,
     offload_price_comparison,
     sweep,
 )

@@ -1,16 +1,14 @@
-"""Plan evaluation and sensitivity studies.
+"""Sensitivity studies and baseline comparisons.
 
-Three jobs: Monte Carlo evaluation of a frozen plan under sampled
-scenario paths, one-parameter sensitivity sweeps that re-solve the
-relevant phase per grid point, and the exact three-way comparison
-(stochastic plan vs expected-value plan vs feasible random plans).
+Two jobs: one-parameter sensitivity sweeps that re-solve the relevant
+phase per grid point, and the exact three-way comparison (stochastic
+plan vs expected-value plan vs feasible random plans).
 
-Sweeps and comparisons use exact tree expectations, never sampling, so
-repeated runs are byte-identical. ``evaluate_plan`` is the sampled path
-and draws from ``numpy.random.default_rng`` (PCG64); the seed is part
-of the report. Grid points are independent and results are merged in
-grid order; each phase-2 solve offers its root LP the previous point's
-optimal basis, which a model of the same shape takes when it fits.
+Both price plans by exact tree expectations, never sampling, so
+repeated runs are byte-identical. Grid points are independent and
+results are merged in grid order; each phase-2 solve offers its root
+LP the previous point's optimal basis, which a model of the same shape
+takes when it fits.
 """
 
 from __future__ import annotations
@@ -40,10 +38,8 @@ from .planner import (
 from .scenario import ShortfallScenario, WeatherScenario
 
 __all__ = [
-    "EvaluationReport",
     "SweepResult",
     "SWEEP_PARAMETERS",
-    "evaluate_plan",
     "sweep",
     "offload_price_comparison",
     "DEFAULT_PRICE_MULTIPLIERS",
@@ -67,35 +63,6 @@ DEFAULT_Z_MAGNITUDES = (4, 14, 24, 24)
 DEFAULT_PRICE_MULTIPLIERS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 DEFAULT_COMPARE_SEEDS = tuple(range(30))
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Sampled-cost summary for one plan on one instance."""
-
-    mean_cost: float
-    std_error: float
-    n_samples: int
-    stages: tuple[str, ...]
-    breakdown: tuple[float, ...]
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.mean_cost < -1e-12 or self.std_error < 0.0:
-            raise ValueError("negative mean cost or standard error")
-        if len(self.stages) != len(self.breakdown):
-            raise ValueError("stage labels and breakdown lengths differ")
-        if abs(sum(self.breakdown) - self.mean_cost) > 1e-6:
-            raise ValueError("stage breakdown does not sum to the mean cost")
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_cost": self.mean_cost,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "breakdown": dict(zip(self.stages, self.breakdown)),
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -135,52 +102,6 @@ class SweepResult:
             row["summary"] = summary
             out.append(row)
         return out
-
-
-def evaluate_plan(
-    plan: Phase2Plan,
-    instance: NetworkInstance,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> EvaluationReport:
-    """Monte Carlo estimate of the plan's one-slot expected cost.
-
-    Samples terminal scenario paths with their branch probabilities and
-    reads each draw's realized cost from the plan's per-path stage costs,
-    priced for the fleet the plan was made for: the frozen decisions
-    along the path, plus the completion penalty for every station whose
-    cumulative copies fall short of the threshold plus its offload-gated
-    losses or whose residual flag is set. Reports the unbiased mean with
-    its standard error. Same seed, same report. A plan that lacks a
-    decision this tree needs raises ``PlanningError``.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    pricing = _Pricing.of(instance, plan.type_ids)
-    paths = pricing.paths
-    stages, part_matrix = pricing.path_costs(plan)
-    probs = np.array([p.probability for p in paths])
-    totals = part_matrix.sum(axis=1)
-
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(paths), size=n_samples, p=probs)
-    counts = np.bincount(draws, minlength=len(paths)).astype(float)
-
-    mean = float(counts @ totals) / n_samples
-    if n_samples > 1:
-        var = float(counts @ (totals - mean) ** 2) / (n_samples - 1)
-        stderr = math.sqrt(max(var, 0.0) / n_samples)
-    else:
-        stderr = 0.0
-    breakdown = tuple(float(v) for v in (counts @ part_matrix) / n_samples)
-    return EvaluationReport(
-        mean_cost=mean,
-        std_error=stderr,
-        n_samples=int(n_samples),
-        stages=stages,
-        breakdown=breakdown,
-        seed=int(seed),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ Key structural choices:
   subscribed and provisioned to at least k - local copies.
 
 A plan carries the fleet it was made for, and its cost is priced in one
-place, ``_Pricing.path_costs``: a (terminal path x stage) cost array
-from that fleet's cost tables, which the decoder's stage breakdown,
-``exact_expected_cost`` and the Monte Carlo evaluator all read; another
-fleet's tables refuse the plan with ``PlanningError``. Its one
+place, ``_Pricing.expectation``: a (terminal path x stage) cost array
+from that fleet's cost tables, weighed by the path probabilities, which
+the decoder's stage breakdown and ``exact_expected_cost`` both read;
+another fleet's tables refuse the plan with ``PlanningError``. Its one
 completion-penalty rule: a (path, station) pays the penalty when its
 cumulative copies fall short of k + exposure * stage-2 offload
 indicator, or when the plan's residual flag is set there. Coverage
@@ -1071,14 +1071,13 @@ class _Pricing:
             _stage_cost_tables(instance, ids, dims),
         )
 
-    def path_costs(self, plan: Phase2Plan) -> tuple[tuple[str, ...], np.ndarray]:
-        """The cost the plan pays on each path in its one slot, split by
-        stage.
+    def expectation(self, plan: Phase2Plan) -> tuple[float, dict[str, float]]:
+        """The plan's one-slot expected cost, in total and per stage
+        (stage1, stage2, stage3.., terminal).
 
-        Returns the stage labels (stage1, stage2, stage3.., terminal) and
-        a paths x stages array with one row per path, in path order.
-        Subscriptions are charged
-        on every path; the terminal column follows the completion-penalty
+        Weighs a paths x stages array, the cost the plan pays on each
+        path, by the path probabilities. Subscriptions are charged on
+        every path; the terminal column follows the completion-penalty
         rule in the module docstring. A plan made for another fleet
         raises ``PlanningError``."""
         if plan.type_ids != self.type_ids:
@@ -1116,12 +1115,7 @@ class _Pricing:
                     row[-1] += penalty
             rows.append(row)
         costs = np.array(rows, dtype=float).reshape(len(paths), len(labels))
-        return labels, costs
-
-    def expectation(self, plan: Phase2Plan) -> tuple[float, dict[str, float]]:
-        """Probability-weighted path costs, in total and per stage."""
-        labels, costs = self.path_costs(plan)
-        probs = np.array([p.probability for p in self.paths])
+        probs = np.array([p.probability for p in paths])
         total = float(probs @ costs.sum(axis=1))
         return total, dict(zip(labels, (probs @ costs).tolist()))
 

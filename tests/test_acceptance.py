@@ -151,7 +151,7 @@ def test_5_deterministic_twin():
         n_y = int(rng.integers(1, 3))
         n_bs = int(rng.integers(1, 3))
         q = int(rng.integers(4, 9))
-        dims = tuple(int(rng.choice([120, 240, 360])) for _ in range(n_y))
+        dims = tuple((120, 240, 360)[rng.integers(3)] for _ in range(n_y))
         # alternate between no recourse stage and a certain no-loss one
         stages = (zero_stage(n_y),) if trial % 2 else ()
         tree = ScenarioTree(

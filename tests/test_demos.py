@@ -1,9 +1,6 @@
 """Every demo, and README's quick start, runs to completion from the
-repository root.
-
-Demo 06 is left out: its z = 4 sweep point alone takes close to a
-minute.
-"""
+repository root, and the demos with a pinned digest print the same
+bytes."""
 
 import hashlib
 import os
@@ -15,9 +12,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(
-    p.name for p in (ROOT / "demos").glob("*.py") if not p.name.startswith("06_")
-)
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+# sha256 of each pinned demo's stdout. Each prints its figures to four
+# or six decimals, so a wrong copy price (03), sweep optimum (06) or
+# baseline cost or stage breakdown (07) changes the bytes.
+PINNED = {
+    "03_copy_economics.py": "897a484fd07c1cfb973834d3601bd73a90ad3bdf5f40083caaa2808122c43ade",
+    "06_stage_depth_sweep.py": "2b7ba6034a995744ff1d1e8767e2e2a279207859933b1d2841c5f5083a0c0210",
+    "07_baseline_comparison.py": "0cb06f596dff737e5be1a50cd17af59e25cd1749011d5ec73cb0ca733db040ac",
+}
 
 
 def run_from_root(*args: str) -> subprocess.CompletedProcess:
@@ -36,25 +40,17 @@ def run_from_root(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_demo_set():
-    assert len(DEMOS) == 7
+    assert len(DEMOS) == 8
+    assert set(PINNED) <= set(DEMOS)
 
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
     result = run_from_root(str(ROOT / "demos" / name))
     assert result.returncode == 0, result.stderr
-
-
-# sha256 of demo 03's stdout: its per-copy price table is printed to four
-# decimals, so a wrong price changes the bytes
-COPY_ECONOMICS_STDOUT = "897a484fd07c1cfb973834d3601bd73a90ad3bdf5f40083caaa2808122c43ade"
-
-
-def test_copy_economics_output_pinned():
-    result = run_from_root(str(ROOT / "demos" / "03_copy_economics.py"))
-    assert result.returncode == 0, result.stderr
-    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
-    assert digest == COPY_ECONOMICS_STDOUT, result.stdout
+    if name in PINNED:
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert digest == PINNED[name], result.stdout
 
 
 def test_readme_quick_start_runs():

@@ -1,4 +1,4 @@
-"""Monte Carlo evaluation, sensitivity sweeps, baseline comparisons."""
+"""Sensitivity sweeps and baseline comparisons."""
 
 import dataclasses
 import math
@@ -8,13 +8,10 @@ import pytest
 import uavplan.evaluate as evaluate
 import uavplan.planner as planner
 from uavplan.evaluate import (
-    EvaluationReport,
     SWEEP_PARAMETERS,
-    evaluate_plan,
     offload_price_comparison,
     sweep,
 )
-from uavplan.planner import PlanningError, exact_expected_cost, solve_phase2
 from uavplan.scenario import (
     DemandScenario,
     ScenarioTree,
@@ -41,66 +38,6 @@ def z3_tree(p_loss: float = 0.5, mag: int = 2) -> ScenarioTree:
         demand=(DemandScenario(dims=(240,), probability=1.0),),
         shortfall_stages=(stage,),
     )
-
-
-class TestEvaluatePlan:
-    def test_degenerate_tree_has_zero_error(self):
-        inst = small_instance(tree_z2(1, [(240,)], [1.0]))
-        plan = solve_phase2(inst, "sip")
-        report = evaluate_plan(plan, inst, n_samples=500, seed=1)
-        assert report.mean_cost == pytest.approx(plan.expected_cost, abs=1e-12)
-        assert report.std_error == 0.0
-
-    def test_same_seed_same_report(self):
-        inst = small_instance(z3_tree())
-        plan = solve_phase2(inst, "sip")
-        a = evaluate_plan(plan, inst, n_samples=2000, seed=42)
-        b = evaluate_plan(plan, inst, n_samples=2000, seed=42)
-        assert a == b
-
-    def test_mean_converges_to_exact_expectation(self):
-        inst = small_instance(z3_tree())
-        plan = solve_phase2(inst, "sip")
-        exact = exact_expected_cost(inst, plan)
-        report = evaluate_plan(plan, inst, n_samples=20_000, seed=0)
-        if report.std_error > 0:
-            assert abs(report.mean_cost - exact) <= 4.0 * report.std_error
-        else:
-            assert report.mean_cost == pytest.approx(exact, abs=1e-9)
-
-    def test_breakdown_labels_and_sum(self):
-        inst = small_instance(z3_tree())
-        plan = solve_phase2(inst, "sip")
-        report = evaluate_plan(plan, inst, n_samples=1000, seed=5)
-        assert report.stages == ("stage1", "stage2", "stage3", "terminal")
-        assert sum(report.breakdown) == pytest.approx(report.mean_cost, abs=1e-9)
-        d = report.to_dict()
-        assert d["n_samples"] == 1000 and d["seed"] == 5
-        assert set(d["breakdown"]) == set(report.stages)
-
-    def test_rejects_empty_sample(self):
-        inst = small_instance(z3_tree())
-        plan = solve_phase2(inst, "sip")
-        with pytest.raises(ValueError, match="n_samples"):
-            evaluate_plan(plan, inst, n_samples=0)
-
-    def test_plan_from_other_tree_rejected(self):
-        flat = small_instance(tree_z2(1, [(240,)], [1.0]))
-        plan = solve_phase2(flat, "sip")
-        lossy = small_instance(z3_tree())
-        with pytest.raises(PlanningError, match="stage-3"):
-            evaluate_plan(plan, lossy)
-        wide = small_instance(tree_z2(1, [(240,), (480,)], [0.5, 0.5]))
-        with pytest.raises(PlanningError, match="stage-2"):
-            evaluate_plan(plan, wide)
-
-    def test_report_invariants_enforced(self):
-        with pytest.raises(ValueError, match="negative"):
-            EvaluationReport(1.0, -0.1, 10, ("stage1",), (1.0,), 0)
-        with pytest.raises(ValueError, match="lengths"):
-            EvaluationReport(1.0, 0.0, 10, ("stage1", "stage2"), (1.0,), 0)
-        with pytest.raises(ValueError, match="sum"):
-            EvaluationReport(1.0, 0.0, 10, ("stage1",), (2.0,), 0)
 
 
 class TestSweep:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from uavplan.milp import solve_exact
-from uavplan.evaluate import evaluate_plan
 from uavplan.planner import (
     BaseStation,
     NetworkInstance,
@@ -416,11 +415,20 @@ class TestRealizedCosts:
     def test_parts_sum_and_keys(self):
         inst = small_instance(z3_tree())
         plan = solve_phase2(inst, "sip")
-        pricing = _Pricing.of(inst, plan.type_ids)
-        labels, costs = pricing.path_costs(plan)
-        assert labels == ("stage1", "stage2", "stage3", "terminal")
-        et = sum(p.probability * sum(row) for p, row in zip(pricing.paths, costs))
-        assert et == pytest.approx(plan.expected_cost, abs=1e-9)
+        total, breakdown = _Pricing.of(inst, plan.type_ids).expectation(plan)
+        assert tuple(breakdown) == ("stage1", "stage2", "stage3", "terminal")
+        assert total == pytest.approx(plan.expected_cost, abs=1e-9)
+        assert sum(breakdown.values()) == pytest.approx(total, abs=1e-9)
+
+    def test_plan_from_other_tree_rejected(self):
+        flat = small_instance(tree_z2(1, [(240,)], [1.0]))
+        plan = solve_phase2(flat, "sip")
+        lossy = small_instance(z3_tree())
+        with pytest.raises(PlanningError, match="stage-3"):
+            exact_expected_cost(lossy, plan)
+        wide = small_instance(tree_z2(1, [(240,), (480,)], [0.5, 0.5]))
+        with pytest.raises(PlanningError, match="stage-2"):
+            exact_expected_cost(wide, plan)
 
     def test_residual_flag_charges_penalty_where_coverage_holds(self):
         inst = small_instance(z3_tree())
@@ -575,14 +583,13 @@ class TestComposition:
     @pytest.mark.parametrize("slots", [1, 3], ids=["one-slot", "three-slot"])
     def test_every_plan_priced_for_its_fleet(self, slots):
         """The calm-weather plan flies type 1, not the stations' type 3;
-        every pricing reader takes that fleet from the plan, and prices
-        one slot however many the instance has. The tree has one path,
-        so the sample mean is exact."""
+        ``exact_expected_cost`` takes that fleet from the plan, and
+        prices one slot however many the instance has."""
         tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
         inst = small_instance(tree, time_slots=slots)
         _, plans, _ = plan_both_phases(inst)
         calm = plans[1]
-        assert evaluate_plan(calm, inst, 1000).mean_cost == pytest.approx(
+        assert exact_expected_cost(inst, calm) == pytest.approx(
             1.7829770795846827, abs=1e-9
         )
         for plan in plans.values():
