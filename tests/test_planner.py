@@ -420,6 +420,75 @@ class TestRealizedCosts:
         assert total == pytest.approx(plan.expected_cost, abs=1e-9)
         assert sum(breakdown.values()) == pytest.approx(total, abs=1e-9)
 
+    def test_degenerate_tree_prices_its_one_path(self):
+        inst = small_instance(tree_z2(1, [(240,)], [1.0]))
+        plan = solve_phase2(inst, "sip")
+        pricing = _Pricing.of(inst, plan.type_ids)
+        assert [p.probability for p in pricing.paths] == [1.0]
+        total, breakdown = pricing.expectation(plan)
+        assert tuple(breakdown) == ("stage1", "stage2", "terminal")
+        assert total == pytest.approx(plan.expected_cost, abs=1e-9)
+        assert sum(breakdown.values()) == pytest.approx(total, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [z3_tree(p_loss=0.3), tree_z2(1, [(240,), (480,)], [0.3, 0.7])],
+        ids=["lossy", "two-demand"],
+    )
+    def test_weighs_each_path_by_its_probability(self, tree):
+        """Each path priced alone, as a one-path tree, and weighed by its
+        probability sums to the expectation, stage by stage."""
+        inst = small_instance(tree)
+        plan = solve_phase2(inst, "sip")
+        pricing = _Pricing.of(inst, plan.type_ids)
+        assert len(pricing.paths) > 1
+        total, breakdown = pricing.expectation(plan)
+        weighed = dict.fromkeys(breakdown, 0.0)
+        for path in pricing.paths:
+            alone = dataclasses.replace(
+                pricing, paths=[dataclasses.replace(path, probability=1.0)]
+            )
+            cost, parts = alone.expectation(plan)
+            assert tuple(parts) == tuple(breakdown)
+            assert min(parts.values()) >= 0.0
+            assert sum(parts.values()) == pytest.approx(cost, abs=1e-9)
+            for stage, c in parts.items():
+                weighed[stage] += path.probability * c
+        assert weighed == pytest.approx(breakdown, abs=1e-9)
+        assert sum(weighed.values()) == pytest.approx(total, abs=1e-9)
+
+    def test_repeat_pricing_is_identical(self):
+        inst = small_instance(z3_tree())
+        plan = solve_phase2(inst, "sip")
+        cost, parts = plan.expected_cost, dict(plan.stage_breakdown)
+        first = _Pricing.of(inst, plan.type_ids).expectation(plan)
+        assert _Pricing.of(inst, plan.type_ids).expectation(plan) == first
+        assert exact_expected_cost(inst, plan) == exact_expected_cost(inst, plan)
+        assert exact_expected_cost(inst, plan) == first[0]
+        # pricing reads the plan and leaves it as it was
+        assert plan.expected_cost == cost and plan.stage_breakdown == parts
+
+    @pytest.mark.parametrize("kind", ["sip", "evf", "random"])
+    def test_plan_carries_its_expectation(self, kind):
+        """The SIP's decoded breakdown and the baselines' priced cost and
+        breakdown are the numbers ``expectation`` returns, bit for bit."""
+        inst = small_instance(z3_tree())
+        if kind == "sip":
+            plan = solve_phase2(inst, "sip")
+        elif kind == "evf":
+            plan = evf_plan(inst)
+        else:
+            plan = _draw_random_plan(inst, 3)
+            _Pricing.of(inst, plan.type_ids).price(plan)
+        total, breakdown = _Pricing.of(inst, plan.type_ids).expectation(plan)
+        assert plan.stage_breakdown == breakdown
+        assert exact_expected_cost(inst, plan) == total
+        if kind == "sip":
+            # the solver's objective, checked against the breakdown on decode
+            assert plan.expected_cost == pytest.approx(total, abs=1e-9)
+        else:
+            assert plan.expected_cost == total
+
     def test_plan_from_other_tree_rejected(self):
         flat = small_instance(tree_z2(1, [(240,)], [1.0]))
         plan = solve_phase2(flat, "sip")
