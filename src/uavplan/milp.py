@@ -18,9 +18,13 @@ Three entry points with deliberately independent solution paths:
   slack can absorb the residual at the starting point (variables at
   their bound nearest zero) starts with that slack basic, and only the
   other rows get an artificial, so phase 1 works only on violated rows.
-  Each pivot updates the explicit basis inverse only on the rows where
-  the entering column is nonzero, and the primal ratio test visits only
-  the rows whose basic variable moves.
+  A step multiplies only the structural block of ``[A | I | I]``:
+  reduced costs are ``c - [y A | y | y]``, the dual's pivot row is
+  ``[b_r A | b_r | b_r]`` for row ``b_r`` of ``B^-1``, and an entering
+  column is ``B^-1`` times the nonzeros of a structural column or a
+  column of ``B^-1``. Each pivot updates ``B^-1`` only on the rows where
+  that column is nonzero; the primal ratio test visits only the rows
+  whose basic variable moves.
 - :func:`solve_exact`: branch and bound over the LP relaxation with
   best-bound node selection, most-fractional branching, and an initial
   depth-first dive until the first incumbent. Each node keeps the
@@ -34,9 +38,11 @@ Three entry points with deliberately independent solution paths:
   row sums and objective, and scores blocks of leading points against
   every trailing point by broadcast addition.
 
-Everything is deterministic: identical models produce identical pivots,
-node orders, and solutions on every run. A returned point must satisfy
-every row to 1e-6, or the solve raises :class:`SolverError`.
+Everything is deterministic for a fixed BLAS thread count: identical
+models produce identical pivots, node orders, and solutions on every
+run (another count may sum a product in another order, and so change
+the pivot path). A returned point must satisfy every row to 1e-6, or
+the solve raises :class:`SolverError`.
 """
 
 from __future__ import annotations
@@ -314,8 +320,10 @@ def _starting_point(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class _PreparedLP:
-    """Dense standard form [A | I_slack | I_artificial] x = b, reusable
-    across branch-and-bound nodes (only structural bounds change).
+    """Standard form [A | I_slack | I_artificial] x = b, reusable across
+    branch-and-bound nodes (only structural bounds change). Only basis
+    inversion reads the dense ``a_full``; a step reads its structural
+    block ``a`` and each structural column's nonzeros.
 
     Nothing here changes after construction: each solve keeps its own
     bounds, basis and artificial signs, so solves of one prepared LP may
@@ -326,25 +334,18 @@ class _PreparedLP:
         self.m, self.n = a.shape
         self.c_struct = model.objective_vector()
         self.b = b
-        n_total = self.n + 2 * self.m
-        self.a_full = np.zeros((self.m, n_total))
-        self.a_full[:, : self.n] = a
-        self.a_full[:, self.n : self.n + self.m] = np.eye(self.m)
-        self.a_full[:, self.n + self.m :] = np.eye(self.m)
-        self.slack_lo = np.zeros(self.m)
-        self.slack_up = np.zeros(self.m)
-        for i, sense in enumerate(senses):
-            if sense == "<=":
-                self.slack_lo[i], self.slack_up[i] = 0.0, math.inf
-            elif sense == ">=":
-                self.slack_lo[i], self.slack_up[i] = -math.inf, 0.0
-            else:
-                self.slack_lo[i], self.slack_up[i] = 0.0, 0.0
+        self.a_full = np.hstack((a, np.eye(self.m), np.eye(self.m)))
+        self.a = self.a_full[:, : self.n]  # the structural block, a view
+        # each structural column's nonzeros: a step takes
+        # b_inv[:, rows].dot(values), as .dot costs less than @ on tiny models
+        self.col_rows = [col.nonzero()[0] for col in a.T]
+        self.col_vals = [col[rows] for col, rows in zip(a.T, self.col_rows)]
+        self.slack_lo = np.array([-math.inf if s == ">=" else 0.0 for s in senses])
+        self.slack_up = np.array([math.inf if s == "<=" else 0.0 for s in senses])
         # every slack starts at 0: its lower bound on <= and == rows, its
         # upper bound on >= rows
         self.slack_status = np.where(self.slack_lo == 0.0, _AT_LOWER, _AT_UPPER)
-        self.c_phase2 = np.zeros(n_total)
-        self.c_phase2[: self.n] = self.c_struct
+        self.c_phase2 = np.concatenate((self.c_struct, np.zeros(2 * self.m)))
 
     def checked(self, start: Basis | None) -> Basis | None:
         """``start`` if it is a well-formed basis of this LP, else None:
@@ -395,17 +396,19 @@ class _PreparedLP:
             x_struct,
             float(self.c_struct @ x_struct),
             (steps1, steps2),
-            Basis(columns=np.array(basis), status=status),
+            Basis(columns=basis, status=status),
         )
 
-    def _factor(self, basis, x: np.ndarray, b_inv: np.ndarray) -> None:
+    def _factor(self, basis: np.ndarray, x: np.ndarray, b_inv: np.ndarray) -> None:
         """Invert the basis matrix into ``b_inv`` and solve the rows for
         the basic entries of ``x``, the nonbasic ones held where they are.
-        Raises ``LinAlgError`` when the basis matrix is singular."""
-        basis_arr = np.asarray(basis)
-        b_inv[:, :] = np.linalg.inv(self.a_full[:, basis_arr])
-        x[basis_arr] = 0.0
-        x[basis_arr] = b_inv @ (self.b - self.a_full @ x)
+        Raises ``SolverError`` when the basis matrix is singular."""
+        try:
+            b_inv[:, :] = np.linalg.inv(self.a_full[:, basis])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular basis matrix") from exc
+        x[basis] = 0.0
+        x[basis] = b_inv @ (self.b - self.a_full @ x)
 
     def _restart(self, start: Basis, lo: np.ndarray, up: np.ndarray):
         """Start from ``start`` under the bounds ``lo``/``up``: invert its
@@ -423,21 +426,20 @@ class _PreparedLP:
         the basis matrix is singular, or the point misses a row) and the
         solve must start cold. Reads ``start`` and never writes it; pins
         the artificials' bounds at 0 for phase 2."""
-        columns = start.columns
+        basis = start.columns.astype(np.intp)  # a copy: the start is never written
         lo[self.n + self.m :] = up[self.n + self.m :] = 0.0
         status = start.status.astype(np.int8)
         x = np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, up, 0.0))
-        x[columns] = 0.0
+        x[basis] = 0.0
         if not np.isfinite(x).all():
             return None
         b_inv = np.empty((self.m, self.m))
         try:
-            self._factor(columns, x, b_inv)
-        except np.linalg.LinAlgError:
+            self._factor(basis, x, b_inv)
+        except SolverError:
             return None
         if not (np.abs(self.a_full @ x - self.b) <= _START_TOL).all():
             return None
-        basis = columns.tolist()
         if (x >= lo - _START_TOL).all() and (x <= up + _START_TOL).all():
             return 0, (basis, status, x, b_inv)
         return self._dual_simplex(lo, up, basis, status, x, b_inv)
@@ -460,7 +462,7 @@ class _PreparedLP:
         # B^-1 starts as I. An artificial's sign lives in its bounds and
         # its phase-1 cost; unused artificials are fixed at 0, so they can
         # never enter.
-        residual = self.b - self.a_full[:, :n] @ x[:n]
+        residual = self.b - self.a @ x[:n]
         slack_fits = (self.slack_lo <= residual) & (residual <= self.slack_up)
         used = ~slack_fits
         sign = np.where(residual < 0.0, -1.0, 1.0)
@@ -472,7 +474,7 @@ class _PreparedLP:
         up[art_cols] = np.where(used & (sign > 0), math.inf, 0.0)
         status[art_cols] = np.where(used, _BASIC, _AT_LOWER)
         x[art_cols] = np.where(used, residual, 0.0)
-        basis = np.where(slack_fits, slack_cols, art_cols).tolist()
+        basis = np.where(slack_fits, slack_cols, art_cols)
         b_inv = np.eye(m)
         c_phase1 = np.zeros(n_total)
         c_phase1[art_cols] = np.where(used, sign, 0.0)
@@ -505,8 +507,9 @@ class _PreparedLP:
         its bound, with ties to the larger |alpha_rj|. After
         ``_STALL_LIMIT`` steps without a rise in the objective, both
         choices go to the smallest index (Bland's rule for the dual)."""
-        a, c = self.a_full, self.c_phase2
-        d = c - (c[basis] @ b_inv) @ a
+        a, c, n, m = self.a, self.c_phase2, self.n, self.m
+        y = c[basis] @ b_inv
+        d = c - np.concatenate((y @ a, y, y))
         # nonbasic columns that may rise or fall; fixed ones can never enter
         movable = lo < up
         free = status == _FREE
@@ -516,24 +519,21 @@ class _PreparedLP:
             return None
         bland = False
         stall = 0
-        max_iter = 20000 + 50 * (self.m + self.n)
+        max_iter = 20000 + 50 * (m + n)
         for iteration in range(max_iter):
             if iteration and iteration % _REFACTOR_EVERY == 0:
-                try:
-                    self._factor(basis, x, b_inv)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError("singular basis during refactorization") from exc
-                d = c - (c[basis] @ b_inv) @ a
-            basic = np.asarray(basis)
-            x_basic = x[basic]
-            below = lo[basic] - x_basic
-            above = x_basic - up[basic]
+                self._factor(basis, x, b_inv)
+                y = c[basis] @ b_inv
+                d = c - np.concatenate((y @ a, y, y))
+            x_basic = x[basis]
+            below = lo[basis] - x_basic
+            above = x_basic - up[basis]
             violation = np.maximum(below, above)
             if bland:
                 rows = (violation > _START_TOL).nonzero()[0]
                 if rows.size == 0:
                     return iteration, (basis, status, x, b_inv)
-                r = int(rows[basic[rows].argmin()])
+                r = int(rows[basis[rows].argmin()])
             else:
                 r = int(violation.argmax())
                 if violation[r] <= _START_TOL:
@@ -541,7 +541,8 @@ class _PreparedLP:
             leaving = basis[r]
             rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
             # row r reads x_leaving = beta_r - sum_j alpha_rj x_j over the nonbasics
-            alpha = b_inv[r] @ a
+            inv_r = b_inv[r]
+            alpha = np.concatenate((inv_r @ a, inv_r, inv_r))
             toward = -alpha if rise else alpha  # > 0: x_j must rise, < 0: fall
             eligible = (
                 ((toward > _PIVOT_TOL) & can_rise) | ((toward < -_PIVOT_TOL) & can_fall)
@@ -555,10 +556,13 @@ class _PreparedLP:
             else:
                 enter = int(ties[np.abs(alpha[ties]).argmax()])
 
-            w = b_inv @ a[:, enter]
+            w = (  # B^-1 a_enter; for a unit column a view, read before b_inv changes
+                b_inv[:, self.col_rows[enter]].dot(self.col_vals[enter])
+                if enter < n else b_inv[:, (enter - n) % m]
+            )
             target = lo[leaving] if rise else up[leaving]
             theta = (x[leaving] - target) / w[r]
-            x[basic] -= theta * w
+            x[basis] -= theta * w
             x[enter] += theta
             x[leaving] = target
             status[leaving] = _AT_LOWER if rise else _AT_UPPER
@@ -570,7 +574,7 @@ class _PreparedLP:
             d_enter = float(d[enter])
             d -= (d_enter / alpha[enter]) * alpha
             d[enter] = 0.0
-            row = b_inv[r, :] / w[r]
+            row = inv_r / w[r]
             nz = w.nonzero()[0]
             b_inv[nz] -= w[nz, None] * row
             b_inv[r, :] = row
@@ -588,25 +592,25 @@ class _PreparedLP:
 
         Returns the outcome and the number of entering steps taken (a
         bound flip counts as one)."""
-        a = self.a_full
+        a, n, m = self.a, self.n, self.m
+        movable = lo < up  # fixed variables can never improve
+        free = status == _FREE
+        # nonbasic columns that may rise (worth it when d < 0) or fall (d > 0)
+        can_rise = ((status == _AT_LOWER) & movable) | free
+        can_fall = ((status == _AT_UPPER) & movable) | free
         bland = False
         stall = 0
         z_prev = float(c @ x)
-        max_iter = 20000 + 50 * (self.m + self.n)
+        max_iter = 20000 + 50 * (m + n)
         for iteration in range(max_iter):
             if iteration and iteration % _REFACTOR_EVERY == 0:
-                try:
-                    self._factor(basis, x, b_inv)
-                except np.linalg.LinAlgError as exc:
-                    raise SolverError("singular basis during refactorization") from exc
+                self._factor(basis, x, b_inv)
 
             y = c[basis] @ b_inv
-            d = c - y @ a
-            movable = lo < up  # fixed variables can never improve
-            at_lower = (status == _AT_LOWER) & (d < -_DUAL_TOL) & movable
-            at_upper = (status == _AT_UPPER) & (d > _DUAL_TOL) & movable
-            free = (status == _FREE) & (np.abs(d) > _DUAL_TOL)
-            eligible = (at_lower | at_upper | free).nonzero()[0]
+            d = c - np.concatenate((y @ a, y, y))
+            eligible = (
+                (can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))
+            ).nonzero()[0]
             if eligible.size == 0:
                 return "optimal", iteration
             if bland:
@@ -615,7 +619,10 @@ class _PreparedLP:
                 enter = int(eligible[np.abs(d[eligible]).argmax()])
             direction = 1.0 if d[enter] < 0 else -1.0
 
-            w = b_inv @ a[:, enter]
+            w = (  # B^-1 a_enter; for a unit column a view, read before b_inv changes
+                b_inv[:, self.col_rows[enter]].dot(self.col_vals[enter])
+                if enter < n else b_inv[:, (enter - n) % m]
+            )
             # entering variable's own bound gives one candidate step
             own_span = up[enter] - lo[enter]
             theta = own_span if math.isfinite(own_span) else math.inf
@@ -660,11 +667,16 @@ class _PreparedLP:
                 # bound flip: entering moved to its opposite bound
                 status[enter] = _AT_UPPER if direction > 0 else _AT_LOWER
                 x[enter] = up[enter] if direction > 0 else lo[enter]
+                can_rise[enter] = direction < 0 and movable[enter]
+                can_fall[enter] = direction > 0 and movable[enter]
             else:
                 leaving = basis[leave_row]
                 rate = rates[leave_row]
                 status[leaving] = _AT_UPPER if rate > 0 else _AT_LOWER
                 x[leaving] = up[leaving] if rate > 0 else lo[leaving]
+                can_rise[leaving] = rate <= 0 and movable[leaving]
+                can_fall[leaving] = rate > 0 and movable[leaving]
+                can_rise[enter] = can_fall[enter] = False
                 basis[leave_row] = enter
                 status[enter] = _BASIC
                 pivot = w[leave_row]

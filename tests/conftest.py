@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 from pathlib import Path
 
@@ -21,6 +22,35 @@ from uavplan.scenario import (
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy loaded, or None when
+    it cannot be asked (no /proc, another BLAS). ``bench/run.py`` asks
+    the same way, but importing it sets the BLAS thread variables."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    for lib in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def pytest_report_header(config) -> str:
+    """Pivot paths can depend on the BLAS thread count, so a pinned step
+    count that fails is read together with this line."""
+    return f"numpy {np.__version__}, OpenBLAS threads {openblas_threads()}"
+
 
 ENV = Environment(
     air_density=1.225,

@@ -565,6 +565,77 @@ class TestCertificate:
             solve_exact(knapsack_model()[0])
 
 
+@st.composite
+def mixed_lps(draw) -> IPModel:
+    """1 to 6 continuous variables, each boxed (possibly fixed), free, or
+    bounded on one side, and 1 to 5 rows of ``==``, ``<=`` and ``>=``
+    with small integer data, all met by one drawn integer point, so no
+    LP is infeasible. Rows that the start point misses need an
+    artificial in phase 1; unbounded LPs occur."""
+    model = IPModel("drawn-lp")
+    n = draw(st.integers(1, 6))
+    point = []
+    for j in range(n):
+        low = draw(st.integers(-3, 2))
+        high = low + draw(st.integers(0, 4))
+        point.append(draw(st.integers(low, high)))
+        kind = draw(st.sampled_from(["box", "free", "lower", "upper"]))
+        lo = low if kind in ("box", "lower") else -math.inf
+        up = high if kind in ("box", "upper") else math.inf
+        model.add_variable(f"x{j}", lower=lo, upper=up)
+        model.add_objective_term(j, float(draw(st.integers(-3, 3))))
+    for _ in range(draw(st.integers(1, 5))):
+        coefs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        sense = draw(st.sampled_from(["<=", ">=", "=="]))
+        gap = 0 if sense == "==" else draw(st.integers(0, 3))
+        rhs = np.dot(coefs, point) + (gap if sense == "<=" else -gap)
+        model.add_constraint(list(enumerate(map(float, coefs))), sense, float(rhs))
+    return model
+
+
+class TestOptimalBasis:
+    """The optimal basis a solve returns, checked with numpy's own
+    solves on [A | I_slack | I_artificial] rather than the kernel's
+    B^-1, so the slacks' reduced costs and the unit entering columns are
+    checked without the kernel's arithmetic. (An artificial is fixed at
+    the optimum, so its pricing shows only in phase 1's path.)"""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mixed_lps())
+    def test_basis_is_primal_and_dual_feasible(self, model):
+        sol = solve_lp_relaxation(model)
+        if sol.status != "optimal":
+            return
+        a, b, senses = model.constraint_matrix()
+        m, n = a.shape
+        full = np.hstack((a, np.eye(m), np.eye(m)))
+        lo_x, up_x = model.bounds_arrays()
+        slack_lo = [-math.inf if sense == ">=" else 0.0 for sense in senses]
+        slack_up = [math.inf if sense == "<=" else 0.0 for sense in senses]
+        lo = np.concatenate((lo_x, slack_lo, np.zeros(m)))
+        up = np.concatenate((up_x, slack_up, np.zeros(m)))
+        columns, status = sol.basis.columns, sol.basis.status
+        nonbasic = status != milp._BASIC
+        x = np.where(status == milp._AT_LOWER, lo, 0.0)
+        x = np.where(status == milp._AT_UPPER, up, x)
+        assert np.isfinite(x).all()
+        x[columns] = np.linalg.solve(full[:, columns], b - full @ x)
+        assert (x >= lo - 1e-9).all() and (x <= up + 1e-9).all()
+        assert np.allclose(x[:n], sol.assignment, rtol=0.0, atol=1e-9)
+
+        c = np.concatenate((model.objective_vector(), np.zeros(2 * m)))
+        d = c - np.linalg.solve(full[:, columns].T, c[columns]) @ full
+        # a fixed column (an artificial, an == row's slack) may price
+        # either way
+        free_to_move = nonbasic & (lo < up)
+        at_lower = free_to_move & (status == milp._AT_LOWER)
+        at_upper = free_to_move & (status == milp._AT_UPPER)
+        free = free_to_move & (status == milp._FREE)
+        assert (d[at_lower] >= -1e-9).all()
+        assert (d[at_upper] <= 1e-9).all()
+        assert (np.abs(d[free]) <= 1e-9).all()
+
+
 class TestNodeLimit:
     def fractional_root_model(self):
         """Root LP splits every binary in half, so one node cannot finish."""

@@ -2,6 +2,11 @@
 
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,6 +622,44 @@ class TestBranchingTrees:
         assert sol.objective == pytest.approx(objective, abs=1e-9, rel=0)
         if steps_per_node is not None:
             assert sum(sol.simplex_pivots) <= steps_per_node * nodes
+
+
+_Z4_SOLVE = """
+import json
+from conftest import DATA_DIR, openblas_threads
+from test_planner import z4_point
+from uavplan.io import load_instance
+from uavplan.milp import solve_exact
+from uavplan.planner import _phase2_warm_start, build_phase2_sip
+built = build_phase2_sip(z4_point(load_instance(DATA_DIR / "instance.json")))
+sol = solve_exact(built.model, warm_start=_phase2_warm_start(built))
+result = [sol.status, sol.nodes_explored, sol.objective.hex(), sol.assignment.tolist()]
+print(json.dumps([openblas_threads(), result]))
+"""
+
+
+def test_z4_tree_same_under_one_and_two_blas_threads():
+    """The pivot path may change with the BLAS thread count (the entering
+    steps do at z = 4), but the tree, optimum and assignment may not. The
+    two solves run at once, in subprocesses that each set their count."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _Z4_SOLVE],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    ]
+    (threads_one, one), (threads_two, two) = (
+        json.loads(run.communicate(timeout=120)[0]) for run in runs
+    )
+    if (threads_one, threads_two) != (1, 2):
+        pytest.skip(f"OpenBLAS ran {threads_one} and {threads_two} threads, not 1 and 2")
+    assert one[:3] == ["optimal", 119, (194.59380308410854).hex()]
+    assert two == one
 
 
 class TestFleet:
