@@ -1,6 +1,6 @@
 """Small exact mixed-integer linear programming kernel.
 
-Three entry points with deliberately independent solution paths:
+Three entry points:
 
 - :func:`solve_lp_relaxation`: bounded-variable two-phase primal
   simplex (dense, revised, Bland's-rule fallback for anti-cycling).
@@ -22,21 +22,23 @@ Three entry points with deliberately independent solution paths:
   reduced costs are ``c - [y A | y | y]``, the dual's pivot row is
   ``[b_r A | b_r | b_r]`` for row ``b_r`` of ``B^-1``, and an entering
   column is ``B^-1`` times the nonzeros of a structural column or a
-  column of ``B^-1``. Each pivot updates ``B^-1`` only on the rows where
-  that column is nonzero; the primal ratio test visits only the rows
-  whose basic variable moves.
-- :func:`solve_exact`: branch and bound over the LP relaxation with
+  column of ``B^-1``. Both simplex loops share one basis exchange,
+  which updates ``B^-1`` only on the rows where that column is
+  nonzero; the primal ratio test visits only the rows whose basic
+  variable moves.
+- :func:`solve_exact`: branch and bound over the same LP solve, with
   best-bound node selection, most-fractional branching, and an initial
   depth-first dive until the first incumbent. Each node keeps the
   optimal basis of its LP; a child differs from it by one bound, so the
   basis stays dual feasible and the child starts from it through the
-  dual simplex.
+  dual simplex. A model with no integer variable goes to
+  :func:`solve_lp_relaxation`.
 - :func:`solve_enumerate`: exhaustive scoring of every integer
-  assignment, used as an oracle against ``solve_exact``. It splits the
-  variables into a leading and a trailing half (meet in the middle,
-  Horowitz & Sahni 1974), enumerates each half once with its partial
-  row sums and objective, and scores blocks of leading points against
-  every trailing point by broadcast addition.
+  assignment, an oracle against ``solve_exact`` that shares no solve
+  step with it. It splits the variables into a leading and a trailing
+  half (meet in the middle, Horowitz & Sahni 1974), enumerates each
+  half once with its partial row sums and objective, and scores blocks
+  of leading points against every trailing point by broadcast addition.
 
 Everything is deterministic for a fixed BLAS thread count: identical
 models produce identical pivots, node orders, and solutions on every
@@ -319,10 +321,36 @@ def _starting_point(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndar
     return status, x
 
 
+def _exchange(r, enter, step, w, to_upper, lo, up, basis, status, x, b_inv,
+              can_rise, can_fall) -> None:
+    """The basis exchange of both simplex loops. ``enter`` moves by
+    ``step`` and the basic variables by ``-step * w``, ``w`` being
+    ``B^-1 a_enter``; the variable basic in row ``r`` leaves at its upper
+    bound if ``to_upper``, else at its lower one, and ``enter`` takes row
+    ``r``. ``B^-1`` gets its rank-1 update on the rows where ``w`` is
+    nonzero."""
+    leaving = basis[r]
+    x[basis] -= step * w
+    x[enter] += step
+    x[leaving] = up[leaving] if to_upper else lo[leaving]
+    status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+    movable = lo[leaving] < up[leaving]
+    can_rise[leaving] = not to_upper and movable
+    can_fall[leaving] = to_upper and movable
+    can_rise[enter] = can_fall[enter] = False
+    basis[r] = enter
+    status[enter] = _BASIC
+    row = b_inv[r] / w[r]
+    nz = w.nonzero()[0]
+    b_inv[nz] -= w[nz, None] * row
+    b_inv[r] = row
+
+
 class _PreparedLP:
     """Standard form [A | I_slack | I_artificial] x = b, reusable across
-    branch-and-bound nodes (only structural bounds change). Only basis
-    inversion reads the dense ``a_full``; a step reads its structural
+    branch-and-bound nodes (only structural bounds change). Only
+    ``_factor`` (the inversion and the basic values) and the restart's
+    row check read the dense ``a_full``; a step reads its structural
     block ``a`` and each structural column's nonzeros.
 
     Nothing here changes after construction: each solve keeps its own
@@ -409,6 +437,14 @@ class _PreparedLP:
             raise SolverError("singular basis matrix") from exc
         x[basis] = 0.0
         x[basis] = b_inv @ (self.b - self.a_full @ x)
+
+    def _column(self, b_inv: np.ndarray, j: int) -> np.ndarray:
+        """``B^-1 a_j``: from the stored nonzeros of a structural column,
+        or for a slack or artificial a view of a column of ``B^-1``, so
+        read it before ``b_inv`` changes."""
+        if j < self.n:
+            return b_inv[:, self.col_rows[j]].dot(self.col_vals[j])
+        return b_inv[:, (j - self.n) % self.m]
 
     def _restart(self, start: Basis, lo: np.ndarray, up: np.ndarray):
         """Start from ``start`` under the bounds ``lo``/``up``: invert its
@@ -556,28 +592,14 @@ class _PreparedLP:
             else:
                 enter = int(ties[np.abs(alpha[ties]).argmax()])
 
-            w = (  # B^-1 a_enter; for a unit column a view, read before b_inv changes
-                b_inv[:, self.col_rows[enter]].dot(self.col_vals[enter])
-                if enter < n else b_inv[:, (enter - n) % m]
-            )
+            w = self._column(b_inv, enter)
             target = lo[leaving] if rise else up[leaving]
             theta = (x[leaving] - target) / w[r]
-            x[basis] -= theta * w
-            x[enter] += theta
-            x[leaving] = target
-            status[leaving] = _AT_LOWER if rise else _AT_UPPER
-            can_rise[leaving] = rise and movable[leaving]
-            can_fall[leaving] = not rise and movable[leaving]
-            can_rise[enter] = can_fall[enter] = False
-            basis[r] = enter
-            status[enter] = _BASIC
             d_enter = float(d[enter])
             d -= (d_enter / alpha[enter]) * alpha
             d[enter] = 0.0
-            row = inv_r / w[r]
-            nz = w.nonzero()[0]
-            b_inv[nz] -= w[nz, None] * row
-            b_inv[r, :] = row
+            _exchange(r, enter, theta, w, not rise, lo, up, basis, status, x, b_inv,
+                      can_rise, can_fall)
 
             if theta * d_enter > 1e-12:  # the objective rose
                 stall = 0
@@ -619,16 +641,15 @@ class _PreparedLP:
                 enter = int(eligible[np.abs(d[eligible]).argmax()])
             direction = 1.0 if d[enter] < 0 else -1.0
 
-            w = (  # B^-1 a_enter; for a unit column a view, read before b_inv changes
-                b_inv[:, self.col_rows[enter]].dot(self.col_vals[enter])
-                if enter < n else b_inv[:, (enter - n) % m]
-            )
+            w = self._column(b_inv, enter)
             # entering variable's own bound gives one candidate step
             own_span = up[enter] - lo[enter]
             theta = own_span if math.isfinite(own_span) else math.inf
             leave_row = -1
             rates = -direction * w
-            # only rows whose basic variable moves can bound the step
+            # only rows whose basic variable moves can bound the step; a tie
+            # goes to the smaller basic index under Bland's rule, else to
+            # the larger |w_i|
             for i in (np.abs(rates) > _PIVOT_TOL).nonzero()[0].tolist():
                 rate = rates[i]
                 k = basis[i]
@@ -642,51 +663,32 @@ class _PreparedLP:
                     step = (x[k] - lo[k]) / (-rate)
                 if step < -1e-12:
                     step = 0.0
-                better = step < theta - 1e-12
-                tie = abs(step - theta) <= 1e-12
-                if better or (
-                    tie
-                    and leave_row >= 0
+                if step < theta - 1e-12 or (
+                    abs(step - theta) <= 1e-12
                     and (
-                        (bland and basis[i] < basis[leave_row])
-                        or (not bland and abs(w[i]) > abs(w[leave_row]))
+                        leave_row < 0
+                        or (basis[i] < basis[leave_row] if bland
+                            else abs(w[i]) > abs(w[leave_row]))
                     )
                 ):
                     theta = min(step, theta)
                     leave_row = i
-                elif tie and leave_row < 0:
-                    theta = min(step, theta)
-                    leave_row = i
             if theta == math.inf:
                 return "unbounded", iteration
-            theta = max(theta, 0.0)
+            step = direction * max(theta, 0.0)
 
-            x[basis] += -direction * theta * w
-            x[enter] += direction * theta
             if leave_row < 0:
-                # bound flip: entering moved to its opposite bound
+                # bound flip: entering moves to its opposite bound
+                x[basis] -= step * w
                 status[enter] = _AT_UPPER if direction > 0 else _AT_LOWER
                 x[enter] = up[enter] if direction > 0 else lo[enter]
                 can_rise[enter] = direction < 0 and movable[enter]
                 can_fall[enter] = direction > 0 and movable[enter]
             else:
-                leaving = basis[leave_row]
-                rate = rates[leave_row]
-                status[leaving] = _AT_UPPER if rate > 0 else _AT_LOWER
-                x[leaving] = up[leaving] if rate > 0 else lo[leaving]
-                can_rise[leaving] = rate <= 0 and movable[leaving]
-                can_fall[leaving] = rate > 0 and movable[leaving]
-                can_rise[enter] = can_fall[enter] = False
-                basis[leave_row] = enter
-                status[enter] = _BASIC
-                pivot = w[leave_row]
-                if abs(pivot) < _PIVOT_TOL:
+                if abs(w[leave_row]) < _PIVOT_TOL:
                     raise SolverError("numerically zero pivot")
-                # rank-1 update on the rows the entering column touches
-                row = b_inv[leave_row, :] / pivot
-                nz = w.nonzero()[0]
-                b_inv[nz] -= w[nz, None] * row
-                b_inv[leave_row, :] = row
+                _exchange(leave_row, enter, step, w, rates[leave_row] > 0, lo, up,
+                          basis, status, x, b_inv, can_rise, can_fall)
 
             z = float(c @ x)
             if z < z_prev - 1e-12:
@@ -802,6 +804,28 @@ def solve_exact(
         v = model.variables[vid]
         if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
             raise ValueError(f"integer variable {v.name!r} must have finite bounds")
+    lo0, up0 = model.bounds_arrays()
+    # integral bound tightening
+    lo0[int_ids] = np.ceil(lo0[int_ids] - 1e-9)
+    up0[int_ids] = np.floor(up0[int_ids] + 1e-9)
+    if np.any(lo0 > up0):
+        return Solution(status="infeasible", objective=None, assignment=None)
+
+    if warm_start is not None:
+        xw = np.asarray(warm_start, dtype=float)
+        if xw.shape != (model.num_variables,):
+            raise ValueError(
+                f"warm start has shape {xw.shape}, model expects ({model.num_variables},)"
+            )
+        if not np.isfinite(xw).all():
+            raise ValueError("warm start has non-finite values")
+        frac_w = np.abs(xw[int_ids] - np.round(xw[int_ids]))
+        if frac_w.size and float(frac_w.max()) > 1e-6:
+            raise ValueError("warm start assigns non-integer values to integer variables")
+        if np.any(xw < lo0 - 1e-6) or np.any(xw > up0 + 1e-6):
+            raise ValueError("warm start violates variable bounds")
+        if model.max_violation(xw) > 1e-6:
+            raise ValueError("warm start violates model constraints")
     if int_ids.size == 0:
         return solve_lp_relaxation(model, start_basis)
     binary_mask = np.array(
@@ -809,24 +833,13 @@ def solve_exact(
     )
 
     prepared = _PreparedLP(model)
-    lo0, up0 = model.bounds_arrays()
-    # integral bound tightening
-    lo0 = lo0.copy()
-    up0 = up0.copy()
-    lo0[int_ids] = np.ceil(lo0[int_ids] - 1e-9)
-    up0[int_ids] = np.floor(up0[int_ids] + 1e-9)
-    if np.any(lo0 > up0):
-        return Solution(status="infeasible", objective=None, assignment=None)
-
     c = model.objective_vector()
     nodes = 0
     pivots = [0, 0]  # (feasibility, phase-2) entering steps over every node LP
-    truncated = False  # set whenever the node budget cuts work short
     incumbent_obj = math.inf
     incumbent_x: np.ndarray | None = None
-    root_basis: Basis | None = None
 
-    def solve_node(lo: np.ndarray, up: np.ndarray, start: Basis | None = None):
+    def solve_node(lo: np.ndarray, up: np.ndarray, start: Basis | None):
         nonlocal nodes
         status, x, obj, (steps1, steps2), basis = prepared.solve(lo, up, start)
         nodes += 1
@@ -848,25 +861,17 @@ def solve_exact(
             basis=root_basis,
         )
 
-    def make_incumbent(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def offer(x: np.ndarray) -> None:
+        """Round the integer entries of ``x``; keep it if it beats the incumbent."""
+        nonlocal incumbent_obj, incumbent_x
         xi = x.copy()
         xi[int_ids] = np.round(xi[int_ids]) + 0.0  # +0.0 clears negative zero
-        return float(np.dot(c, xi)), xi
+        obj = float(np.dot(c, xi))
+        if obj < incumbent_obj - 1e-15:
+            incumbent_obj, incumbent_x = obj, xi
 
     if warm_start is not None:
-        xw = np.asarray(warm_start, dtype=float)
-        if xw.shape != (model.num_variables,):
-            raise ValueError(
-                f"warm start has shape {xw.shape}, model expects ({model.num_variables},)"
-            )
-        frac_w = np.abs(xw[int_ids] - np.round(xw[int_ids]))
-        if frac_w.size and float(frac_w.max()) > 1e-6:
-            raise ValueError("warm start assigns non-integer values to integer variables")
-        if np.any(xw < lo0 - 1e-6) or np.any(xw > up0 + 1e-6):
-            raise ValueError("warm start violates variable bounds")
-        if model.max_violation(xw) > 1e-6:
-            raise ValueError("warm start violates model constraints")
-        incumbent_obj, incumbent_x = make_incumbent(xw)
+        offer(xw)
 
     status0, x0, obj0, root_basis = solve_node(lo0, up0, prepared.checked(start_basis))
     if status0 != "optimal":
@@ -876,77 +881,54 @@ def solve_exact(
         # warm start already meets the root bound
         return finish("optimal")
 
-    seq = 0
+    # Each pass branches ``node`` and solves its children eagerly. Until
+    # the first incumbent the search dives into the better child; after
+    # that, and whenever a dive dies, it takes the open node of best bound.
+    order = itertools.count()  # heap tie-break: older nodes first
     heap: list[_Node] = []
-    branch0 = _fractional_index(x0, int_ids, binary_mask)
-    root = _Node(obj0, seq, lo0, up0, x0, root_basis, branch0)
-    seq += 1
-
-    def expand(node: _Node, dive: bool) -> None:
-        """Branch a node; children are LP-solved eagerly. In dive mode,
-        keep descending into the better child until an incumbent shows
-        up or the dive dies."""
-        nonlocal seq, incumbent_obj, incumbent_x, truncated
-        current = node
-        while True:
-            branch_id = current.branch
-            if branch_id is None:
-                obj_i, x_i = make_incumbent(current.x)
-                if obj_i < incumbent_obj - 1e-15:
-                    incumbent_obj, incumbent_x = obj_i, x_i
-                return
-            val = current.x[branch_id]
-            children = []
+    node: _Node | None = _Node(
+        obj0, next(order), lo0, up0, x0, root_basis,
+        _fractional_index(x0, int_ids, binary_mask),
+    )
+    while node is not None:
+        children = []
+        if node.branch is None:
+            offer(node.x)
+        else:
+            j, val = node.branch, node.x[node.branch]
             for side in ("down", "up"):
-                lo_c = current.lo.copy()
-                up_c = current.up.copy()
+                lo_c, up_c = node.lo.copy(), node.up.copy()
                 if side == "down":
-                    up_c[branch_id] = math.floor(val)
+                    up_c[j] = math.floor(val)
                 else:
-                    lo_c[branch_id] = math.ceil(val)
-                if lo_c[branch_id] > up_c[branch_id]:
+                    lo_c[j] = math.ceil(val)
+                if lo_c[j] > up_c[j]:
                     continue
                 if node_limit is not None and nodes >= node_limit:
-                    truncated = True
-                    return
-                st, x_c, obj_c, basis_c = solve_node(lo_c, up_c, current.basis)
-                if st != "optimal":
-                    continue
-                if obj_c >= incumbent_obj - _ABS_GAP:
+                    return finish("node_limit")
+                st, x_c, obj_c, basis_c = solve_node(lo_c, up_c, node.basis)
+                if st != "optimal" or obj_c >= incumbent_obj - _ABS_GAP:
                     continue
                 branch_c = _fractional_index(x_c, int_ids, binary_mask)
-                child = _Node(obj_c, seq, lo_c, up_c, x_c, basis_c, branch_c)
-                seq += 1
-                if child.branch is None:
-                    obj_i, x_i = make_incumbent(x_c)
-                    if obj_i < incumbent_obj - 1e-15:
-                        incumbent_obj, incumbent_x = obj_i, x_i
-                    continue
-                children.append(child)
-            if not children:
-                return
-            if dive and incumbent_x is None and len(children) >= 1:
-                children.sort()
-                current = children[0]
-                for other in children[1:]:
-                    heapq.heappush(heap, other)
-                continue
+                if branch_c is None:
+                    offer(x_c)
+                else:
+                    children.append(
+                        _Node(obj_c, next(order), lo_c, up_c, x_c, basis_c, branch_c)
+                    )
+        if incumbent_x is None and children:  # dive into the better child
+            children.sort()
+            node = children.pop(0)
             for child in children:
                 heapq.heappush(heap, child)
-            return
-
-    expand(root, dive=True)
-    while heap:
-        if node_limit is not None and nodes >= node_limit:
-            if any(nd.bound < incumbent_obj - _ABS_GAP for nd in heap):
-                truncated = True
-            break
-        node = heapq.heappop(heap)
-        if node.bound >= incumbent_obj - _ABS_GAP:
             continue
-        expand(node, dive=incumbent_x is None)
-    if truncated:  # ran out of budget with work left
-        return finish("node_limit")
+        for child in children:
+            heapq.heappush(heap, child)
+        while heap and heap[0].bound >= incumbent_obj - _ABS_GAP:
+            heapq.heappop(heap)  # pruned by the incumbent
+        if heap and node_limit is not None and nodes >= node_limit:
+            return finish("node_limit")
+        node = heapq.heappop(heap) if heap else None
     return finish("optimal" if incumbent_x is not None else "infeasible")
 
 

@@ -13,7 +13,7 @@ multiply along a path, so a stage with flag 0 silences every deeper
 stage for that station ("no shortfall yesterday means none today");
 validation therefore checks per-stage data invariants and leaves the
 propagation rule to the flag-product semantics used by the model
-builders and the evaluator.
+builders and the exact tree expectation (``exact_expected_cost``).
 """
 
 from __future__ import annotations

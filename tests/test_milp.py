@@ -1,6 +1,7 @@
 """Branch-and-bound core against hand solutions and the enumeration oracle."""
 
 import copy
+import hashlib
 import itertools
 import math
 import sys
@@ -661,6 +662,25 @@ class TestNodeLimit:
         sol = solve_exact(m, node_limit=10_000)
         assert sol.status == "optimal"
 
+    LIMITS = (1, 2, 3, 4, 5, 7, 10, 15, 25, 40)
+    # sha256 of repr() of the 600 results below, each (status,
+    # objective.hex() or None, nodes, entering steps); pinned before the
+    # branch-and-bound loop was flattened into one loop, as budgets that
+    # run out mid-dive or mid-heap must end the same way
+    EXITS_SHA256 = "f109389cbdae4530207e55a8521fe428f6e21eb1a0fef43535a4c9965fda4fcc"
+
+    def test_exits_pinned(self):
+        results = []
+        for model in workloads.gate3_models(60):
+            for limit in self.LIMITS:
+                sol = solve_exact(model, node_limit=limit)
+                objective = None if sol.objective is None else sol.objective.hex()
+                results.append(
+                    (sol.status, objective, sol.nodes_explored, sol.simplex_pivots)
+                )
+        assert sum(status == "node_limit" for status, *_ in results) == 313
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == self.EXITS_SHA256
+
 
 class TestWarmStart:
     def test_optimal_warm_start_prunes_to_root(self):
@@ -695,6 +715,23 @@ class TestWarmStart:
         m, _ = knapsack_model()
         with pytest.raises(ValueError, match="constraints"):
             solve_exact(m, warm_start=np.array([1.0, 1.0, 1.0]))
+
+    def test_rejects_non_finite_values(self):
+        m, _ = knapsack_model()
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_exact(m, warm_start=np.array([math.nan, 0.0, 0.0]))
+
+    def test_checked_on_lp_only_models(self):
+        m = IPModel()
+        x = m.add_variable("x", lower=0.0, upper=10.0)
+        m.add_constraint([(x, 1.0)], "<=", 1.0)
+        m.add_objective_term(x, -1.0)
+        with pytest.raises(ValueError, match="constraints"):
+            solve_exact(m, warm_start=np.array([5.0]))
+        with pytest.raises(ValueError, match="shape"):
+            solve_exact(m, warm_start=np.zeros(2))
+        sol = solve_exact(m, warm_start=np.array([0.5]))
+        assert sol.status == "optimal" and sol.objective == pytest.approx(-1.0)
 
 
 class TestEnumerateOracle:

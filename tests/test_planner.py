@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavplan.milp import solve_exact
+from uavplan.coding import CodeSplit
+from uavplan.milp import solve_enumerate, solve_exact
 from uavplan.planner import (
     BaseStation,
     NetworkInstance,
@@ -365,6 +368,69 @@ class TestWarmStart:
         inst = small_instance(z3_tree(), max_local_copies=0, n_bs=1, q=3)
         built = build_phase2_sip(inst)
         assert _phase2_warm_start(built) is None
+
+
+def oracle_instance(split, n_y, n_bs, seats, n_d, loss, cap) -> NetworkInstance:
+    """One point of the enumeration check's grid: ``n_y`` stations under
+    the code split ``split`` (m, s, t), ``n_d`` equally likely demand
+    scenarios (dimension 240, then 480), ``n_bs`` base stations of
+    ``seats`` servers, at most ``cap`` local copies, and, unless ``loss``
+    is None, one loss stage that takes ``loss`` copies from every
+    station with p = 0.5 and none otherwise."""
+    tree = tree_z2(n_y, [(240,) * n_y, (480,) * n_y][:n_d], [1.0 / n_d] * n_d)
+    if loss is not None:
+        stage = (
+            ShortfallScenario(flags=(1,) * n_y, magnitudes=(loss,) * n_y, probability=0.5),
+            ShortfallScenario(flags=(0,) * n_y, magnitudes=(0,) * n_y, probability=0.5),
+        )
+        tree = dataclasses.replace(tree, shortfall_stages=(stage,))
+    return small_instance(
+        tree, n_stations=n_y, n_bs=n_bs, q=seats,
+        split=CodeSplit.from_slices(*split), max_local_copies=cap,
+    )
+
+
+def oracle_grid() -> list[tuple]:
+    """The grid points whose SIP enumeration space, the product of the
+    variable ranges, is at most 1e6: 189 of 432, 137 of them feasible."""
+    points = itertools.product(
+        ((1, 1, 1), (2, 2, 1)),  # k = 1 or 3
+        (1, 2), (1, 2), (1, 2, 3), (1, 2), (None, 1, 2), (None, 0, 1),
+    )
+    return [
+        point for point in points
+        if math.prod(
+            int(v.upper - v.lower) + 1
+            for v in build_phase2_sip(oracle_instance(*point)).model.variables
+        ) <= 1_000_000
+    ]
+
+
+def oracle_id(point) -> str:
+    split, n_y, n_bs, seats, n_d, loss, cap = point
+    k = CodeSplit.from_slices(*split).k
+    return f"k{k}-y{n_y}-bs{n_bs}x{seats}-d{n_d}-loss{loss}-cap{cap}"
+
+
+class TestEnumerationOracle:
+    """Branch and bound against the enumerator on models the planner
+    builds, cold and from the all-local warm start."""
+
+    @pytest.mark.parametrize("point", oracle_grid(), ids=oracle_id)
+    def test_exact_matches_enumeration(self, point):
+        built = build_phase2_sip(oracle_instance(*point))
+        want = solve_enumerate(built.model)
+        warm = _phase2_warm_start(built)
+        for sol in (solve_exact(built.model), solve_exact(built.model, warm_start=warm)):
+            assert sol.status == want.status
+            if want.status != "optimal":
+                continue
+            assert sol.objective == pytest.approx(want.objective, rel=0, abs=1e-9)
+            plan = decode_phase2(built, sol)
+            assert exact_expected_cost(built.instance, plan) == pytest.approx(
+                sol.objective, rel=0, abs=1e-9
+            )
+            assert np.array_equal(built.encode(plan), np.round(sol.assignment))
 
 
 class TestBaselines:
