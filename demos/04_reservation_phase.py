@@ -36,10 +36,11 @@ def main() -> None:
     print()
 
     grid = [0.5, 1.0, 1.5, 1.6, 1.7, 2.0, 3.0]
-    res = sweep(inst, {"parameter": "penalty_C_p", "grid": grid})
+    rows = sweep(inst, {"parameter": "penalty_C_p", "grid": grid})
     print("== crash penalty sweep ==")
-    for v, obj, summary in zip(res.grid, res.objectives, res.summaries):
-        print(f"C_p = {v:4.2f}: cost {obj:8.4f}  {summary}")
+    for row in rows:
+        print(f"C_p = {row['value']:4.2f}: cost {row['objective']:8.4f}  "
+              f"{row['summary']}")
     print()
     print("the flip sits where the reservation-price gap equals the "
           "expected replacement bill; storms beyond that make the big "

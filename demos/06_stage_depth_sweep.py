@@ -21,7 +21,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def main() -> None:
     depths = [int(a) for a in sys.argv[1:]] or [2, 3, 4, 5]
     inst = load_instance(DATA / "instance.json")
-    res = sweep(
+    rows = sweep(
         inst,
         {
             "parameter": "z",
@@ -31,8 +31,9 @@ def main() -> None:
     )
     print(f"guaranteed loss per added stage: {DEFAULT_Z_MAGNITUDES[:max(depths) - 2]}")
     print()
-    for z, obj, summary in zip(res.grid, res.objectives, res.summaries):
-        print(f"z = {int(z)}: expected cost {obj:10.4f}  {summary}")
+    for row in rows:
+        print(f"z = {int(row['value'])}: expected cost {row['objective']:10.4f}  "
+              f"{row['summary']}")
     print()
     print("once cumulative exposure can destroy every copy a server "
           "could hold, the offload discount is dead weight and the "

@@ -49,7 +49,6 @@ from .physics import (
     task_timings,
 )
 from .evaluate import (
-    SweepResult,
     SWEEP_PARAMETERS,
     offload_price_comparison,
     sweep,

@@ -196,23 +196,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"{config.path}: sweep command needs a 'sweep' config section")
     instance = config.load_instance()
     try:
-        result = sweep(instance, spec, node_limit=config.node_limit)
+        rows = sweep(instance, spec, node_limit=config.node_limit)
     except (TypeError, ValueError) as exc:
         raise InputError(f"sweep: {exc}") from exc
-
-    rows = result.rows()
-    # column union in first-appearance order; summary stays last
-    header: list[str] = []
-    for row in rows:
-        for key in row:
-            if key != "summary" and key not in header:
-                header.append(key)
-    header.append("summary")
-    path = out / f"sweep_{result.parameter}.csv"
-    write_csv_atomic(path, header, [[row.get(h, "") for h in header] for row in rows])
-    print(f"wrote {path} ({len(rows)} grid points)")
-    cut = [v for v, ok in zip(result.grid, result.optimal) if not ok]
-    return _report_node_limit(result.parameter, cut)
+    parameter = spec["parameter"]
+    return _write_grid(out / f"sweep_{parameter}.csv", rows, parameter, "value")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -234,18 +222,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"compare: {exc}") from exc
+    return _write_grid(out / "compare.csv", rows, "multiplier", "multiplier")
 
-    header = ["multiplier", "sip_cost", "evf_cost", "random_cost"]
-    path = out / "compare.csv"
-    write_csv_atomic(path, header, [[row[h] for h in header] for row in rows])
+
+def _write_grid(path: Path, rows: Sequence[Mapping], label: str, column: str) -> int:
+    """Write a grid command's rows as CSV and return its exit code.
+
+    The header is the rows' keys in first-appearance order, ``summary``
+    last and ``optimal`` left out; a row without a column leaves its
+    cell empty. The exit code is resource-limited when a node limit cut
+    any grid point's phase-2 solve short, and stdout names those points
+    by ``label`` and their ``column`` value."""
+    keys = dict.fromkeys(key for row in rows for key in row if key != "optimal")
+    header = sorted(keys, key=lambda key: key == "summary")  # stable: summary last
+    write_csv_atomic(path, header, [[row.get(h, "") for h in header] for row in rows])
     print(f"wrote {path} ({len(rows)} grid points)")
-    cut = [row["multiplier"] for row in rows if not row["optimal"]]
-    return _report_node_limit("multiplier", cut)
-
-
-def _report_node_limit(label: str, cut: Sequence[float]) -> int:
-    """Exit code of a grid command: resource-limited when a node limit
-    cut any grid point's phase-2 solve short, which stdout names."""
+    cut = [row[column] for row in rows if not row["optimal"]]
     if not cut:
         return EXIT_OK
     values = ", ".join(f"{v:g}" for v in cut)

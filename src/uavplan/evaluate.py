@@ -2,13 +2,16 @@
 
 Two jobs: one-parameter sensitivity sweeps that re-solve the relevant
 phase per grid point, and the exact three-way comparison (stochastic
-plan vs expected-value plan vs feasible random plans).
+plan vs expected-value plan vs feasible random plans). Both return one
+row dict per grid value, in grid order, each with an ``optimal`` flag.
 
-Both price plans by exact tree expectations, never sampling, so
-repeated runs are byte-identical. Grid points are independent and
-results are merged in grid order; each phase-2 solve offers its root
-LP the previous point's optimal basis, which a model of the same shape
-takes when it fits.
+Each checks its whole grid before its first solve: non-empty, finite
+and strictly increasing, and a sweep builds every point's instance
+first, so a bad value anywhere raises before any solve. Both price
+plans by exact tree expectations, never sampling, so repeated runs are
+byte-identical. Each phase-2 solve offers its root LP the previous
+point's optimal basis, which a model of the same shape takes when it
+fits.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .planner import (
 from .scenario import ShortfallScenario, WeatherScenario
 
 __all__ = [
-    "SweepResult",
     "SWEEP_PARAMETERS",
     "sweep",
     "offload_price_comparison",
@@ -65,43 +66,17 @@ DEFAULT_PRICE_MULTIPLIERS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0)
 DEFAULT_COMPARE_SEEDS = tuple(range(30))
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """One sensitivity sweep: objective and decision summary per grid
-    point, in grid order. ``optimal`` is false at a point whose phase-2
-    solve a node limit cut short (phase-1 points are always proven)."""
-
-    parameter: str
-    grid: tuple[float, ...]
-    objectives: tuple[float, ...]
-    summaries: tuple[str, ...]
-    breakdowns: tuple[dict, ...]
-    optimal: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if not self.grid:
-            raise ValueError("empty sweep grid")
-        if any(b >= a for a, b in zip(self.grid[1:], self.grid)):
-            raise ValueError("sweep grid must be strictly increasing")
-        n = len(self.grid)
-        columns = (self.objectives, self.summaries, self.breakdowns, self.optimal)
-        if any(len(column) != n for column in columns):
-            raise ValueError("sweep result columns have mismatched lengths")
-
-    def rows(self) -> list[dict]:
-        """One CSV-ready mapping per grid point.
-
-        Columns: parameter, value, objective, then any per-stage
-        breakdown keys, then summary. Stable across versions."""
-        out = []
-        for value, obj, summary, bd in zip(
-            self.grid, self.objectives, self.summaries, self.breakdowns
-        ):
-            row: dict = {"parameter": self.parameter, "value": value, "objective": obj}
-            row.update(bd)
-            row["summary"] = summary
-            out.append(row)
-        return out
+def _grid(values: Any, key: str, name: str, empty: str) -> tuple[float, ...]:
+    """``values`` as a grid of floats, checked before any solve: ``empty``
+    is the error for no values; a value that is not a finite number
+    raises ``InputError`` naming ``key``, and a grid out of order names
+    ``name``."""
+    grid = _entry(key, lambda vs: tuple(map(_finite, vs)), values)
+    if not grid:
+        raise ValueError(empty)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +133,15 @@ def _guaranteed_stages(
     return tuple(stages)
 
 
-def _sweep_point(
-    instance: NetworkInstance,
-    parameter: str,
-    value: float,
-    spec: Mapping,
-    node_limit: int | None,
-    start_basis: Basis | None,
-) -> tuple[float, str, dict, bool, Basis | None]:
-    """Objective, summary, breakdown and proven flag of one grid point
-    over all ``time_slots``, and the root basis of its phase-2 solve
-    (None at phase-1 points)."""
+def _sweep_input(
+    instance: NetworkInstance, parameter: str, value: float, spec: Mapping
+) -> tuple[NetworkInstance, list[int] | None, dict]:
+    """The instance, fleet type ids (None for the reserved fleet) and
+    extra row columns of one grid point. Raises ``ValueError`` for a
+    value ``parameter`` cannot take; solves nothing."""
     costs = instance.costs
     tree = instance.tree
     n_y = len(instance.stations)
-    slots = instance.time_slots
 
     inst, type_ids, extra = instance, None, {}
     if parameter == "penalty_C_p":
@@ -262,59 +231,75 @@ def _sweep_point(
             raise ValueError(f"uav_type grid value {value!r} is not a known type id")
         type_ids = [tid] * n_y
 
+    return inst, type_ids, extra
+
+
+def _sweep_row(
+    parameter: str,
+    value: float,
+    point: tuple[NetworkInstance, list[int] | None, dict],
+    node_limit: int | None,
+    start_basis: Basis | None,
+) -> tuple[dict, Basis | None]:
+    """The row of one grid point over all ``time_slots``, and the root
+    basis of its phase-2 solve (None at phase-1 points)."""
+    inst, type_ids, extra = point
+    slots = inst.time_slots
+    row: dict = {"parameter": parameter, "value": value}
     if parameter in ("penalty_C_p", "weather_prob"):
         p1 = solve_phase1(inst)
-        return slots * p1.expected_cost, _phase1_summary(p1, slots), {}, True, None
+        row["objective"] = slots * p1.expected_cost
+        row["summary"] = _phase1_summary(p1, slots)
+        row["optimal"] = True
+        return row, None
 
-    # a phase-2 grid point: objective, summary, the stage breakdown
-    # followed by the extra columns, and whether the solve was proven
+    # a phase-2 grid point: the stage breakdown, then the extra columns
     plan = solve_phase2(
         inst, "sip", type_ids=type_ids, node_limit=node_limit, start_basis=start_basis
     )
-    summary = _phase2_summary(plan, slots)
-    breakdown = {stage: slots * c for stage, c in plan.stage_breakdown.items()} | extra
-    return slots * plan.expected_cost, summary, breakdown, plan.optimal, plan.basis
+    row["objective"] = slots * plan.expected_cost
+    row.update((stage, slots * c) for stage, c in plan.stage_breakdown.items())
+    row.update(extra)
+    row["summary"] = _phase2_summary(plan, slots)
+    row["optimal"] = plan.optimal
+    return row, plan.basis
 
 
 def sweep(
     instance: NetworkInstance,
     spec: Mapping,
     node_limit: int | None = None,
-) -> SweepResult:
+) -> list[dict]:
     """Re-solve the relevant phase across a one-parameter grid.
 
     ``spec`` maps ``parameter`` to one of ``SWEEP_PARAMETERS`` and
-    ``grid`` to a strictly increasing list of numbers. The z sweep reads
-    an optional ``shortfall_magnitudes`` list of integers (one per added
-    stage, loss guaranteed); the split sweep reads an optional integer
-    ``split_m``. Inapplicable parameters and malformed grids raise
-    ``ValueError``; an entry of the wrong kind, a boolean, a string or
-    a fraction where an integer belongs, raises ``InputError`` naming
-    its key.
+    ``grid`` to a non-empty, strictly increasing list of finite
+    numbers. The z sweep reads an optional ``shortfall_magnitudes``
+    list of integers (one per added stage, loss guaranteed); the split
+    sweep reads an optional integer ``split_m``. Inapplicable
+    parameters and malformed grids raise ``ValueError``; an entry of
+    the wrong kind, a boolean, a string or a fraction where an integer
+    belongs, raises ``InputError`` naming its key. Every grid value is
+    checked before the first solve.
+
+    One row per grid value, in grid order, over all ``time_slots``:
+    ``parameter``, ``value``, ``objective``, the per-stage cost
+    breakdown of a phase-2 point, ``k`` at a split point, ``summary``,
+    and ``optimal``, false at a point whose phase-2 solve a node limit
+    cut short (phase-1 points are always proven).
     """
     parameter = spec.get("parameter")
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {parameter!r}; expected one of {SWEEP_PARAMETERS}"
         )
-    grid = _entry(
-        "grid", lambda values: tuple(map(_finite, values)), spec.get("grid", ())
-    )
-    if not grid:
-        raise ValueError("empty sweep grid")
-    points, basis = [], None
-    for value in grid:
-        *point, basis = _sweep_point(instance, parameter, value, spec, node_limit, basis)
-        points.append(point)
-    objectives, summaries, breakdowns, optimal = zip(*points)
-    return SweepResult(
-        parameter=parameter,
-        grid=grid,
-        objectives=objectives,
-        summaries=summaries,
-        breakdowns=breakdowns,
-        optimal=optimal,
-    )
+    grid = _grid(spec.get("grid", ()), "grid", "sweep grid", "empty sweep grid")
+    points = [_sweep_input(instance, parameter, value, spec) for value in grid]
+    rows, basis = [], None
+    for value, point in zip(grid, points):
+        row, basis = _sweep_row(parameter, value, point, node_limit, basis)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +347,10 @@ def offload_price_comparison(
     """Exact expected cost of the stochastic, expected-value, and random
     plans on the same tree, swept over the offload service fee.
 
-    Scales the per-copy service fee by each multiplier; one row per
-    multiplier in grid order, each with ``sip_cost``, ``evf_cost``,
+    Scales the per-copy service fee by each multiplier, which must be
+    finite and strictly increasing; the grid and the seed list are
+    checked before the first draw or solve. One row per multiplier in
+    grid order: ``multiplier``, ``sip_cost``, ``evf_cost``,
     ``random_cost`` and ``optimal``, false when a node limit cut one of
     its phase-2 solves short. All three costs are exact tree
     expectations (no sampling noise). The random baseline is averaged
@@ -375,10 +362,12 @@ def offload_price_comparison(
     deterministic program has no feasible point, so no expected-value
     plan exists. Only the costs change between multipliers, so each SIP
     and DIP solve starts from the previous multiplier's optimal basis."""
-    if len(multipliers) < 1:
-        raise ValueError("need at least one price multiplier")
-    if any(b >= a for a, b in zip(multipliers[1:], multipliers)):
-        raise ValueError("price multipliers must be strictly increasing")
+    multipliers = _grid(
+        multipliers,
+        "multipliers",
+        "price multipliers",
+        "need at least one price multiplier",
+    )
     if seeds is None:
         seeds = DEFAULT_COMPARE_SEEDS
     if len(seeds) < 30:
@@ -389,9 +378,9 @@ def offload_price_comparison(
         inst = dataclasses.replace(
             instance,
             costs=dataclasses.replace(
-                instance.costs, service_fee=instance.costs.service_fee * float(mult)
+                instance.costs, service_fee=instance.costs.service_fee * mult
             ),
         )
         costs, optimal, starts = _compare_drawn(inst, drawn, node_limit, starts)
-        rows.append({"multiplier": float(mult), **costs, "optimal": optimal})
+        rows.append({"multiplier": mult, **costs, "optimal": optimal})
     return rows

@@ -241,15 +241,20 @@ class IPModel:
         return a, b, senses
 
     def max_violation(self, x: np.ndarray) -> float:
+        """Largest row residual at ``x``, or NaN at the first row whose
+        residual is NaN, so no tolerance accepts that point."""
         worst = 0.0
         for con in self.constraints:
             lhs = float(np.dot(np.asarray(con.coefs), x[list(con.ids)]))
             if con.sense == "<=":
-                worst = max(worst, lhs - con.rhs)
+                residual = lhs - con.rhs
             elif con.sense == ">=":
-                worst = max(worst, con.rhs - lhs)
+                residual = con.rhs - lhs
             else:
-                worst = max(worst, abs(lhs - con.rhs))
+                residual = abs(lhs - con.rhs)
+            if math.isnan(residual):
+                return residual
+            worst = max(worst, residual)
         return worst
 
     # -- dump -----------------------------------------------------------

@@ -15,10 +15,12 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 # sha256 of each pinned demo's stdout. Each prints its figures to four
-# or six decimals, so a wrong copy price (03), sweep optimum (06) or
-# baseline cost or stage breakdown (07) changes the bytes.
+# or six decimals, so a wrong copy price (03), reservation sweep row
+# (04), sweep optimum (06) or baseline cost or stage breakdown (07)
+# changes the bytes.
 PINNED = {
     "03_copy_economics.py": "897a484fd07c1cfb973834d3601bd73a90ad3bdf5f40083caaa2808122c43ade",
+    "04_reservation_phase.py": "41353aca502f7defc1e13dcf9129c5c89db7eaff133cb06c5d1a87c3d5dc29f6",
     "06_stage_depth_sweep.py": "2b7ba6034a995744ff1d1e8767e2e2a279207859933b1d2841c5f5083a0c0210",
     "07_baseline_comparison.py": "0cb06f596dff737e5be1a50cd17af59e25cd1749011d5ec73cb0ca733db040ac",
 }

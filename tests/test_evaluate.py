@@ -51,17 +51,39 @@ class TestSweep:
         with pytest.raises(ValueError, match="empty"):
             sweep(inst, {"parameter": "penalty_C_p", "grid": []})
 
-    def test_unsorted_grid(self):
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            ({"parameter": "penalty_C_p", "grid": [2.0, 1.0]}, "strictly increasing"),
+            ({"parameter": "z", "grid": [2, 3, 4.5]}, "integers >= 2"),
+            ({"parameter": "z", "grid": [4, 3, 2]}, "strictly increasing"),
+            ({"parameter": "weather_prob", "grid": [0.2, 1.5]}, r"\[0, 1\]"),
+        ],
+        ids=["penalty-decreasing", "z-fraction-last", "z-decreasing", "weather-last"],
+    )
+    def test_unsorted_grid(self, monkeypatch, spec, match):
+        """A grid out of order, or with a bad value in any position,
+        raises before the sweep's first solve."""
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            sweep(inst, {"parameter": "penalty_C_p", "grid": [2.0, 1.0]})
+        solves = []
+        for name in ("solve_phase1", "solve_phase2"):
+            solve = getattr(evaluate, name)
+
+            def counted(*args, _solve=solve, **kwargs):
+                solves.append(args)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(evaluate, name, counted)
+        with pytest.raises(ValueError, match=match):
+            sweep(inst, spec)
+        assert solves == []
 
     def test_penalty_sweep_crosses_reservation_flip(self):
         inst = small_instance(tree_z2(1, [(240,)], [1.0], p_strong=0.3))
-        res = sweep(inst, {"parameter": "penalty_C_p", "grid": [1.60, 1.65]})
-        assert res.objectives[0] < res.objectives[1]
-        assert "type 1" in res.summaries[0]
-        assert "type 3" in res.summaries[1]
+        low, high = sweep(inst, {"parameter": "penalty_C_p", "grid": [1.60, 1.65]})
+        assert low["objective"] < high["objective"]
+        assert "type 1" in low["summary"]
+        assert "type 3" in high["summary"]
 
     def test_weather_sweep_needs_mixed_scenarios(self):
         calm_only = ScenarioTree(
@@ -92,24 +114,23 @@ class TestSweep:
 
     def test_z_sweep_grows_stages(self):
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
-        res = sweep(
+        rows = sweep(
             inst,
             {"parameter": "z", "grid": [2, 3], "shortfall_magnitudes": [2]},
         )
-        assert len(res.objectives) == 2
+        assert len(rows) == 2
         # a guaranteed loss can only cost more than no recourse stage
-        assert res.objectives[1] >= res.objectives[0] - 1e-9
-        rows = res.rows()
+        assert rows[1]["objective"] >= rows[0]["objective"] - 1e-9
         assert rows[0]["parameter"] == "z" and rows[0]["value"] == 2.0
-        assert list(rows[0])[-1] == "summary"
+        assert list(rows[0])[:3] == ["parameter", "value", "objective"]
+        assert list(rows[0])[-2:] == ["summary", "optimal"]
 
     def test_split_sweep_reports_threshold(self):
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
-        res = sweep(
+        rows = sweep(
             inst, {"parameter": "split_s", "grid": [1, 2], "split_m": 4}
         )
-        assert res.breakdowns[0]["k"] == 16
-        assert res.breakdowns[1]["k"] == 12
+        assert [row["k"] for row in rows] == [16, 12]
 
     def test_penalty_sweep_counts_every_slot(self, bundled_instance):
         """The README penalty sweep on a three-slot copy of the bundled
@@ -117,27 +138,35 @@ class TestSweep:
         slots of six stations. A phase-2 point's objective and stage
         columns are three times the one-slot values."""
         inst = dataclasses.replace(bundled_instance, time_slots=3)
-        res = sweep(inst, {"parameter": "penalty_C_p", "grid": [0.5, 1, 1.5, 2]})
-        assert res.objectives == pytest.approx((87.57, 90.27, 92.97, 93.6), abs=1e-9)
-        assert res.summaries == ("reserve type 1 x18",) * 3 + ("reserve type 3 x18",)
+        rows = sweep(inst, {"parameter": "penalty_C_p", "grid": [0.5, 1, 1.5, 2]})
+        objectives = [row["objective"] for row in rows]
+        assert objectives == pytest.approx([87.57, 90.27, 92.97, 93.6], abs=1e-9)
+        summaries = [row["summary"] for row in rows]
+        assert summaries == ["reserve type 1 x18"] * 3 + ["reserve type 3 x18"]
         hover = {"parameter": "hover_multiplier", "grid": [2.0]}
-        one, three = sweep(bundled_instance, hover), sweep(inst, hover)
-        assert three.objectives[0] == pytest.approx(3 * one.objectives[0], abs=1e-9)
-        tripled = {stage: 3 * cost for stage, cost in one.breakdowns[0].items()}
-        assert three.breakdowns[0] == pytest.approx(tripled, abs=1e-9)
+        (one,), (three,) = sweep(bundled_instance, hover), sweep(inst, hover)
+        # the objective and every stage column
+        labels = ("parameter", "value", "summary", "optimal")
+        costs = [key for key in one if key not in labels]
+        assert costs[0] == "objective" and len(costs) > 1
+        tripled = {key: 3 * one[key] for key in costs}
+        assert {key: three[key] for key in costs} == pytest.approx(tripled, abs=1e-9)
 
     def test_sweep_is_deterministic(self):
         inst = small_instance(z3_tree())
         spec = {"parameter": "shortfall_prob", "grid": [0.2, 0.8]}
-        assert sweep(inst, spec).rows() == sweep(inst, spec).rows()
+        assert sweep(inst, spec) == sweep(inst, spec)
 
     def test_points_flag_solves_cut_short(self):
         inst = branching_instance()
         spec = {"parameter": "hover_multiplier", "grid": [0.5, 1.0]}
-        assert sweep(inst, spec, node_limit=1).optimal == (False, False)
-        assert sweep(inst, spec).optimal == (True, True)
+        def optimal(spec, **kwargs):
+            return [row["optimal"] for row in sweep(inst, spec, **kwargs)]
+
+        assert optimal(spec, node_limit=1) == [False, False]
+        assert optimal(spec) == [True, True]
         penalty = {"parameter": "penalty_C_p", "grid": [1.0]}
-        assert sweep(inst, penalty, node_limit=1).optimal == (True,)
+        assert optimal(penalty, node_limit=1) == [True]
 
     @pytest.mark.parametrize(
         "spec, restarted",
@@ -164,11 +193,11 @@ class TestSweep:
             return sol
 
         monkeypatch.setattr(planner, "solve_exact", counted)
-        rows = sweep(bundled_instance, spec).rows()
+        rows = sweep(bundled_instance, spec)
         assert phase1_steps[0] > 0
         assert all((steps == 0) == restarted for steps in phase1_steps[1:])
         for value, row in zip(spec["grid"], rows):
-            (alone,) = sweep(bundled_instance, {**spec, "grid": [value]}).rows()
+            (alone,) = sweep(bundled_instance, {**spec, "grid": [value]})
             assert row == alone
 
     def test_parameter_catalog_is_exposed(self):
@@ -218,19 +247,27 @@ def scaled_fee(inst, mult: float):
 
 
 class TestPriceComparison:
-    def test_rejects_bad_multipliers(self, monkeypatch):
-        """Bad grids and thin seed lists fail before any solve."""
+    @pytest.mark.parametrize(
+        "multipliers, seeds, match",
+        [
+            ((), None, "at least one"),
+            ((2.0, 1.0), None, "strictly increasing"),
+            ((1.0, 1.0), None, "strictly increasing"),
+            ((float("nan"),), None, "finite"),
+            ((1.0, math.inf), None, "finite"),
+            ((1.0, 2.0), range(29), "30 seeds"),
+        ],
+        ids=["empty", "decreasing", "repeated", "nan", "inf", "thin-seeds"],
+    )
+    def test_rejects_bad_multipliers(self, monkeypatch, multipliers, seeds, match):
+        """Bad grids and thin seed lists fail before any draw or solve."""
         inst = small_instance(tree_z2(1, [(240,)], [1.0]))
-        solves = []
-        monkeypatch.setattr(planner, "solve_exact", lambda *a, **kw: solves.append(a))
-        with pytest.raises(ValueError, match="at least one"):
-            offload_price_comparison(inst, multipliers=())
-        for grid in ((2.0, 1.0), (1.0, 1.0)):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                offload_price_comparison(inst, multipliers=grid)
-        with pytest.raises(ValueError, match="30 seeds"):
-            offload_price_comparison(inst, multipliers=(1.0, 2.0), seeds=range(29))
-        assert solves == []
+        calls = []
+        monkeypatch.setattr(planner, "solve_exact", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(evaluate, "_draw_random_plan", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=match):
+            offload_price_comparison(inst, multipliers=multipliers, seeds=seeds)
+        assert calls == []
 
     def test_rows_equal_compare_run_alone(self):
         inst = small_instance(tree_z2(1, [(240,), (480,)], [0.5, 0.5]))

@@ -565,6 +565,19 @@ class TestCertificate:
         with pytest.raises(SolverError, match="violates a row by 10"):
             solve_exact(knapsack_model()[0])
 
+    @pytest.mark.parametrize("sense", ["<=", ">=", "=="])
+    def test_nan_residual_is_a_violation(self, sense):
+        """A NaN entry makes its row's residual NaN, which no tolerance
+        accepts, also when a later row holds."""
+        m = IPModel("nan-row")
+        a, b = m.add_variable("a"), m.add_variable("b")
+        m.add_constraint([(a, 1.0), (b, 1.0)], sense, 1.0)
+        m.add_constraint([(b, 1.0)], ">=", 0.0)
+        x = np.array([math.nan, 0.0])
+        assert not m.max_violation(x) <= 1e-6
+        with pytest.raises(SolverError, match="violates a row by nan"):
+            milp._certify(m, x)
+
 
 @st.composite
 def mixed_lps(draw) -> IPModel:

@@ -431,6 +431,10 @@ class TestEnumerationOracle:
                 sol.objective, rel=0, abs=1e-9
             )
             assert np.array_equal(built.encode(plan), np.round(sol.assignment))
+        if want.status == "optimal":
+            # a random draw is a SIP point, so it cannot beat the optimum
+            drawn = _draw_random_plan(built.instance, 0)
+            assert want.objective <= exact_expected_cost(built.instance, drawn) + 1e-9
 
 
 class TestBaselines:
