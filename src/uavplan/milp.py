@@ -18,6 +18,10 @@ Three entry points:
   it fixes that meets every bound and row to 1e-9 goes straight to
   phase 2, one that misses a bound while its reduced costs keep their
   signs goes through the dual simplex, and any other start is dropped.
+  An LP of fewer than ``_BLOCK_ROWS`` (38) rows inverts a basis whole;
+  a larger one lets each basic slack or artificial cover its own row
+  and inverts only the block of its basic structural columns on the
+  rows left free, and holds no dense ``[A | I | I]``.
   A step multiplies only the structural block of ``[A | I | I]``:
   reduced costs are ``c - [y A | y | y]``, the dual's pivot row is
   ``[b_r A | b_r | b_r]`` for row ``b_r`` of ``B^-1``, and an entering
@@ -82,6 +86,9 @@ _PIVOT_TOL = 1e-10
 _ABS_GAP = 1e-9  # nodes whose bound comes this close to the incumbent are pruned
 _START_TOL = 1e-9  # a start basis's point must meet bounds and rows this closely
 _REFACTOR_EVERY = 64
+# from this many rows _factor inverts a block of A; below, where the whole
+# inverse costs less than the block route's fixed cost, the whole basis
+_BLOCK_ROWS = 38
 _STALL_LIMIT = 100
 
 
@@ -230,33 +237,31 @@ class IPModel:
         up = np.array([v.upper for v in self.variables])
         return lo, up
 
+    def _flat_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored coefficient as (row, variable id, coefficient)."""
+        cons = self.constraints
+        rows = np.repeat(np.arange(len(cons)), [len(con.ids) for con in cons])
+        ids = np.fromiter(itertools.chain.from_iterable(con.ids for con in cons), np.intp)
+        coefs = np.fromiter(itertools.chain.from_iterable(con.coefs for con in cons), float)
+        return rows, ids, coefs
+
     def constraint_matrix(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        m, n = len(self.constraints), len(self.variables)
-        a = np.zeros((m, n))
-        b = np.zeros(m)
-        senses = []
-        for i, con in enumerate(self.constraints):
-            a[i, list(con.ids)] = con.coefs
-            b[i] = con.rhs
-            senses.append(con.sense)
-        return a, b, senses
+        rows, ids, coefs = self._flat_rows()
+        a = np.zeros((len(self.constraints), len(self.variables)))
+        a[rows, ids] = coefs
+        b = np.array([con.rhs for con in self.constraints])
+        return a, b, [con.sense for con in self.constraints]
 
     def max_violation(self, x: np.ndarray) -> float:
-        """Largest row residual at ``x``, or NaN at the first row whose
-        residual is NaN, so no tolerance accepts that point."""
-        worst = 0.0
-        for con in self.constraints:
-            lhs = float(np.dot(np.asarray(con.coefs), x[list(con.ids)]))
-            if con.sense == "<=":
-                residual = lhs - con.rhs
-            elif con.sense == ">=":
-                residual = con.rhs - lhs
-            else:
-                residual = abs(lhs - con.rhs)
-            if math.isnan(residual):
-                return residual
-            worst = max(worst, residual)
-        return worst
+        """Largest row residual at ``x``, or NaN when a row's residual is
+        NaN, so no tolerance accepts that point."""
+        rows, ids, coefs = self._flat_rows()
+        cons = self.constraints
+        excess = np.bincount(rows, coefs * x[ids], len(cons)) - [con.rhs for con in cons]
+        senses = np.array([con.sense for con in cons])
+        residual = np.where(senses == "==", np.abs(excess), excess)
+        residual[senses == ">="] *= -1.0
+        return float(np.max(residual, initial=0.0))
 
     # -- dump -----------------------------------------------------------
 
@@ -359,10 +364,12 @@ def _exchange(r, enter, step, w, to_upper, lo, up, basis, status, x, b_inv,
 
 class _PreparedLP:
     """Standard form [A | I_slack | I_artificial] x = b, reusable across
-    branch-and-bound nodes (only structural bounds change). Only
-    ``_factor`` (the inversion and the basic values) and the restart's
-    row check read the dense ``a_full``; a step reads its structural
-    block ``a`` and each structural column's nonzeros.
+    branch-and-bound nodes (only structural bounds change). A step reads
+    the structural block ``a`` and each structural column's nonzeros.
+    Below ``_BLOCK_ROWS`` rows the dense ``a_full`` is kept too, and
+    ``_factor`` and the row residuals read it; from there on ``a_full``
+    is None, ``_factor`` inverts only a block of ``a``, and the slack and
+    artificial entries of ``x`` are added to ``a @ x`` row by row.
 
     Nothing here changes after construction: each solve keeps its own
     bounds, basis and artificial signs, so solves of one prepared LP may
@@ -373,8 +380,11 @@ class _PreparedLP:
         self.m, self.n = a.shape
         self.c_struct = model.objective_vector()
         self.b = b
-        self.a_full = np.hstack((a, np.eye(self.m), np.eye(self.m)))
-        self.a = self.a_full[:, : self.n]  # the structural block, a view
+        self.a = a
+        # the dense standard form, below _BLOCK_ROWS rows only (see _factor)
+        self.a_full = (
+            np.hstack((a, np.eye(self.m), np.eye(self.m))) if self.m < _BLOCK_ROWS else None
+        )
         # each structural column's nonzeros: a step takes
         # b_inv[:, rows].dot(values), as .dot costs less than @ on tiny models
         self.col_rows = [col.nonzero()[0] for col in a.T]
@@ -443,16 +453,50 @@ class _PreparedLP:
             Basis(columns=basis, status=status),
         )
 
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """``[A | I | I] x``: each row's structural sum plus its slack and
+        artificial."""
+        if self.a_full is not None:
+            return self.a_full @ x
+        n, m = self.n, self.m
+        return self.a @ x[:n] + x[n : n + m] + x[n + m :]
+
     def _factor(self, basis: np.ndarray, x: np.ndarray, b_inv: np.ndarray) -> None:
         """Invert the basis matrix into ``b_inv`` and solve the rows for
         the basic entries of ``x``, the nonbasic ones held where they are.
-        Raises ``SolverError`` when the basis matrix is singular."""
+
+        Below ``_BLOCK_ROWS`` rows the basis matrix is taken from
+        ``a_full`` and inverted whole. From there on, each basic slack or
+        artificial covers its own row, and only the block ``K = A[F, S]``
+        of the basic structurals ``S`` on the rows ``F`` that no unit
+        column covers is inverted: the position of a structural gets its
+        row of ``K^-1`` on ``F``, and the unit column of row ``i`` gets
+        ``e_i - A[i, S] K^-1`` (block elimination). Raises ``SolverError``
+        when the basis matrix is singular, or when the unit columns leave
+        other than ``|S|`` rows free."""
         try:
-            b_inv[:, :] = np.linalg.inv(self.a_full[:, basis])
+            if self.a_full is not None:
+                b_inv[:, :] = np.linalg.inv(self.a_full[:, basis])
+            else:
+                n, m = self.n, self.m
+                struct = basis < n
+                at, columns = struct.nonzero()[0], basis[struct]
+                unit_at = (~struct).nonzero()[0]
+                unit_rows = (basis[unit_at] - n) % m
+                free = np.ones(m, dtype=bool)
+                free[unit_rows] = False
+                free = free.nonzero()[0]
+                if free.size != at.size:
+                    raise SolverError("singular basis matrix")
+                block_inv = np.linalg.inv(self.a[np.ix_(free, columns)])
+                b_inv.fill(0.0)
+                b_inv[np.ix_(at, free)] = block_inv
+                b_inv[unit_at, unit_rows] = 1.0
+                b_inv[np.ix_(unit_at, free)] = -self.a[np.ix_(unit_rows, columns)] @ block_inv
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis matrix") from exc
         x[basis] = 0.0
-        x[basis] = b_inv @ (self.b - self.a_full @ x)
+        x[basis] = b_inv @ (self.b - self._rows(x))
 
     def _column(self, b_inv: np.ndarray, j: int) -> np.ndarray:
         """``B^-1 a_j``: from the stored nonzeros of a structural column,
@@ -490,7 +534,7 @@ class _PreparedLP:
             self._factor(basis, x, b_inv)
         except SolverError:
             return None
-        if not (np.abs(self.a_full @ x - self.b) <= _START_TOL).all():
+        if not (np.abs(self._rows(x) - self.b) <= _START_TOL).all():
             return None
         if (x >= lo - _START_TOL).all() and (x <= up + _START_TOL).all():
             return 0, (basis, status, x, b_inv)

@@ -24,10 +24,16 @@ from uavplan.milp import (
     solve_exact,
     solve_lp_relaxation,
 )
-from uavplan.planner import _mean_demand_and_shortfall, build_phase2_dip, build_phase2_sip
+from uavplan.planner import (
+    _mean_demand_and_shortfall,
+    _phase2_warm_start,
+    build_phase2_dip,
+    build_phase2_sip,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
+from test_planner import z4_point  # noqa: E402
 
 
 def knapsack_model():
@@ -216,12 +222,30 @@ def cost_negated(model):
     return negated
 
 
+def full_matrix(prepared):
+    """The standard form ``[A | I_slack | I_artificial]`` of a prepared LP,
+    built here, as an LP on the block route holds no dense copy."""
+    eye = np.eye(prepared.m)
+    return np.hstack((prepared.a, eye, eye))
+
+
+@pytest.fixture(params=["whole", "block"])
+def route(request):
+    """LPs built under it invert bases as the crossover picks ("whole"
+    below ``_BLOCK_ROWS`` rows), or all through the structural block."""
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param == "block":
+            patch.setattr(milp, "_BLOCK_ROWS", 0)
+        yield request.param
+
+
 def dual_feasible(prepared, lo, up, basis):
     """Whether the basis's reduced costs have the sign its statuses ask
     for under these bounds (fixed columns excepted)."""
     c = prepared.c_phase2
-    b_inv = np.linalg.inv(prepared.a_full[:, basis.columns])
-    d = c - (c[basis.columns] @ b_inv) @ prepared.a_full
+    full = full_matrix(prepared)
+    b_inv = np.linalg.inv(full[:, basis.columns])
+    d = c - (c[basis.columns] @ b_inv) @ full
     movable = np.concatenate((lo < up, prepared.slack_lo < prepared.slack_up))
     movable = np.concatenate((movable, np.zeros(prepared.m, dtype=bool)))
     wrong = (
@@ -271,7 +295,7 @@ class TestReentrancy:
         monkeypatch.undo()
         return outer, inner[0]
 
-    def test_interleaved_solves_match_serial(self, monkeypatch):
+    def test_interleaved_solves_match_serial(self, monkeypatch, route):
         """A second solve runs in the middle of the first one. The two
         bound sets need artificials of opposite sign on the equality
         row; neither solve may leave them in the shared matrix."""
@@ -282,11 +306,14 @@ class TestReentrancy:
         assert (serial_a[2], serial_b[2]) == pytest.approx((-2.0, -1.5), abs=1e-12)
 
         prepared = milp._PreparedLP(m)
-        a_before = prepared.a_full.copy()
+        assert (prepared.a_full is None) == (route == "block")
+        full_before = full_matrix(prepared)
         outer, inner = self.interleave(monkeypatch, prepared, (lo, up), (lo_b, up_b))
         assert_same_solve(outer, serial_a)
         assert_same_solve(inner, serial_b)
-        assert np.array_equal(prepared.a_full, a_before)
+        assert np.array_equal(full_matrix(prepared), full_before)
+        if route == "whole":
+            assert np.array_equal(prepared.a_full, full_before)
 
     def test_warm_solve_inside_cold_solve_matches_serial(self, monkeypatch):
         """The inner solve starts from the optimal basis of a model with
@@ -432,13 +459,18 @@ class TestStartBasis:
             )
         assert phase1_skipped >= 20
 
-    def test_unfit_starts_fall_back_to_cold(self):
+    def test_unfit_starts_fall_back_to_cold(self, bundled_instance, route):
         """A wrong-size basis, a singular one, and the optimal basis of a
         parent under negated costs at a child (neither primal nor dual
-        feasible there): each solve is the cold one."""
+        feasible there): each solve is the cold one. The bundled SIP is
+        the last model; its 224 rows take the block route, whose
+        singular start leaves two rows free for one structural."""
         checked = {"size": 0, "singular": 0, "negated": 0}
-        for model in self.MODELS:
+        bundled = build_phase2_sip(bundled_instance).model
+        for model in [*self.MODELS, bundled]:
             prepared = milp._PreparedLP(model)
+            if model is bundled:
+                assert prepared.a_full is None
             lo, up = model.bounds_arrays()
             status, x, _, _, basis = prepared.solve(lo, up)
             if status != "optimal":
@@ -460,7 +492,9 @@ class TestStartBasis:
                 columns = np.array([n, n + m, *range(n + 1, n + m - 1)])
                 singular = np.full(n + 2 * m, milp._AT_LOWER, dtype=np.int8)
                 singular[columns] = milp._BASIC
-                assert np.linalg.matrix_rank(prepared.a_full[:, columns]) < m
+                assert np.linalg.matrix_rank(full_matrix(prepared)[:, columns]) < m
+                with pytest.raises(SolverError, match="singular"):
+                    prepared._factor(columns, np.zeros(n + 2 * m), np.empty((m, m)))
                 start = milp.Basis(columns, singular)
                 assert_same_solve(prepared.solve(lo, up, start), cold)
                 checked["singular"] += 1
@@ -552,6 +586,125 @@ class TestStartBasis:
                     assert warm[2] == pytest.approx(cold[2], abs=1e-9, rel=0)
                     assert warm[3][1] == 0
         assert min(seen.values()) >= 10, seen
+
+
+class TestBlockFactor:
+    """LPs of ``_BLOCK_ROWS`` rows or more invert a basis through the
+    block of its structural columns on the rows no unit column covers."""
+
+    @staticmethod
+    def optimal_bases(model, monkeypatch, **solve_kw):
+        """The prepared LP of ``model`` and the optimal basis of every
+        node LP that ``solve_exact`` solves on it."""
+        solves = []
+        solve = milp._PreparedLP.solve
+
+        def recorded(self, *args):
+            result = solve(self, *args)
+            solves.append((self, result[4]))
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(milp._PreparedLP, "solve", recorded)
+            solve_exact(model, **solve_kw)
+        return solves[0][0], [basis for _, basis in solves if basis is not None]
+
+    def test_inverse_matches_numpy(self, bundled_instance, monkeypatch):
+        """At the bundled SIP's and DIP's optimal roots and at every node
+        of the z = 4 tree, ``B^-1`` and the basic values match numpy's
+        inverse of the assembled basis matrix to 1e-12 relative."""
+        z4 = build_phase2_sip(z4_point(bundled_instance))
+        cases = [
+            (build_phase2_sip(bundled_instance).model, {}),
+            (
+                build_phase2_dip(
+                    bundled_instance, *_mean_demand_and_shortfall(bundled_instance)
+                ).model,
+                {},
+            ),
+            (z4.model, {"warm_start": _phase2_warm_start(z4)}),
+        ]
+        checked = []
+        for model, solve_kw in cases:
+            prepared, bases = self.optimal_bases(model, monkeypatch, **solve_kw)
+            assert prepared.m >= milp._BLOCK_ROWS and prepared.a_full is None
+            full = full_matrix(prepared)
+            point = np.random.default_rng(len(checked)).normal(size=full.shape[1])
+            assert np.allclose(prepared._rows(point), full @ point, rtol=1e-12, atol=1e-12)
+            for basis in bases:
+                # nonbasic slacks and artificials sit at 0, their finite bound
+                x = np.zeros(prepared.n + 2 * prepared.m)
+                lo, up = model.bounds_arrays()
+                status = basis.status[: prepared.n]
+                x[: prepared.n] = np.where(
+                    status == milp._AT_LOWER, lo, np.where(status == milp._AT_UPPER, up, 0.0)
+                )
+                x[basis.columns] = 0.0
+                want_x = x.copy()
+                b_inv = np.empty((prepared.m, prepared.m))
+                prepared._factor(basis.columns, x, b_inv)
+                want = np.linalg.inv(full[:, basis.columns])
+                assert np.abs(b_inv - want).max() <= 1e-12 * np.abs(want).max()
+                want_x[basis.columns] = want @ (prepared.b - full @ want_x)
+                assert np.abs(x - want_x).max() <= 1e-12 * max(1.0, np.abs(want_x).max())
+            checked.append(len(bases))
+        assert checked[:2] == [1, 1] and checked[2] >= 100, checked
+
+    @pytest.mark.parametrize(
+        "build, rows, nodes, steps, objective, assignment_sha256",
+        [
+            (
+                lambda bundled: workloads.gate3_models(3)[2],
+                5,
+                193,
+                (168, 0),
+                "-0x1.07df3b645a1cbp+2",
+                "ed71818c47c0c367",
+            ),
+            (
+                lambda bundled: build_phase2_sip(bundled).model,
+                224,
+                1,
+                (92, 0),
+                "0x1.1bdd100cab7c0p+7",
+                "3bd0743d1596bc75",
+            ),
+        ],
+        ids=["gate3-whole", "bundled-sip-block"],
+    )
+    def test_solves_pinned_on_both_sides(
+        self, bundled_instance, build, rows, nodes, steps, objective, assignment_sha256
+    ):
+        """One model below the crossover and one above solve bit for bit
+        as they did before the block route existed."""
+        model = build(bundled_instance)
+        assert model.num_constraints == rows
+        sol = solve_exact(model)
+        assert (sol.status, sol.nodes_explored, sol.simplex_pivots) == (
+            "optimal",
+            nodes,
+            steps,
+        )
+        assert sol.objective.hex() == objective
+        digest = hashlib.sha256(sol.assignment.tobytes()).hexdigest()
+        assert digest[:16] == assignment_sha256
+
+    def test_prepared_lp_holds_no_dense_standard_form(self, bundled_instance):
+        """The arrays of the bundled SIP's prepared LP take ``A`` plus a
+        few vectors of length m or n and the column nonzeros (16 values
+        per row and column in all); the dense ``[A | I | I]`` alone
+        would take m (n + 2m) values."""
+        prepared = milp._PreparedLP(build_phase2_sip(bundled_instance).model)
+        m, n = prepared.m, prepared.n
+        arrays = []
+        for value in vars(prepared).values():
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, list):
+                arrays.extend(value)
+        assert all(array.shape != (m, n + 2 * m) for array in arrays)
+        total = sum(array.nbytes for array in arrays)
+        assert total <= prepared.a.nbytes + 16 * 8 * (m + n)
 
 
 def half_bounded_lp(upper_row: bool):
@@ -689,18 +842,64 @@ class TestCertificate:
         self.drift_phase2(monkeypatch, 1e-7)
         assert solve_lp_relaxation(knapsack_model()[0]).assignment[0] == 1.0
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first-row", "last-row"])
     @pytest.mark.parametrize("sense", ["<=", ">=", "=="])
-    def test_nan_residual_is_a_violation(self, sense):
+    def test_nan_residual_is_a_violation(self, sense, first):
         """A NaN entry makes its row's residual NaN, which no tolerance
-        accepts, also when a later row holds."""
+        accepts, whether that row comes before or after one that holds."""
         m = IPModel("nan-row")
         a, b = m.add_variable("a"), m.add_variable("b")
-        m.add_constraint([(a, 1.0), (b, 1.0)], sense, 1.0)
-        m.add_constraint([(b, 1.0)], ">=", 0.0)
+        rows = [([(a, 1.0), (b, 1.0)], sense, 1.0), ([(b, 1.0)], ">=", 0.0)]
+        for row in rows if first else rows[::-1]:
+            m.add_constraint(*row)
         x = np.array([math.nan, 0.0])
         assert not m.max_violation(x) <= 1e-6
         with pytest.raises(SolverError, match="violates a row by nan"):
             milp._certify(m, x)
+
+
+def reference_max_violation(model: IPModel, x: np.ndarray) -> float:
+    """``IPModel.max_violation`` as a loop over the rows, one dot product
+    each, that returns at the first NaN residual."""
+    worst = 0.0
+    for con in model.constraints:
+        lhs = float(np.dot(np.asarray(con.coefs), x[list(con.ids)]))
+        if con.sense == "<=":
+            residual = lhs - con.rhs
+        elif con.sense == ">=":
+            residual = con.rhs - lhs
+        else:
+            residual = abs(lhs - con.rhs)
+        if math.isnan(residual):
+            return residual
+        worst = max(worst, residual)
+    return worst
+
+
+class TestMaxViolation:
+    def test_matches_reference_loop(self, bundled_instance):
+        """Random points, some near and some far from feasible, on gate-3
+        models, the bundled SIP and DIP, and a model with no rows. The
+        sums run in another order, so they agree to 1e-12 relative."""
+        no_rows = IPModel("no-rows")
+        no_rows.add_variable("x")
+        models = [
+            *workloads.gate3_models(40),
+            build_phase2_sip(bundled_instance).model,
+            build_phase2_dip(
+                bundled_instance, *_mean_demand_and_shortfall(bundled_instance)
+            ).model,
+            no_rows,
+        ]
+        rng = np.random.default_rng(3)
+        for model in models:
+            lo, up = model.bounds_arrays()
+            lo, up = np.maximum(lo, -1e3), np.minimum(up, 1e3)
+            for scale in (0.0, 1e-3, 1.0):
+                x = np.clip(rng.uniform(lo, up) * scale, lo, up)
+                got, want = model.max_violation(x), reference_max_violation(model, x)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), model.name
+        assert no_rows.max_violation(np.array([math.nan])) == 0.0
 
 
 @st.composite
