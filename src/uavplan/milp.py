@@ -32,11 +32,14 @@ Three entry points:
   variable moves.
 - :func:`solve_exact`: branch and bound over the same LP solve, with
   best-bound node selection, most-fractional branching, and an initial
-  depth-first dive until the first incumbent. Each node keeps the
-  optimal basis of its LP; a child differs from it by one bound, so the
-  basis stays dual feasible and the child starts from it through the
-  dual simplex. A model with no integer variable goes to
-  :func:`solve_lp_relaxation`.
+  depth-first dive until the first incumbent. Each node keeps the final
+  simplex state of its LP: basis, point, reduced costs, and below
+  ``_BLOCK_ROWS`` rows ``B^-1``. A child differs from it only in the
+  bound of the branched variable, which is fractional, so basic: the
+  state stays dual feasible, and the child resumes from it through the
+  dual simplex without pricing it again, or inverting it while its
+  ``B^-1`` is younger than ``_REFACTOR_EVERY`` steps. A model with no
+  integer variable goes to :func:`solve_lp_relaxation`.
 - :func:`solve_enumerate`: exhaustive scoring of every integer
   assignment, an oracle against ``solve_exact`` that shares no solve
   step with it. It splits the variables into a leading and a trailing
@@ -125,6 +128,19 @@ class Basis:
     status: np.ndarray  # (columns,) _AT_LOWER, _AT_UPPER, _FREE or _BASIC
 
 
+@dataclass(frozen=True)
+class _State(Basis):
+    """The final simplex state of one solve of a ``_PreparedLP``, from
+    which a branch-and-bound child resumes (``_PreparedLP._resume``).
+    ``b_inv`` is kept below ``_BLOCK_ROWS`` rows only: above, one per
+    open node would take m^2 values each. Solves only read it."""
+
+    x: np.ndarray  # (columns,) the optimal point
+    d: np.ndarray  # (columns,) phase-2 reduced costs of the closing pass
+    b_inv: np.ndarray | None
+    age: int  # steps since b_inv was last factored
+
+
 @dataclass
 class Solution:
     status: str  # optimal | infeasible | unbounded | node_limit
@@ -148,6 +164,7 @@ class IPModel:
         self.objective_constant = 0.0
         self._objective: dict[int, float] = {}
         self._by_name: dict[str, int] = {}
+        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -199,6 +216,7 @@ class IPModel:
                 name=name,
             )
         )
+        self._flat = None
 
     def add_objective_term(self, vid: int, coef: float) -> None:
         if not 0 <= vid < len(self.variables):
@@ -238,12 +256,15 @@ class IPModel:
         return lo, up
 
     def _flat_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stored coefficient as (row, variable id, coefficient)."""
-        cons = self.constraints
-        rows = np.repeat(np.arange(len(cons)), [len(con.ids) for con in cons])
-        ids = np.fromiter(itertools.chain.from_iterable(con.ids for con in cons), np.intp)
-        coefs = np.fromiter(itertools.chain.from_iterable(con.coefs for con in cons), float)
-        return rows, ids, coefs
+        """Every stored coefficient as (row, variable id, coefficient),
+        built once and again only after ``add_constraint``."""
+        if self._flat is None:
+            cons = self.constraints
+            rows = np.repeat(np.arange(len(cons)), [len(con.ids) for con in cons])
+            ids = np.fromiter(itertools.chain.from_iterable(con.ids for con in cons), np.intp)
+            coefs = np.fromiter(itertools.chain.from_iterable(con.coefs for con in cons), float)
+            self._flat = rows, ids, coefs
+        return self._flat
 
     def constraint_matrix(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         rows, ids, coefs = self._flat_rows()
@@ -337,6 +358,13 @@ def _starting_point(
     return status, x
 
 
+def _aged(age: int, steps: int) -> int:
+    """Steps since the last factorization, after a loop of ``steps``
+    steps entered ``age`` steps after one; a loop refactors at every
+    ``_REFACTOR_EVERY``-th step of its own."""
+    return steps % _REFACTOR_EVERY if steps >= _REFACTOR_EVERY else age + steps
+
+
 def _exchange(r, enter, step, w, to_upper, lo, up, basis, status, x, b_inv,
               can_rise, can_fall) -> None:
     """The basis exchange of both simplex loops. ``enter`` moves by
@@ -419,38 +447,42 @@ class _PreparedLP:
         self, lo_struct: np.ndarray, up_struct: np.ndarray, start: Basis | None = None
     ):
         """Returns (status, x_struct, objective, (feasibility, optimality)
-        steps, optimal basis or None).
+        steps, final ``_State`` or None).
 
-        ``start`` (well-formed, see ``checked``) is tried first through
-        ``_restart``; when that cannot use it, or there is none, the
-        solve starts cold through ``_crash``. The optimal point must meet
-        every structural bound to ``_FEAS_TOL`` before it is clipped into
-        them, or the solve raises ``SolverError``."""
+        ``start`` is either a caller's basis (well-formed, see
+        ``checked``), tried through ``_restart``, or the ``_State`` of an
+        earlier solve of this LP, resumed through ``_resume``. When that
+        cannot use it, or there is none, the solve starts cold through
+        ``_crash``. The optimal point must meet every structural bound to
+        ``_FEAS_TOL`` before it is clipped into them, or the solve raises
+        ``SolverError``."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         lo = np.empty(n_total)
         up = np.empty(n_total)
         lo[:n], up[:n] = lo_struct, up_struct
         lo[n : n + m], up[n : n + m] = self.slack_lo, self.slack_up
-        restarted = None if start is None else self._restart(start, lo, up)
-        steps1, state = self._crash(lo, up) if restarted is None else restarted
+        resume = self._resume if isinstance(start, _State) else self._restart
+        started = None if start is None else resume(start, lo, up)
+        steps1, state = self._crash(lo, up) if started is None else started
         if state is None:
             return "infeasible", None, None, (steps1, 0), None
-        basis, status, x, b_inv = state
+        basis, status, x, b_inv, age = state
 
-        outcome, steps2 = self._simplex(self.c_phase2, lo, up, basis, status, x, b_inv)
+        outcome, steps2, d = self._simplex(self.c_phase2, lo, up, basis, status, x, b_inv)
         if outcome == "unbounded":
             return "unbounded", None, None, (steps1, steps2), None
         miss = np.max(np.maximum(lo_struct - x[:n], x[:n] - up_struct), initial=0.0)
         if not miss <= _FEAS_TOL:
             raise SolverError(f"solver point misses a bound by {miss:.3g}")
         x_struct = np.clip(x[:n], lo_struct, up_struct)
+        kept_inv = b_inv if self.a_full is not None else None
         return (
             "optimal",
             x_struct,
             float(self.c_struct @ x_struct),
             (steps1, steps2),
-            Basis(columns=basis, status=status),
+            _State(basis, status, x, d, kept_inv, _aged(age, steps2)),
         )
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
@@ -507,9 +539,11 @@ class _PreparedLP:
         return b_inv[:, (j - self.n) % self.m]
 
     def _restart(self, start: Basis, lo: np.ndarray, up: np.ndarray):
-        """Start from ``start`` under the bounds ``lo``/``up``: invert its
-        basis matrix once, put the nonbasic variables at their marked
-        bounds (free ones at 0) and solve the rows for the basic ones.
+        """Start from a caller's basis ``start`` (or from the basis of a
+        ``_State`` that ``_resume`` cannot use) under the bounds
+        ``lo``/``up``: invert its basis matrix once, put the nonbasic
+        variables at their marked bounds (free ones at 0) and solve the
+        rows for the basic ones.
 
         - If that point meets every bound and row to ``_START_TOL``, it is
           primal feasible: no step is needed.
@@ -537,8 +571,34 @@ class _PreparedLP:
         if not (np.abs(self._rows(x) - self.b) <= _START_TOL).all():
             return None
         if (x >= lo - _START_TOL).all() and (x <= up + _START_TOL).all():
-            return 0, (basis, status, x, b_inv)
+            return 0, (basis, status, x, b_inv, 0)
         return self._dual_simplex(lo, up, basis, status, x, b_inv)
+
+    def _resume(self, state: _State, lo: np.ndarray, up: np.ndarray):
+        """Resume from ``state``, the final state of an earlier solve of
+        this LP under bounds that differ only on its basic variables, as
+        at a child node. Its nonbasic variables still sit at their bounds
+        with optimal reduced costs, so the dual simplex starts from the
+        carried ``x`` and ``d``, untested. ``B^-1`` is refactored when the
+        state holds none or is ``_REFACTOR_EVERY`` steps old; a point
+        that misses a row by ``_START_TOL`` goes to ``_restart``. Returns
+        what ``_restart`` returns; copies what it takes from ``state``,
+        which siblings share."""
+        m = self.m
+        lo[self.n + m :] = up[self.n + m :] = 0.0
+        basis, status = state.columns.copy(), state.status.copy()
+        x, d, age = state.x.copy(), state.d.copy(), state.age
+        if state.b_inv is None or age >= _REFACTOR_EVERY:
+            b_inv, age = np.empty((m, m)), 0
+            try:
+                self._factor(basis, x, b_inv)
+            except SolverError:
+                return None
+        else:
+            b_inv = state.b_inv.copy()
+        if not (np.abs(self._rows(x) - self.b) <= _START_TOL).all():
+            return self._restart(state, lo, up)
+        return self._dual_simplex(lo, up, basis, status, x, b_inv, d, age)
 
     def _crash(self, lo: np.ndarray, up: np.ndarray):
         """Cold start. Every slack starts basic at the residual of the
@@ -548,9 +608,10 @@ class _PreparedLP:
         solves from it in one phase. Only when the dual simplex
         declines it does the solve crash to slacks and artificials and
         run primal phase 1. Returns the steps that restored feasibility
-        and (basis, status, x, B^-1) at a feasible point, or None in its
-        place when the rows cannot be met. Pins the artificials' bounds
-        at 0 for phase 2, after widening those that phase 1 uses."""
+        and (basis, status, x, B^-1, steps since B^-1 was factored) at a
+        feasible point, or None in its place when the rows cannot be met.
+        Pins the artificials' bounds at 0 for phase 2, after widening
+        those that phase 1 uses."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         status = np.empty(n_total, dtype=np.int8)
@@ -589,7 +650,7 @@ class _PreparedLP:
 
         steps1 = 0
         if used.any():
-            outcome, steps1 = self._simplex(c_phase1, lo, up, basis, status, x, b_inv)
+            outcome, steps1, _ = self._simplex(c_phase1, lo, up, basis, status, x, b_inv)
             if outcome == "unbounded":  # cannot happen for a bounded-below phase 1
                 raise SolverError("phase-1 simplex reported unbounded")
             if float(c_phase1 @ x) > 1e-7:
@@ -598,16 +659,19 @@ class _PreparedLP:
             lo[art_cols] = 0.0
             up[art_cols] = 0.0
             x[art_cols] = np.where(status[art_cols] == _BASIC, x[art_cols], 0.0)
-        return steps1, (basis, status, x, b_inv)
+        return steps1, (basis, status, x, b_inv, _aged(0, steps1))
 
-    def _dual_simplex(self, lo, up, basis, status, x, b_inv):
+    def _dual_simplex(self, lo, up, basis, status, x, b_inv, d=None, age=0):
         """Bounded dual simplex under the phase-2 costs, until every basic
-        variable meets its bounds to ``_START_TOL``. Returns None at once
-        when the basis is not dual feasible (a reduced cost beyond
-        ``_DUAL_TOL`` on the wrong side for its status). Otherwise
-        returns what ``_crash`` returns: the steps taken and (basis,
-        status, x, B^-1) at a primal feasible point, or None in its place
-        when a row proves that the bounds and rows cannot be met.
+        variable meets its bounds to ``_START_TOL``. Without reduced costs
+        ``d``, it prices the basis and returns None at once when it is
+        not dual feasible (a reduced cost beyond ``_DUAL_TOL`` on the
+        wrong side for its status); ``d`` passed in is trusted and
+        updated in place, and ``age`` counts the steps since ``b_inv``
+        was factored. Otherwise returns what ``_crash`` returns: the
+        steps taken and (basis, status, x, B^-1, age) at a primal
+        feasible point, or None in its place when a row proves that the
+        bounds and rows cannot be met.
 
         The leaving row is the basic variable with the largest bound
         violation. The entering column minimises |d_j| / |alpha_rj| over
@@ -616,15 +680,16 @@ class _PreparedLP:
         ``_STALL_LIMIT`` steps without a rise in the objective, both
         choices go to the smallest index (Bland's rule for the dual)."""
         a, c, n, m = self.a, self.c_phase2, self.n, self.m
-        y = c[basis] @ b_inv
-        d = c - np.concatenate((y @ a, y, y))
         # nonbasic columns that may rise or fall; fixed ones can never enter
         movable = lo < up
         free = status == _FREE
         can_rise = movable & ((status == _AT_LOWER) | free)
         can_fall = movable & ((status == _AT_UPPER) | free)
-        if ((can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))).any():
-            return None
+        if d is None:
+            y = c[basis] @ b_inv
+            d = c - np.concatenate((y @ a, y, y))
+            if ((can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))).any():
+                return None
         bland = False
         stall = 0
         max_iter = 20000 + 50 * (m + n)
@@ -637,15 +702,10 @@ class _PreparedLP:
             below = lo[basis] - x_basic
             above = x_basic - up[basis]
             violation = np.maximum(below, above)
-            if bland:
-                rows = (violation > _START_TOL).nonzero()[0]
-                if rows.size == 0:
-                    return iteration, (basis, status, x, b_inv)
-                r = int(rows[basis[rows].argmin()])
-            else:
-                r = int(violation.argmax())
-                if violation[r] <= _START_TOL:
-                    return iteration, (basis, status, x, b_inv)
+            rows = (violation > _START_TOL).nonzero()[0]
+            if rows.size == 0:
+                return iteration, (basis, status, x, b_inv, _aged(age, iteration))
+            r = int(rows[basis[rows].argmin()] if bland else violation.argmax())
             leaving = basis[r]
             rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
             # row r reads x_leaving = beta_r - sum_j alpha_rj x_j over the nonbasics
@@ -681,11 +741,12 @@ class _PreparedLP:
                     bland = True
         raise SolverError("dual simplex iteration limit exceeded")
 
-    def _simplex(self, c, lo, up, basis, status, x, b_inv) -> tuple[str, int]:
+    def _simplex(self, c, lo, up, basis, status, x, b_inv):
         """Run primal iterations to optimality on the current basis.
 
-        Returns the outcome and the number of entering steps taken (a
-        bound flip counts as one)."""
+        Returns the outcome, the number of entering steps taken (a bound
+        flip counts as one) and the reduced costs of the last pricing,
+        which at an optimum are those of the final basis."""
         a, n, m = self.a, self.n, self.m
         movable = lo < up  # fixed variables can never improve
         free = status == _FREE
@@ -706,7 +767,7 @@ class _PreparedLP:
                 (can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))
             ).nonzero()[0]
             if eligible.size == 0:
-                return "optimal", iteration
+                return "optimal", iteration, d
             if bland:
                 enter = int(eligible[0])
             else:
@@ -746,7 +807,7 @@ class _PreparedLP:
                     theta = min(step, theta)
                     leave_row = i
             if theta == math.inf:
-                return "unbounded", iteration
+                return "unbounded", iteration, d
             step = direction * max(theta, 0.0)
 
             if leave_row < 0:
@@ -795,7 +856,7 @@ def solve_lp_relaxation(model: IPModel, start_basis: Basis | None = None) -> Sol
         )
     prepared = _PreparedLP(model)
     lo, up = model.bounds_arrays()
-    status, x, obj, pivots, basis = prepared.solve(lo, up, prepared.checked(start_basis))
+    status, x, obj, pivots, state = prepared.solve(lo, up, prepared.checked(start_basis))
     if status != "optimal":
         return Solution(
             status=status, objective=None, assignment=None, simplex_pivots=pivots
@@ -806,7 +867,7 @@ def solve_lp_relaxation(model: IPModel, start_basis: Basis | None = None) -> Sol
         objective=obj + model.objective_constant,
         assignment=x,
         simplex_pivots=pivots,
-        basis=basis,
+        basis=Basis(state.columns, state.status),
     )
 
 
@@ -822,7 +883,7 @@ class _Node:
     lo: np.ndarray = field(compare=False)
     up: np.ndarray = field(compare=False)
     x: np.ndarray = field(compare=False)
-    basis: Basis = field(compare=False)  # optimal basis of this node's LP
+    state: _State = field(compare=False)  # final simplex state of this node's LP
     branch: int | None = field(compare=False)  # _fractional_index of x
 
 
@@ -856,19 +917,22 @@ def solve_exact(
 
     Best-bound node selection with a depth-first dive until the first
     incumbent; branching prefers fractional binaries over general
-    integers. ``node_limit`` caps LP-solved nodes; hitting it returns
-    the best incumbent found with status ``node_limit``.
+    integers. ``node_limit`` caps LP-solved nodes and must be at least
+    1; hitting it returns the best incumbent found with status
+    ``node_limit``.
 
     ``warm_start`` seeds the incumbent with a known feasible integer
     assignment so pruning starts at the root. It must satisfy every
     row to 1e-6; a violating warm start raises ``ValueError``.
 
     ``start_basis`` is offered to the root LP, as in
-    ``solve_lp_relaxation``. Every other node starts from its parent's
-    optimal basis, through the dual simplex, and cold only when that
-    basis does not serve. The result's ``basis`` is the root LP's
+    ``solve_lp_relaxation``. Every other node resumes from its parent's
+    final simplex state through the dual simplex, and cold only when
+    that state does not serve. The result's ``basis`` is the root LP's
     optimal basis.
     """
+    if node_limit is not None and node_limit < 1:
+        raise ValueError(f"node_limit must be at least 1, got {node_limit}")
     int_ids = np.array(
         [v.id for v in model.variables if v.kind in (BINARY, INTEGER)], dtype=int
     )
@@ -913,11 +977,11 @@ def solve_exact(
 
     def solve_node(lo: np.ndarray, up: np.ndarray, start: Basis | None):
         nonlocal nodes
-        status, x, obj, (steps1, steps2), basis = prepared.solve(lo, up, start)
+        status, x, obj, (steps1, steps2), state = prepared.solve(lo, up, start)
         nodes += 1
         pivots[0] += steps1
         pivots[1] += steps2
-        return status, x, obj, basis
+        return status, x, obj, state
 
     def finish(status: str) -> Solution:
         """The result; an incumbent it returns must satisfy every row."""
@@ -945,7 +1009,8 @@ def solve_exact(
     if warm_start is not None:
         offer(xw)
 
-    status0, x0, obj0, root_basis = solve_node(lo0, up0, prepared.checked(start_basis))
+    status0, x0, obj0, root = solve_node(lo0, up0, prepared.checked(start_basis))
+    root_basis = None if root is None else Basis(root.columns, root.status)
     if status0 != "optimal":
         return finish(status0)
 
@@ -959,15 +1024,17 @@ def solve_exact(
     order = itertools.count()  # heap tie-break: older nodes first
     heap: list[_Node] = []
     node: _Node | None = _Node(
-        obj0, next(order), lo0, up0, x0, root_basis,
-        _fractional_index(x0, int_ids, binary_mask),
+        obj0, next(order), lo0, up0, x0, root, _fractional_index(x0, int_ids, binary_mask)
     )
     while node is not None:
         children = []
         if node.branch is None:
             offer(node.x)
         else:
-            j, val = node.branch, node.x[node.branch]
+            j, val, state = node.branch, node.x[node.branch], node.state
+            # only the basic variable j changes bounds, so the children may
+            # resume from the parent's state; else they restart its basis
+            start = state if state.status[j] == _BASIC else Basis(state.columns, state.status)
             for side in ("down", "up"):
                 lo_c, up_c = node.lo.copy(), node.up.copy()
                 if side == "down":
@@ -978,7 +1045,7 @@ def solve_exact(
                     continue
                 if node_limit is not None and nodes >= node_limit:
                     return finish("node_limit")
-                st, x_c, obj_c, basis_c = solve_node(lo_c, up_c, node.basis)
+                st, x_c, obj_c, state_c = solve_node(lo_c, up_c, start)
                 if st != "optimal" or obj_c >= incumbent_obj - _ABS_GAP:
                     continue
                 branch_c = _fractional_index(x_c, int_ids, binary_mask)
@@ -986,7 +1053,7 @@ def solve_exact(
                     offer(x_c)
                 else:
                     children.append(
-                        _Node(obj_c, next(order), lo_c, up_c, x_c, basis_c, branch_c)
+                        _Node(obj_c, next(order), lo_c, up_c, x_c, state_c, branch_c)
                     )
         if incumbent_x is None and children:  # dive into the better child
             children.sort()

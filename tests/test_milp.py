@@ -1,6 +1,7 @@
 """Branch-and-bound core against hand solutions and the enumeration oracle."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -184,6 +185,26 @@ class TestKnownAnswers:
         assert sol.status == "optimal" and sol.nodes_explored == 1
         assert sol.simplex_pivots == (92, 0)
 
+    def test_rows_free_integer_model_matches_enumeration(self):
+        """Variables but no rows: every LP has an empty basis."""
+        m = IPModel("no-rows")
+        x = m.add_variable("x", kind=INTEGER, upper=3.0)
+        m.add_objective_term(x, -1.0)
+        y = m.add_variable("y", kind=INTEGER, lower=-2.0, upper=2.0)
+        m.add_objective_term(y, 0.5)
+        oracle = solve_enumerate(m)
+        assert (oracle.status, oracle.assignment.tolist()) == ("optimal", [3.0, -2.0])
+        for sol in (solve_lp_relaxation(m), solve_exact(m)):
+            assert (sol.status, sol.objective) == ("optimal", oracle.objective)
+            assert sol.assignment.tolist() == oracle.assignment.tolist()
+
+    def test_rows_free_unbounded(self):
+        m = IPModel("no-rows")
+        x = m.add_variable("x", kind=CONTINUOUS)
+        m.add_objective_term(x, -1.0)
+        assert solve_lp_relaxation(m).status == "unbounded"
+        assert solve_exact(m).status == "unbounded"
+
     def test_no_negative_zero_in_assignment(self):
         m, _ = knapsack_model()
         sol = solve_exact(m)
@@ -220,6 +241,13 @@ def cost_negated(model):
     for vid, coef in enumerate(model.objective_vector()):
         negated.add_objective_term(vid, -2.0 * coef)
     return negated
+
+
+def as_basis(state):
+    """The plain basis of a solve's final state: a start for a solve under
+    other bounds or costs, which a state itself may only serve when the
+    two differ on basic variables' bounds alone."""
+    return milp.Basis(state.columns, state.status)
 
 
 def full_matrix(prepared):
@@ -322,7 +350,7 @@ class TestReentrancy:
         (lo, up), (lo_b, up_b) = self.bound_sets(m)
         other = mixed_rows_lp()
         other.add_objective_term(other.variable_id("y"), 4.0)
-        start = milp._PreparedLP(other).solve(lo, up)[4]
+        start = as_basis(milp._PreparedLP(other).solve(lo, up)[4])
         serial_cold = milp._PreparedLP(m).solve(lo_b, up_b)
         serial_warm = milp._PreparedLP(m).solve(lo, up, start)
         assert serial_warm[3] == (0, 1)
@@ -373,7 +401,7 @@ class TestReentrancy:
         m = mixed_rows_lp()
         (lo, up), (lo_b, up_b) = self.bound_sets(m)
         prepared = milp._PreparedLP(m)
-        start = prepared.solve(lo_b, up_b)[4]
+        start = as_basis(prepared.solve(lo_b, up_b)[4])
         start_copy = copy.deepcopy(start)
         warm = prepared.solve(lo, up, start)
         want_warm = copy.deepcopy(warm)
@@ -507,7 +535,8 @@ class TestStartBasis:
                 negated = milp._PreparedLP(cost_negated(model))
                 if not dual_feasible(negated, lo, up_child, basis):
                     assert_same_solve(
-                        negated.solve(lo, up_child, basis), negated.solve(lo, up_child)
+                        negated.solve(lo, up_child, as_basis(basis)),
+                        negated.solve(lo, up_child),
                     )
                     checked["negated"] += 1
         assert min(checked.values()) >= 10, checked
@@ -574,11 +603,14 @@ class TestStartBasis:
                 ),
                 None,
             )
+            starts = [basis] * len(children)
             if empty is not None:
+                # the fixed variable may be nonbasic: restart the basis
                 children.append(empty)
+                starts.append(as_basis(basis))
                 seen["empty"] += 1
-            for child in children:
-                warm = prepared.solve(*child, basis)
+            for child, start in zip(children, starts):
+                warm = prepared.solve(*child, start)
                 cold = prepared.solve(*child)
                 assert warm[0] == cold[0]
                 seen[cold[0]] += 1
@@ -586,6 +618,140 @@ class TestStartBasis:
                     assert warm[2] == pytest.approx(cold[2], abs=1e-9, rel=0)
                     assert warm[3][1] == 0
         assert min(seen.values()) >= 10, seen
+
+
+def same_value(got, want) -> bool:
+    """Bit-identical arrays (or lists of them), or equal other values."""
+    if isinstance(want, np.ndarray):
+        return (
+            isinstance(got, np.ndarray)
+            and (got.shape, got.dtype) == (want.shape, want.dtype)
+            and got.tobytes() == want.tobytes()
+        )
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(same_value, got, want))
+    return got == want
+
+
+def first_children(models):
+    """(prepared LP, bounds, root state, down child's bounds) of each
+    model whose root LP is fractional, the down child of its first
+    fractional variable."""
+    for model in models:
+        prepared = milp._PreparedLP(model)
+        lo, up = model.bounds_arrays()
+        status, x, _, _, state = prepared.solve(lo, up)
+        frac = np.abs(x - np.round(x)) > 1e-6 if status == "optimal" else []
+        if np.any(frac):
+            j = int(np.flatnonzero(frac)[0])
+            up_down = up.copy()
+            up_down[j] = math.floor(x[j])
+            yield prepared, (lo, up), state, (lo, up_down)
+
+
+class TestResume:
+    """A child node resumes from its parent's final simplex state: the
+    basis, point and reduced costs, and ``B^-1`` below ``_BLOCK_ROWS``
+    rows."""
+
+    def test_matches_restart_on_gate3(self, monkeypatch, route):
+        """With every resume replaced by a restart of the state's basis,
+        the first 60 gate-3 models end with the same status, objective
+        (to 1e-9) and node count."""
+        models = workloads.gate3_models(60)
+        resumes = []
+        resume = milp._PreparedLP._resume
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                milp._PreparedLP,
+                "_resume",
+                lambda self, state, *args: resumes.append(state) or resume(self, state, *args),
+            )
+            resumed = [solve_exact(model) for model in models]
+            patch.setattr(
+                milp._PreparedLP,
+                "_resume",
+                lambda self, state, lo, up: self._restart(state, lo, up),
+            )
+            restarted = [solve_exact(model) for model in models]
+        assert len(resumes) >= 7_000
+        assert all((state.b_inv is None) == (route == "block") for state in resumes)
+        for got, want in zip(resumed, restarted):
+            assert (got.status, got.nodes_explored) == (want.status, want.nodes_explored)
+            if want.status == "optimal":
+                assert got.objective == pytest.approx(want.objective, abs=1e-9, rel=0)
+
+    def test_child_leaves_parent_state_untouched(self, route):
+        """Siblings share their parent's state: solving the first child
+        leaves every array of it bit-identical."""
+        checked = 0
+        for prepared, _, state, child in first_children(workloads.gate3_models(50)):
+            before = copy.deepcopy(state)
+            assert (before.b_inv is None) == (route == "block")
+            assert prepared.solve(*child, state)[0] in ("optimal", "infeasible")
+            assert all(same_value(getattr(state, k), v) for k, v in vars(before).items())
+            checked += 1
+        assert checked >= 20
+
+    def test_refactors_once_the_age_reaches_the_limit(self, monkeypatch):
+        """A resume inverts no basis while the state's ``B^-1`` is younger
+        than ``_REFACTOR_EVERY`` steps, and inverts it once at that age;
+        the child's state counts its steps from the last inversion."""
+        factors = []
+        factor = milp._PreparedLP._factor
+        monkeypatch.setattr(
+            milp._PreparedLP,
+            "_factor",
+            lambda self, *args: factors.append(None) or factor(self, *args),
+        )
+        limit = milp._REFACTOR_EVERY
+        checked = 0
+        for prepared, _, state, child in first_children(workloads.gate3_models(50)):
+            for age, inversions in ((limit - 1, 0), (limit, 1)):
+                factors.clear()
+                status, _, _, steps, child_state = prepared.solve(
+                    *child, dataclasses.replace(state, age=age)
+                )
+                assert len(factors) == inversions
+                if status == "optimal":
+                    assert child_state.age == (age if inversions == 0 else 0) + sum(steps)
+                    checked += 1
+        assert checked >= 20
+
+    def test_no_z4_state_holds_a_square_inverse(self, bundled_instance, monkeypatch):
+        """The z = 4 point's 314 rows take the block route, where an
+        inverse kept per open node would take m^2 values each."""
+        z4 = build_phase2_sip(z4_point(bundled_instance))
+        prepared, states = TestBlockFactor.optimal_bases(
+            z4.model, monkeypatch, warm_start=_phase2_warm_start(z4)
+        )
+        m = prepared.m
+        assert m >= milp._BLOCK_ROWS and len(states) >= 100
+        for state in states:
+            assert state.b_inv is None
+            assert all(
+                getattr(value, "shape", None) != (m, m) for value in vars(state).values()
+            )
+
+    def test_solve_exact_leaves_the_prepared_lp_unchanged(self, monkeypatch):
+        """Every attribute of a prepared LP after ``solve_exact`` is what its
+        constructor made: nothing of a solve is kept there, so solves of
+        one prepared LP may interleave."""
+        made = []
+        init = milp._PreparedLP.__init__
+
+        def recorded(self, model):
+            init(self, model)
+            made.append((self, copy.deepcopy(vars(self))))
+
+        monkeypatch.setattr(milp._PreparedLP, "__init__", recorded)
+        for model in workloads.gate3_models(10):
+            solve_exact(model)
+        assert len(made) == 10
+        for prepared, before in made:
+            after = vars(prepared)
+            assert after.keys() == before.keys()
+            assert all(same_value(after[k], v) for k, v in before.items())
 
 
 class TestBlockFactor:
@@ -821,9 +987,9 @@ class TestCertificate:
         simplex = milp._PreparedLP._simplex
 
         def drifted(self, c, lo, up, basis, status, x, b_inv):
-            outcome, steps = simplex(self, c, lo, up, basis, status, x, b_inv)
+            result = simplex(self, c, lo, up, basis, status, x, b_inv)
             x[0] += shift
-            return outcome, steps
+            return result
 
         monkeypatch.setattr(milp._PreparedLP, "_simplex", drifted)
 
@@ -877,6 +1043,24 @@ def reference_max_violation(model: IPModel, x: np.ndarray) -> float:
 
 
 class TestMaxViolation:
+    def test_row_added_after_a_solve_binds(self, monkeypatch):
+        """The flat rows are built once per model, and again after
+        ``add_constraint``: a row added after a solve binds the next solve
+        and ``max_violation``."""
+        builds = []
+        fromiter = np.fromiter
+        monkeypatch.setattr(
+            milp.np, "fromiter", lambda *args: builds.append(None) or fromiter(*args)
+        )
+        m, ids = knapsack_model()
+        first = solve_exact(m, warm_start=np.array([1.0, 1.0, 0.0]))
+        assert first.objective == -220.0 and len(builds) == 2  # ids and coefficients
+        m.add_constraint([(ids[2], 1.0)], "<=", 0.0)
+        assert m.max_violation(first.assignment) == 1.0
+        second = solve_exact(m)
+        assert (second.objective, second.assignment.tolist()) == (-160.0, [1.0, 1.0, 0.0])
+        assert len(builds) == 4
+
     def test_matches_reference_loop(self, bundled_instance):
         """Random points, some near and some far from feasible, on gate-3
         models, the bundled SIP and DIP, and a model with no rows. The
@@ -992,6 +1176,11 @@ class TestNodeLimit:
         cut = solve_exact(m, node_limit=1)
         assert cut.status == "node_limit"
         assert cut.nodes_explored == 1
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_rejects_limit_below_one(self, limit):
+        with pytest.raises(ValueError, match="node_limit must be at least 1"):
+            solve_exact(self.fractional_root_model(), node_limit=limit)
 
     def test_budget_large_enough_is_optimal(self):
         m = self.fractional_root_model()
