@@ -18,27 +18,28 @@ Three entry points:
   it fixes that meets every bound and row to 1e-9 goes straight to
   phase 2, one that misses a bound while its reduced costs keep their
   signs goes through the dual simplex, and any other start is dropped.
-  An LP of fewer than ``_BLOCK_ROWS`` (38) rows inverts a basis whole;
-  a larger one lets each basic slack or artificial cover its own row
-  and inverts only the block of its basic structural columns on the
-  rows left free, and holds no dense ``[A | I | I]``.
-  A step multiplies only the structural block of ``[A | I | I]``:
-  reduced costs are ``c - [y A | y | y]``, the dual's pivot row is
-  ``[b_r A | b_r | b_r]`` for row ``b_r`` of ``B^-1``, and an entering
-  column is ``B^-1`` times the nonzeros of a structural column or a
-  column of ``B^-1``. Both simplex loops share one basis exchange,
-  which updates ``B^-1`` only on the rows where that column is
-  nonzero; the primal ratio test visits only the rows whose basic
-  variable moves.
+  The dual's reduced costs, updated at each step and priced afresh at
+  each refactorization, close the solve unless a column prices out on
+  them; only then does primal phase 2 run.
+  Below ``_BLOCK_ROWS`` (38) rows the dense ``[A | I | I]`` is kept: a
+  basis is inverted whole, a pricing or dual pivot row is one product
+  with it, and an exchange updates all of ``B^-1``. A larger LP inverts
+  only the block of its basic structurals on the rows no basic slack or
+  artificial covers, multiplies only ``A`` (``c - [y A | y | y]``), and
+  updates ``B^-1`` on the rows where the entering column is nonzero.
+  Both loops share one basis exchange and one pair of rise/fall masks,
+  built once per solve; in the primal ratio test only a row whose rate
+  exceeds 1e-9 of the largest may bound the step.
 - :func:`solve_exact`: branch and bound over the same LP solve, with
   best-bound node selection, most-fractional branching, and an initial
   depth-first dive until the first incumbent. Each node keeps the final
-  simplex state of its LP: basis, point, reduced costs, and below
-  ``_BLOCK_ROWS`` rows ``B^-1``. A child differs from it only in the
-  bound of the branched variable, which is fractional, so basic: the
-  state stays dual feasible, and the child resumes from it through the
-  dual simplex without pricing it again, or inverting it while its
-  ``B^-1`` is younger than ``_REFACTOR_EVERY`` steps. A model with no
+  simplex state of its LP: basis, point, reduced costs, masks, and
+  below ``_BLOCK_ROWS`` rows ``B^-1``. A child differs from it only in
+  the bound of the branched variable, which is fractional, so basic:
+  the state stays dual feasible, and its masks still hold. The child
+  resumes from it through the dual simplex with the carried masks and
+  reduced costs; it inverts and prices the basis again only when it
+  has no ``B^-1`` or one ``_REFACTOR_EVERY`` steps old. A model with no
   integer variable goes to :func:`solve_lp_relaxation`.
 - :func:`solve_enumerate`: exhaustive scoring of every integer
   assignment, an oracle against ``solve_exact`` that shares no solve
@@ -136,9 +137,11 @@ class _State(Basis):
     open node would take m^2 values each. Solves only read it."""
 
     x: np.ndarray  # (columns,) the optimal point
-    d: np.ndarray  # (columns,) phase-2 reduced costs of the closing pass
+    d: np.ndarray  # (columns,) phase-2 reduced costs the solve closed with
     b_inv: np.ndarray | None
     age: int  # steps since b_inv was last factored
+    can_rise: np.ndarray  # (columns,) the masks of _masks, kept current
+    can_fall: np.ndarray
 
 
 @dataclass
@@ -365,39 +368,29 @@ def _aged(age: int, steps: int) -> int:
     return steps % _REFACTOR_EVERY if steps >= _REFACTOR_EVERY else age + steps
 
 
-def _exchange(r, enter, step, w, to_upper, lo, up, basis, status, x, b_inv,
-              can_rise, can_fall) -> None:
-    """The basis exchange of both simplex loops. ``enter`` moves by
-    ``step`` and the basic variables by ``-step * w``, ``w`` being
-    ``B^-1 a_enter``; the variable basic in row ``r`` leaves at its upper
-    bound if ``to_upper``, else at its lower one, and ``enter`` takes row
-    ``r``. ``B^-1`` gets its rank-1 update on the rows where ``w`` is
-    nonzero."""
-    leaving = basis[r]
-    x[basis] -= step * w
-    x[enter] += step
-    x[leaving] = up[leaving] if to_upper else lo[leaving]
-    status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
-    movable = lo[leaving] < up[leaving]
-    can_rise[leaving] = not to_upper and movable
-    can_fall[leaving] = to_upper and movable
-    can_rise[enter] = can_fall[enter] = False
-    basis[r] = enter
-    status[enter] = _BASIC
-    row = b_inv[r] / w[r]
-    nz = w.nonzero()[0]
-    b_inv[nz] -= w[nz, None] * row
-    b_inv[r] = row
+def _masks(
+    lo: np.ndarray, up: np.ndarray, status: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns that may rise, and those that may fall: a free column
+    both ways, one at a bound away from it, a fixed or basic one neither."""
+    movable = lo < up
+    free = status == _FREE
+    return movable & ((status == _AT_LOWER) | free), movable & ((status == _AT_UPPER) | free)
+
+
+def _prices_out(d: np.ndarray, can_rise: np.ndarray, can_fall: np.ndarray) -> np.ndarray:
+    """The columns whose reduced cost pays for a move they may make."""
+    return (can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))
 
 
 class _PreparedLP:
     """Standard form [A | I_slack | I_artificial] x = b, reusable across
     branch-and-bound nodes (only structural bounds change). A step reads
-    the structural block ``a`` and each structural column's nonzeros.
-    Below ``_BLOCK_ROWS`` rows the dense ``a_full`` is kept too, and
-    ``_factor`` and the row residuals read it; from there on ``a_full``
-    is None, ``_factor`` inverts only a block of ``a``, and the slack and
-    artificial entries of ``x`` are added to ``a @ x`` row by row.
+    each structural column's nonzeros. Below ``_BLOCK_ROWS`` rows the
+    dense ``a_full`` is kept, and every product with ``[A | I | I]``
+    reads it; from there on ``a_full`` is None, those products read only
+    the structural block ``a`` and add the slack and artificial parts,
+    and ``_factor`` inverts only a block of ``a``.
 
     Nothing here changes after construction: each solve keeps its own
     bounds, basis and artificial signs, so solves of one prepared LP may
@@ -417,8 +410,10 @@ class _PreparedLP:
         # b_inv[:, rows].dot(values), as .dot costs less than @ on tiny models
         self.col_rows = [col.nonzero()[0] for col in a.T]
         self.col_vals = [col[rows] for col, rows in zip(a.T, self.col_rows)]
-        self.slack_lo = np.array([-math.inf if s == ">=" else 0.0 for s in senses])
-        self.slack_up = np.array([math.inf if s == "<=" else 0.0 for s in senses])
+        # the bounds of the slacks, then of the artificials, pinned at 0
+        self.lo_tail = np.array([-math.inf if s == ">=" else 0.0 for s in senses] + [0.0] * self.m)
+        self.up_tail = np.array([math.inf if s == "<=" else 0.0 for s in senses] + [0.0] * self.m)
+        self.slack_lo, self.slack_up = self.lo_tail[: self.m], self.up_tail[: self.m]
         # every slack starts at 0: its lower bound on <= and == rows, its
         # upper bound on >= rows
         self.slack_status = np.where(self.slack_lo == 0.0, _AT_LOWER, _AT_UPPER)
@@ -453,36 +448,39 @@ class _PreparedLP:
         ``checked``), tried through ``_restart``, or the ``_State`` of an
         earlier solve of this LP, resumed through ``_resume``. When that
         cannot use it, or there is none, the solve starts cold through
-        ``_crash``. The optimal point must meet every structural bound to
-        ``_FEAS_TOL`` before it is clipped into them, or the solve raises
-        ``SolverError``."""
-        m, n = self.m, self.n
-        n_total = n + 2 * m
-        lo = np.empty(n_total)
-        up = np.empty(n_total)
-        lo[:n], up[:n] = lo_struct, up_struct
-        lo[n : n + m], up[n : n + m] = self.slack_lo, self.slack_up
+        ``_crash``. The dual simplex's reduced costs close the solve
+        unless a column prices out on them; else, and after any other
+        start, primal phase 2 runs. The optimal point must meet every structural
+        bound to ``_FEAS_TOL`` before it is clipped into them, or the
+        solve raises ``SolverError``."""
+        lo = np.concatenate((lo_struct, self.lo_tail))
+        up = np.concatenate((up_struct, self.up_tail))
         resume = self._resume if isinstance(start, _State) else self._restart
         started = None if start is None else resume(start, lo, up)
         steps1, state = self._crash(lo, up) if started is None else started
         if state is None:
             return "infeasible", None, None, (steps1, 0), None
-        basis, status, x, b_inv, age = state
+        basis, status, x, b_inv, can_rise, can_fall, d, age = state
 
-        outcome, steps2, d = self._simplex(self.c_phase2, lo, up, basis, status, x, b_inv)
-        if outcome == "unbounded":
-            return "unbounded", None, None, (steps1, steps2), None
-        miss = np.max(np.maximum(lo_struct - x[:n], x[:n] - up_struct), initial=0.0)
+        steps2 = 0
+        if d is None or _prices_out(d, can_rise, can_fall).any():
+            outcome, steps2, d = self._simplex(
+                self.c_phase2, lo, up, basis, status, x, b_inv, can_rise, can_fall
+            )
+            if outcome == "unbounded":
+                return "unbounded", None, None, (steps1, steps2), None
+        x_struct = x[: self.n]
+        miss = np.maximum(lo_struct - x_struct, x_struct - up_struct).max(initial=0.0)
         if not miss <= _FEAS_TOL:
             raise SolverError(f"solver point misses a bound by {miss:.3g}")
-        x_struct = np.clip(x[:n], lo_struct, up_struct)
+        x_struct = x_struct.clip(lo_struct, up_struct)
         kept_inv = b_inv if self.a_full is not None else None
         return (
             "optimal",
             x_struct,
             float(self.c_struct @ x_struct),
             (steps1, steps2),
-            _State(basis, status, x, d, kept_inv, _aged(age, steps2)),
+            _State(basis, status, x, d, kept_inv, _aged(age, steps2), can_rise, can_fall),
         )
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
@@ -492,6 +490,18 @@ class _PreparedLP:
             return self.a_full @ x
         n, m = self.n, self.m
         return self.a @ x[:n] + x[n : n + m] + x[n + m :]
+
+    def _row_times(self, v: np.ndarray) -> np.ndarray:
+        """``v [A | I | I]`` for a row vector ``v``: one product with
+        ``a_full`` below ``_BLOCK_ROWS`` rows, else ``[v A | v | v]``."""
+        if self.a_full is not None:
+            return v @ self.a_full
+        return np.concatenate((v @ self.a, v, v))
+
+    def _price(self, c: np.ndarray, basis: np.ndarray, b_inv: np.ndarray) -> np.ndarray:
+        """Reduced costs of the basis under costs ``c``:
+        ``c - c_B B^-1 [A | I | I]``."""
+        return c - self._row_times(c[basis] @ b_inv)
 
     def _factor(self, basis: np.ndarray, x: np.ndarray, b_inv: np.ndarray) -> None:
         """Invert the basis matrix into ``b_inv`` and solve the rows for
@@ -546,7 +556,7 @@ class _PreparedLP:
         rows for the basic ones.
 
         - If that point meets every bound and row to ``_START_TOL``, it is
-          primal feasible: no step is needed.
+          primal feasible: no step is needed, and primal phase 2 prices it.
         - Else, if its phase-2 reduced costs are dual feasible, as at a
           branch-and-bound child whose parent's optimal basis lost primal
           feasibility to one tightened bound, the dual simplex restores
@@ -554,10 +564,8 @@ class _PreparedLP:
 
         Returns what ``_crash`` returns, or None when neither holds (or
         the basis matrix is singular, or the point misses a row) and the
-        solve must start cold. Reads ``start`` and never writes it; pins
-        the artificials' bounds at 0 for phase 2."""
+        solve must start cold. Reads ``start`` and never writes it."""
         basis = start.columns.astype(np.intp)  # a copy: the start is never written
-        lo[self.n + self.m :] = up[self.n + self.m :] = 0.0
         status = start.status.astype(np.int8)
         x = np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, up, 0.0))
         x[basis] = 0.0
@@ -570,35 +578,37 @@ class _PreparedLP:
             return None
         if not (np.abs(self._rows(x) - self.b) <= _START_TOL).all():
             return None
+        can_rise, can_fall = _masks(lo, up, status)
         if (x >= lo - _START_TOL).all() and (x <= up + _START_TOL).all():
-            return 0, (basis, status, x, b_inv, 0)
-        return self._dual_simplex(lo, up, basis, status, x, b_inv)
+            return 0, (basis, status, x, b_inv, can_rise, can_fall, None, 0)
+        return self._dual_simplex(lo, up, basis, status, x, b_inv, can_rise, can_fall)
 
     def _resume(self, state: _State, lo: np.ndarray, up: np.ndarray):
         """Resume from ``state``, the final state of an earlier solve of
         this LP under bounds that differ only on its basic variables, as
         at a child node. Its nonbasic variables still sit at their bounds
-        with optimal reduced costs, so the dual simplex starts from the
-        carried ``x`` and ``d``, untested. ``B^-1`` is refactored when the
-        state holds none or is ``_REFACTOR_EVERY`` steps old; a point
+        with optimal reduced costs, and its masks still hold, so the dual
+        simplex starts from the carried ``x``, ``d`` and masks, untested.
+        ``B^-1`` is refactored, and ``d`` priced afresh, when the state
+        holds no ``B^-1`` or one ``_REFACTOR_EVERY`` steps old; a point
         that misses a row by ``_START_TOL`` goes to ``_restart``. Returns
         what ``_restart`` returns; copies what it takes from ``state``,
         which siblings share."""
         m = self.m
-        lo[self.n + m :] = up[self.n + m :] = 0.0
-        basis, status = state.columns.copy(), state.status.copy()
-        x, d, age = state.x.copy(), state.d.copy(), state.age
-        if state.b_inv is None or age >= _REFACTOR_EVERY:
+        basis, status, x = state.columns.copy(), state.status.copy(), state.x.copy()
+        can_rise, can_fall = state.can_rise.copy(), state.can_fall.copy()
+        if state.b_inv is None or state.age >= _REFACTOR_EVERY:
             b_inv, age = np.empty((m, m)), 0
             try:
                 self._factor(basis, x, b_inv)
             except SolverError:
                 return None
+            d = self._price(self.c_phase2, basis, b_inv)
         else:
-            b_inv = state.b_inv.copy()
+            b_inv, d, age = state.b_inv.copy(), state.d.copy(), state.age
         if not (np.abs(self._rows(x) - self.b) <= _START_TOL).all():
             return self._restart(state, lo, up)
-        return self._dual_simplex(lo, up, basis, status, x, b_inv, d, age)
+        return self._dual_simplex(lo, up, basis, status, x, b_inv, can_rise, can_fall, d, age)
 
     def _crash(self, lo: np.ndarray, up: np.ndarray):
         """Cold start. Every slack starts basic at the residual of the
@@ -608,10 +618,11 @@ class _PreparedLP:
         solves from it in one phase. Only when the dual simplex
         declines it does the solve crash to slacks and artificials and
         run primal phase 1. Returns the steps that restored feasibility
-        and (basis, status, x, B^-1, steps since B^-1 was factored) at a
-        feasible point, or None in its place when the rows cannot be met.
-        Pins the artificials' bounds at 0 for phase 2, after widening
-        those that phase 1 uses."""
+        and (basis, status, x, B^-1, can_rise, can_fall, reduced costs or
+        None, steps since B^-1 was factored) at a feasible point, or None
+        in its place when the rows cannot be met. Pins the artificials'
+        bounds at 0 again for phase 2, after widening those that phase 1
+        uses."""
         m, n = self.m, self.n
         n_total = n + 2 * m
         status = np.empty(n_total, dtype=np.int8)
@@ -620,11 +631,12 @@ class _PreparedLP:
         residual = self.b - self.a @ x[:n]
         slack_cols = np.arange(n, n + m)
         art_cols = slack_cols + m
-        lo[art_cols] = up[art_cols] = 0.0
         status[slack_cols] = _BASIC
         status[art_cols] = _AT_LOWER
         x[slack_cols] = residual
-        dual = self._dual_simplex(lo, up, slack_cols.copy(), status, x, np.eye(m))
+        dual = self._dual_simplex(
+            lo, up, slack_cols.copy(), status, x, np.eye(m), *_masks(lo, up, status)
+        )
         if dual is not None:
             return dual
 
@@ -647,10 +659,13 @@ class _PreparedLP:
         b_inv = np.eye(m)
         c_phase1 = np.zeros(n_total)
         c_phase1[art_cols] = np.where(used, sign, 0.0)
+        can_rise, can_fall = _masks(lo, up, status)
 
         steps1 = 0
         if used.any():
-            outcome, steps1, _ = self._simplex(c_phase1, lo, up, basis, status, x, b_inv)
+            outcome, steps1, _ = self._simplex(
+                c_phase1, lo, up, basis, status, x, b_inv, can_rise, can_fall
+            )
             if outcome == "unbounded":  # cannot happen for a bounded-below phase 1
                 raise SolverError("phase-1 simplex reported unbounded")
             if float(c_phase1 @ x) > 1e-7:
@@ -659,19 +674,48 @@ class _PreparedLP:
             lo[art_cols] = 0.0
             up[art_cols] = 0.0
             x[art_cols] = np.where(status[art_cols] == _BASIC, x[art_cols], 0.0)
-        return steps1, (basis, status, x, b_inv, _aged(0, steps1))
+            can_rise, can_fall = _masks(lo, up, status)
+        return steps1, (basis, status, x, b_inv, can_rise, can_fall, None, _aged(0, steps1))
 
-    def _dual_simplex(self, lo, up, basis, status, x, b_inv, d=None, age=0):
+    def _exchange(self, r, enter, step, w, to_upper, lo, up, basis, status, x, b_inv,
+                  can_rise, can_fall) -> None:
+        """The basis exchange of both simplex loops. ``enter`` moves by
+        ``step`` and the basic variables by ``-step * w``, ``w`` being
+        ``B^-1 a_enter``; the variable basic in row ``r`` leaves at its upper
+        bound if ``to_upper``, else at its lower one, and ``enter`` takes row
+        ``r``. ``B^-1`` gets its rank-1 update: whole below ``_BLOCK_ROWS``
+        rows, else on the rows where ``w`` is nonzero."""
+        leaving = basis[r]
+        x[basis] -= step * w
+        x[enter] += step
+        x[leaving] = up[leaving] if to_upper else lo[leaving]
+        status[leaving] = _AT_UPPER if to_upper else _AT_LOWER
+        movable = lo[leaving] < up[leaving]
+        can_rise[leaving] = not to_upper and movable
+        can_fall[leaving] = to_upper and movable
+        can_rise[enter] = can_fall[enter] = False
+        basis[r] = enter
+        status[enter] = _BASIC
+        row = b_inv[r] / w[r]
+        if self.a_full is not None:
+            b_inv -= w[:, None] * row
+        else:
+            nz = w.nonzero()[0]
+            b_inv[nz] -= w[nz, None] * row
+        b_inv[r] = row
+
+    def _dual_simplex(self, lo, up, basis, status, x, b_inv, can_rise, can_fall, d=None, age=0):
         """Bounded dual simplex under the phase-2 costs, until every basic
         variable meets its bounds to ``_START_TOL``. Without reduced costs
-        ``d``, it prices the basis and returns None at once when it is
-        not dual feasible (a reduced cost beyond ``_DUAL_TOL`` on the
-        wrong side for its status); ``d`` passed in is trusted and
-        updated in place, and ``age`` counts the steps since ``b_inv``
-        was factored. Otherwise returns what ``_crash`` returns: the
-        steps taken and (basis, status, x, B^-1, age) at a primal
-        feasible point, or None in its place when a row proves that the
-        bounds and rows cannot be met.
+        ``d``, it prices the basis and returns None at once when a column
+        prices out (``_prices_out``), as the basis is not dual feasible;
+        ``d`` passed in is trusted. ``d`` is updated at each step and
+        priced afresh at each refactorization, and ``age`` counts the
+        steps since ``b_inv`` was factored. Otherwise returns what
+        ``_crash`` returns: the steps taken and (basis, status, x, B^-1,
+        can_rise, can_fall, d, age) at a primal feasible point, or None in
+        its place when a row proves that the bounds and rows cannot be
+        met.
 
         The leaving row is the basic variable with the largest bound
         violation. The entering column minimises |d_j| / |alpha_rj| over
@@ -679,16 +723,10 @@ class _PreparedLP:
         its bound, with ties to the larger |alpha_rj|. After
         ``_STALL_LIMIT`` steps without a rise in the objective, both
         choices go to the smallest index (Bland's rule for the dual)."""
-        a, c, n, m = self.a, self.c_phase2, self.n, self.m
-        # nonbasic columns that may rise or fall; fixed ones can never enter
-        movable = lo < up
-        free = status == _FREE
-        can_rise = movable & ((status == _AT_LOWER) | free)
-        can_fall = movable & ((status == _AT_UPPER) | free)
+        c, n, m = self.c_phase2, self.n, self.m
         if d is None:
-            y = c[basis] @ b_inv
-            d = c - np.concatenate((y @ a, y, y))
-            if ((can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))).any():
+            d = self._price(c, basis, b_inv)
+            if _prices_out(d, can_rise, can_fall).any():
                 return None
         bland = False
         stall = 0
@@ -696,21 +734,21 @@ class _PreparedLP:
         for iteration in range(max_iter):
             if iteration and iteration % _REFACTOR_EVERY == 0:
                 self._factor(basis, x, b_inv)
-                y = c[basis] @ b_inv
-                d = c - np.concatenate((y @ a, y, y))
+                d = self._price(c, basis, b_inv)
             x_basic = x[basis]
             below = lo[basis] - x_basic
-            above = x_basic - up[basis]
-            violation = np.maximum(below, above)
-            rows = (violation > _START_TOL).nonzero()[0]
-            if rows.size == 0:
-                return iteration, (basis, status, x, b_inv, _aged(age, iteration))
-            r = int(rows[basis[rows].argmin()] if bland else violation.argmax())
+            violation = np.maximum(below, x_basic - up[basis])
+            r = int(violation.argmax()) if m else 0
+            if not (m and violation[r] > _START_TOL):
+                state = (basis, status, x, b_inv, can_rise, can_fall, d, _aged(age, iteration))
+                return iteration, state
+            if bland:
+                rows = (violation > _START_TOL).nonzero()[0]
+                r = int(rows[basis[rows].argmin()])
             leaving = basis[r]
             rise = below[r] > 0.0  # the leaving variable climbs to its lower bound
             # row r reads x_leaving = beta_r - sum_j alpha_rj x_j over the nonbasics
-            inv_r = b_inv[r]
-            alpha = np.concatenate((inv_r @ a, inv_r, inv_r))
+            alpha = self._row_times(b_inv[r])
             toward = -alpha if rise else alpha  # > 0: x_j must rise, < 0: fall
             eligible = (
                 ((toward > _PIVOT_TOL) & can_rise) | ((toward < -_PIVOT_TOL) & can_fall)
@@ -730,8 +768,8 @@ class _PreparedLP:
             d_enter = float(d[enter])
             d -= (d_enter / alpha[enter]) * alpha
             d[enter] = 0.0
-            _exchange(r, enter, theta, w, not rise, lo, up, basis, status, x, b_inv,
-                      can_rise, can_fall)
+            self._exchange(r, enter, theta, w, not rise, lo, up, basis, status, x, b_inv,
+                           can_rise, can_fall)
 
             if theta * d_enter > 1e-12:  # the objective rose
                 stall = 0
@@ -741,18 +779,15 @@ class _PreparedLP:
                     bland = True
         raise SolverError("dual simplex iteration limit exceeded")
 
-    def _simplex(self, c, lo, up, basis, status, x, b_inv):
+    def _simplex(self, c, lo, up, basis, status, x, b_inv, can_rise, can_fall):
         """Run primal iterations to optimality on the current basis.
 
         Returns the outcome, the number of entering steps taken (a bound
         flip counts as one) and the reduced costs of the last pricing,
-        which at an optimum are those of the final basis."""
-        a, n, m = self.a, self.n, self.m
-        movable = lo < up  # fixed variables can never improve
-        free = status == _FREE
-        # nonbasic columns that may rise (worth it when d < 0) or fall (d > 0)
-        can_rise = ((status == _AT_LOWER) & movable) | free
-        can_fall = ((status == _AT_UPPER) & movable) | free
+        which at an optimum are those of the final basis. A row bounds a
+        step only if its rate exceeds ``_PIVOT_TOL`` and 1e-9 of the
+        largest, so no rounding-scale entry becomes the pivot."""
+        n, m = self.n, self.m
         bland = False
         stall = 0
         z_prev = float(c @ x)
@@ -761,11 +796,8 @@ class _PreparedLP:
             if iteration and iteration % _REFACTOR_EVERY == 0:
                 self._factor(basis, x, b_inv)
 
-            y = c[basis] @ b_inv
-            d = c - np.concatenate((y @ a, y, y))
-            eligible = (
-                (can_rise & (d < -_DUAL_TOL)) | (can_fall & (d > _DUAL_TOL))
-            ).nonzero()[0]
+            d = self._price(c, basis, b_inv)
+            eligible = _prices_out(d, can_rise, can_fall).nonzero()[0]
             if eligible.size == 0:
                 return "optimal", iteration, d
             if bland:
@@ -780,10 +812,12 @@ class _PreparedLP:
             theta = own_span if math.isfinite(own_span) else math.inf
             leave_row = -1
             rates = -direction * w
+            magnitude = np.abs(rates)
+            pivot_tol = max(_PIVOT_TOL, 1e-9 * magnitude.max(initial=0.0))
             # only rows whose basic variable moves can bound the step; a tie
             # goes to the smaller basic index under Bland's rule, else to
             # the larger |w_i|
-            for i in (np.abs(rates) > _PIVOT_TOL).nonzero()[0].tolist():
+            for i in (magnitude > pivot_tol).nonzero()[0].tolist():
                 rate = rates[i]
                 k = basis[i]
                 if rate > 0.0:
@@ -815,13 +849,13 @@ class _PreparedLP:
                 x[basis] -= step * w
                 status[enter] = _AT_UPPER if direction > 0 else _AT_LOWER
                 x[enter] = up[enter] if direction > 0 else lo[enter]
-                can_rise[enter] = direction < 0 and movable[enter]
-                can_fall[enter] = direction > 0 and movable[enter]
+                can_rise[enter] = direction < 0  # it was movable, to enter
+                can_fall[enter] = direction > 0
             else:
                 if abs(w[leave_row]) < _PIVOT_TOL:
                     raise SolverError("numerically zero pivot")
-                _exchange(leave_row, enter, step, w, rates[leave_row] > 0, lo, up,
-                          basis, status, x, b_inv, can_rise, can_fall)
+                self._exchange(leave_row, enter, step, w, rates[leave_row] > 0, lo, up,
+                               basis, status, x, b_inv, can_rise, can_fall)
 
             z = float(c @ x)
             if z < z_prev - 1e-12:

@@ -98,6 +98,11 @@ __all__ = [
 ]
 
 
+# uniform draws of one scenario block before the random-plan sampler
+# draws it once more with bounded draws
+_UNIFORM_DRAWS = 10_000
+
+
 class PlanningError(RuntimeError):
     """Internal invariant violation (e.g. an instance that should be
     feasible came back infeasible)."""
@@ -906,7 +911,10 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
     cannot meet the per-BS threshold rows alone), then per demand
     scenario draws local counts and per-BS offloads inside the
     threshold and capacity rows; a draw that runs out of capacity is
-    rejected and redrawn, scenario block by scenario block. Recourse
+    rejected and redrawn, scenario block by scenario block. A block
+    whose ``_UNIFORM_DRAWS`` uniform draws all fail is drawn once more
+    with bounded draws (``draw_bounded_block``), so the draws are the
+    uniform ones wherever one of those succeeds. Recourse
     stages stay at zero; residual penalties land wherever the drawn
     provision cannot cover a path's losses. The draw reads no price, so
     one draw serves the instance at every price; ``_Pricing.price``
@@ -924,6 +932,11 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
     else:
         subs_row = [int(rng.integers(0, 2)) for _ in range(n_f)]
     all_subscribed = all(subs_row)
+
+    def decision(local: int, offload: list[int]) -> StageDecision:
+        return StageDecision(
+            local=local, offload=tuple(offload), offload_indicator=int(any(offload))
+        )
 
     def draw_scenario_block() -> list[StageDecision] | None:
         remaining = [
@@ -951,26 +964,56 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
                 o = int(rng.integers(need, remaining[fi] + 1))
                 offload.append(o)
                 remaining[fi] -= o
-            block.append(
-                StageDecision(
-                    local=local,
-                    offload=tuple(offload),
-                    offload_indicator=int(any(offload)),
-                )
-            )
+            block.append(decision(local, offload))
+        return block
+
+    def draw_bounded_block() -> list[StageDecision] | None:
+        """The block drawn with every draw bounded, so that the stations
+        after it can still meet their needs. The locals come first: each
+        one is at least what leaves the later stations room for their
+        needs at the largest locals, a need being the copies short of k,
+        which each subscribed BS must take. Then each station's offload
+        to each subscribed BS is drawn from [need, remaining - the later
+        stations' needs]. None when the needs exceed a subscribed BS's
+        seats even at the largest locals."""
+        low, high = (0, l2_ub) if all_subscribed else (k, min(k + 2, l2_ub))
+        seats = min(
+            (bs.servers for fi, bs in enumerate(instance.base_stations) if subs_row[fi]),
+            default=0,
+        )
+        least_need = max(0, k - high)
+        if n_y * least_need > seats:
+            return None
+        locals_, needs = [], []
+        for y in range(n_y):
+            room = seats - sum(needs) - (n_y - 1 - y) * least_need
+            locals_.append(int(rng.integers(max(low, k - room), high + 1)))
+            needs.append(max(0, k - locals_[-1]))
+        remaining = [bs.servers for bs in instance.base_stations]
+        block = []
+        for y, local in enumerate(locals_):
+            later = sum(needs[y + 1 :])
+            offload = []
+            for fi in range(n_f):
+                o = int(rng.integers(needs[y], remaining[fi] - later + 1)) if subs_row[fi] else 0
+                offload.append(o)
+                remaining[fi] -= o
+            block.append(decision(local, offload))
         return block
 
     blocks = []
     for li in range(len(tree.demand)):
-        for _attempt in range(10_000):
+        for _attempt in range(_UNIFORM_DRAWS):
             block = draw_scenario_block()
             if block is not None:
                 break
         else:
-            raise PlanningError(
-                "random plan sampler exhausted 10000 draws without a "
-                f"feasible block (demand scenario {li})"
-            )
+            block = draw_bounded_block()
+            if block is None:
+                raise PlanningError(
+                    f"random plan sampler exhausted {_UNIFORM_DRAWS} draws without a "
+                    f"feasible block (demand scenario {li})"
+                )
         blocks.append(block)
 
     return _freeze_stage2_plan(

@@ -116,13 +116,15 @@ def test_3_solver_cross_validation():
     assert worst_violation <= 1e-6
     assert elapsed < 120.0
     assert (nodes, feasibility_steps, phase2_steps) == (50_362, 59_544, 0)
+    steps = feasibility_steps + phase2_steps
     print(
         f"ACCEPT 3/9 solver cross-validation: PASS "
         f"({statuses.get('optimal', 0)} optimal, "
         f"{statuses.get('infeasible', 0)} infeasible, "
         f"gap {worst_gap:.1e}, {elapsed:.0f}s: "
         f"branch and bound {bb_s:.1f}s over {nodes} nodes and "
-        f"{feasibility_steps + phase2_steps} entering steps, "
+        f"{steps} entering steps, {1e6 * bb_s / nodes:.0f} us per node, "
+        f"{1e6 * bb_s / steps:.0f} us per entering step, "
         f"enumeration {enum_s:.1f}s)"
     )
 

@@ -210,6 +210,28 @@ class TestKnownAnswers:
         sol = solve_exact(m)
         assert not np.signbit(sol.assignment).any()
 
+    def test_ratio_test_skips_a_rounding_scale_pivot(self):
+        """min -x over 5e-10 x <= 0 and 1e3 x <= 1e3, from the feasible
+        slack basis with x at 0. The entering column is (5e-10, 1e3): the
+        first row, degenerate, would stop x at 0 on a pivot of 5e-10 and
+        put 2e9 into B^-1. Below 1e-9 of the largest rate it may not bound
+        the step, so x climbs to 1 on the 1e3 pivot, and the first row
+        ends 5e-10 over, inside the tolerance."""
+        m = IPModel("tiny-pivot")
+        x = m.add_variable("x", upper=10.0)
+        m.add_objective_term(x, -1.0)
+        m.add_constraint([(x, 5e-10)], "<=", 0.0)
+        m.add_constraint([(x, 1e3)], "<=", 1e3)
+        slack_basis = milp.Basis(
+            np.array([1, 2]),
+            np.array([milp._AT_LOWER, milp._BASIC, milp._BASIC, milp._AT_LOWER,
+                      milp._AT_LOWER], dtype=np.int8),
+        )
+        sol = solve_lp_relaxation(m, start_basis=slack_basis)
+        assert (sol.status, sol.objective, sol.simplex_pivots) == ("optimal", -1.0, (0, 1))
+        assert sol.assignment.tolist() == [1.0]
+        assert sol.basis.columns.tolist() == [1, 0]  # x took the second row
+
 
 def assert_same_solve(got, want):
     """Two ``_PreparedLP.solve`` results agree bit for bit, basis included."""
@@ -306,9 +328,11 @@ class TestReentrancy:
         lo_b[m.variable_id("x")], up_b[m.variable_id("x")] = 3.0, 3.5
         return (lo, up), (lo_b, up_b)
 
-    def interleave(self, monkeypatch, prepared, outer_args, inner_args, at="_simplex"):
+    def interleave(self, monkeypatch, prepared, outer_args, inner_args, at="_exchange"):
         """Run one solve in the middle of another's first call of the
-        method named ``at``."""
+        method named ``at``: by default its first basis exchange, inside
+        the first simplex loop that takes a step. The outer solve must
+        make that call."""
         method = getattr(prepared, at)
         inner = []
 
@@ -321,12 +345,13 @@ class TestReentrancy:
         monkeypatch.setattr(prepared, at, interrupted)
         outer = prepared.solve(*outer_args)
         monkeypatch.undo()
+        assert inner, f"the outer solve never called {at}"
         return outer, inner[0]
 
     def test_interleaved_solves_match_serial(self, monkeypatch, route):
-        """A second solve runs in the middle of the first one. The two
-        bound sets need artificials of opposite sign on the equality
-        row; neither solve may leave them in the shared matrix."""
+        """A second solve runs in the middle of the first one's dual
+        simplex, at its first basis exchange. Neither solve may leave
+        anything of its own in the shared matrix."""
         m = mixed_rows_lp()
         (lo, up), (lo_b, up_b) = self.bound_sets(m)
         serial_a = milp._PreparedLP(m).solve(lo, up)
@@ -386,7 +411,7 @@ class TestReentrancy:
         for outer_args, inner_args, at, want in (
             (down, up_child, "_dual_simplex", (serial_down, serial_up)),
             (up_child, down, "_dual_simplex", (serial_up, serial_down)),
-            ((lo_b, up_b), down, "_simplex", (serial_cold, serial_down)),
+            ((lo_b, up_b), down, "_exchange", (serial_cold, serial_down)),
         ):
             prepared = milp._PreparedLP(m)
             outer, inner = self.interleave(
@@ -733,6 +758,55 @@ class TestResume:
                 getattr(value, "shape", None) != (m, m) for value in vars(state).values()
             )
 
+    def test_carried_state_matches_a_fresh_one(self, bundled_instance, monkeypatch):
+        """At every node of the first 60 gate-3 models and of the z = 4
+        tree, the final state's masks are those its bounds and statuses
+        give, and its reduced costs, carried from step to step and from
+        parent to child, agree to 1e-9 (1 + max|c|) with the basis priced
+        afresh from a new factorization. A start that the resume will
+        factor again (every z = 4 child) has its reduced costs spoilt by
+        1e-6 first: the fresh pricing that comes with the factorization
+        must clear them."""
+        solves = []
+        solve = milp._PreparedLP.solve
+
+        def recorded(self, lo, up, start=None):
+            if isinstance(start, milp._State) and (
+                start.b_inv is None or start.age >= milp._REFACTOR_EVERY
+            ):
+                start = dataclasses.replace(start, d=start.d + 1e-6)
+            result = solve(self, lo, up, start)
+            solves.append((self, lo, up, result[4]))
+            return result
+
+        monkeypatch.setattr(milp._PreparedLP, "solve", recorded)
+        for model in workloads.gate3_models(60):
+            solve_exact(model)
+        z4 = build_phase2_sip(z4_point(bundled_instance))
+        solve_exact(z4.model, warm_start=_phase2_warm_start(z4))
+        checked = {"whole": 0, "block": 0}
+        for prepared, lo_struct, up_struct, state in solves:
+            if state is None:
+                continue
+            m = prepared.m
+            lo = np.concatenate((lo_struct, prepared.slack_lo, np.zeros(m)))
+            up = np.concatenate((up_struct, prepared.slack_up, np.zeros(m)))
+            movable, status = lo < up, state.status
+            free = status == milp._FREE
+            assert np.array_equal(
+                state.can_rise, movable & ((status == milp._AT_LOWER) | free)
+            )
+            assert np.array_equal(
+                state.can_fall, movable & ((status == milp._AT_UPPER) | free)
+            )
+            c = prepared.c_phase2
+            b_inv = np.empty((m, m))
+            prepared._factor(state.columns, state.x.copy(), b_inv)
+            fresh = c - (c[state.columns] @ b_inv) @ full_matrix(prepared)
+            assert np.abs(state.d - fresh).max() <= 1e-9 * (1.0 + np.abs(c).max())
+            checked["whole" if prepared.a_full is not None else "block"] += 1
+        assert checked["whole"] >= 4_000 and checked["block"] >= 100, checked
+
     def test_solve_exact_leaves_the_prepared_lp_unchanged(self, monkeypatch):
         """Every attribute of a prepared LP after ``solve_exact`` is what its
         constructor made: nothing of a solve is kept there, so solves of
@@ -982,16 +1056,23 @@ class TestCertificate:
 
     @staticmethod
     def drift_phase2(monkeypatch, shift):
-        """Phase 2 leaves the knapsack LP's first item, which it puts at
-        its upper bound 1, off by ``shift``."""
-        simplex = milp._PreparedLP._simplex
+        """The closing point of the knapsack LP, which the dual simplex
+        reaches with the first item at its upper bound 1 and no column
+        pricing out, leaves that item off by ``shift``. Returns the
+        point it moved, once the solve has run."""
+        dual = milp._PreparedLP._dual_simplex
+        moved = []
 
-        def drifted(self, c, lo, up, basis, status, x, b_inv):
-            result = simplex(self, c, lo, up, basis, status, x, b_inv)
-            x[0] += shift
+        def drifted(self, *args):
+            result = dual(self, *args)
+            if result is not None and result[1] is not None:
+                x = result[1][2]
+                x[0] += shift
+                moved.append(x)
             return result
 
-        monkeypatch.setattr(milp._PreparedLP, "_simplex", drifted)
+        monkeypatch.setattr(milp._PreparedLP, "_dual_simplex", drifted)
+        return moved
 
     @pytest.mark.parametrize(
         "shift, match",
@@ -1000,13 +1081,15 @@ class TestCertificate:
     )
     def test_lp_refuses_point_outside_bounds(self, monkeypatch, shift, match):
         """The solve refuses the point rather than clip it into the bounds."""
-        self.drift_phase2(monkeypatch, shift)
+        moved = self.drift_phase2(monkeypatch, shift)
         with pytest.raises(SolverError, match="misses a bound " + match):
             solve_lp_relaxation(knapsack_model()[0])
+        assert len(moved) == 1
 
     def test_roundoff_outside_bounds_is_clipped(self, monkeypatch):
-        self.drift_phase2(monkeypatch, 1e-7)
+        moved = self.drift_phase2(monkeypatch, 1e-7)
         assert solve_lp_relaxation(knapsack_model()[0]).assignment[0] == 1.0
+        assert len(moved) == 1 and moved[0][0] == 1.0 + 1e-7
 
     @pytest.mark.parametrize("first", [True, False], ids=["first-row", "last-row"])
     @pytest.mark.parametrize("sense", ["<=", ">=", "=="])

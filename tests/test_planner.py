@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uavplan.planner as planner
 from uavplan.coding import CodeSplit
 from uavplan.milp import solve_enumerate, solve_exact
 from uavplan.planner import (
@@ -478,6 +479,39 @@ class TestBaselines:
         for seed in range(5):
             rnd = _draw_random_plan(inst, seed)
             assert sip.expected_cost <= exact_expected_cost(inst, rnd) + 1e-9
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_random_plan_draws_a_sip_point_at_tight_local_caps(
+        self, bundled_instance, monkeypatch, cap
+    ):
+        """On the bundled network at local-copy caps 1 and 2, uniform
+        draws leave the last stations too few seats, and every block
+        falls back to the bounded draw. Seeds 0-29 with only bounded
+        draws, and seed 0 after the full uniform budget, each draw a
+        point of the SIP that costs no less than its optimum."""
+        inst = dataclasses.replace(bundled_instance, max_local_copies=cap)
+        built = build_phase2_sip(inst)
+        optimum = solve_phase2(inst, "sip").expected_cost
+        pricing = _Pricing.of(inst)
+        plans = [_draw_random_plan(inst, 0)]
+        monkeypatch.setattr(planner, "_UNIFORM_DRAWS", 0)
+        plans += [_draw_random_plan(inst, seed) for seed in range(30)]
+        for plan in plans:
+            assert built.model.max_violation(built.encode(plan)) <= 1e-6
+            assert pricing.price(plan).expected_cost >= optimum - 1e-9
+
+    def test_random_plan_bounded_draw_refuses_too_few_seats(self, bundled_instance, monkeypatch):
+        """With no local copy allowed, six stations need 6 k = 24 seats at
+        each BS; 23 seats cannot hold them, so the sampler raises."""
+        seats = dataclasses.replace(bundled_instance.base_stations[0], servers=23)
+        inst = dataclasses.replace(
+            bundled_instance,
+            max_local_copies=0,
+            base_stations=(seats, *bundled_instance.base_stations[1:]),
+        )
+        monkeypatch.setattr(planner, "_UNIFORM_DRAWS", 0)
+        with pytest.raises(PlanningError, match="exhausted 0 draws"):
+            _draw_random_plan(inst, 0)
 
     def test_evf_freezes_recourse_at_zero(self):
         inst = small_instance(z3_tree())
