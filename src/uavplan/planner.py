@@ -101,6 +101,8 @@ __all__ = [
 # uniform draws of one scenario block before the random-plan sampler
 # draws it once more with bounded draws
 _UNIFORM_DRAWS = 10_000
+# 32-bit generator words the random-plan sampler reads per NumPy call
+_WORD_CHUNK = 1024
 
 
 class PlanningError(RuntimeError):
@@ -903,6 +905,38 @@ def evf_plan(
     return pricing.price(plan)
 
 
+def _bounded_draws(seed: int):
+    """``draw(low, high)``: a uniform integer of [low, high], the one
+    ``np.random.default_rng(seed).integers(low, high + 1)`` gives when
+    every draw so far came from it. It reads the generator's 32-bit
+    words in chunks and maps each through Lemire's multiply-and-reject,
+    as ``Generator.integers`` does below spans of 2**32 - 1 (Lemire,
+    ACM TOMACS 29(1), 2019); a span of 0 reads no word. Raises
+    ``ValueError`` on an empty range, as NumPy does, and on spans it
+    does not emulate."""
+    rng = np.random.default_rng(seed)
+    chunks = iter(
+        lambda: rng.integers(0, 1 << 32, size=_WORD_CHUNK, dtype=np.uint32).tolist(), None
+    )
+    word = itertools.chain.from_iterable(chunks).__next__
+
+    def draw(low: int, high: int) -> int:
+        span = high - low
+        if not 0 <= span < 0xFFFFFFFF:
+            raise ValueError(f"cannot draw from [{low}, {high}]")
+        if not span:
+            return low
+        n = span + 1
+        m = word() * n
+        if (m & 0xFFFFFFFF) < n:  # only then can it fall below the threshold
+            threshold = (0xFFFFFFFF - span) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = word() * n
+        return low + (m >> 32)
+
+    return draw
+
+
 def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
     """Feasibility-constrained uniform baseline (deterministic per seed)
     for the stations' own fleet, not yet priced.
@@ -918,8 +952,13 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
     stages stay at zero; residual penalties land wherever the drawn
     provision cannot cover a path's losses. The draw reads no price, so
     one draw serves the instance at every price; ``_Pricing.price``
-    sets its cost."""
-    rng = np.random.default_rng(seed)
+    sets its cost.
+
+    Every draw comes from ``_bounded_draws(seed)``, which maps the
+    seed's PCG64 32-bit words to bounded integers exactly as
+    ``Generator.integers`` does, so the draws are NumPy's and
+    reproducible; nothing else reads that per-seed generator."""
+    draw = _bounded_draws(seed)
     tree = instance.tree
     k = instance.split.k
     n_y = len(instance.stations)
@@ -930,27 +969,27 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
     if must_subscribe_all:
         subs_row = [1] * n_f
     else:
-        subs_row = [int(rng.integers(0, 2)) for _ in range(n_f)]
+        subs_row = [draw(0, 1) for _ in range(n_f)]
     all_subscribed = all(subs_row)
+    seats_row = [
+        bs.servers if subs_row[fi] else 0 for fi, bs in enumerate(instance.base_stations)
+    ]
 
     def decision(local: int, offload: list[int]) -> StageDecision:
         return StageDecision(
             local=local, offload=tuple(offload), offload_indicator=int(any(offload))
         )
 
-    def draw_scenario_block() -> list[StageDecision] | None:
-        remaining = [
-            bs.servers if subs_row[fi] else 0
-            for fi, bs in enumerate(instance.base_stations)
-        ]
+    def draw_scenario_block() -> list[tuple[int, list[int]]] | None:
+        remaining = seats_row.copy()
         block = []
         for _y in range(n_y):
             if all_subscribed:
-                local = int(rng.integers(0, l2_ub + 1))
+                local = draw(0, l2_ub)
             else:
                 # an unsubscribed BS forces its threshold row to be met
                 # locally, so the local draw starts at k
-                local = int(rng.integers(k, min(k + 2, l2_ub) + 1))
+                local = draw(k, min(k + 2, l2_ub))
             offload = []
             need = max(0, k - local)
             for fi in range(n_f):
@@ -961,13 +1000,13 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
                     continue
                 if need > remaining[fi]:
                     return None
-                o = int(rng.integers(need, remaining[fi] + 1))
+                o = draw(need, remaining[fi])
                 offload.append(o)
                 remaining[fi] -= o
-            block.append(decision(local, offload))
+            block.append((local, offload))
         return block
 
-    def draw_bounded_block() -> list[StageDecision] | None:
+    def draw_bounded_block() -> list[tuple[int, list[int]]] | None:
         """The block drawn with every draw bounded, so that the stations
         after it can still meet their needs. The locals come first: each
         one is at least what leaves the later stations room for their
@@ -987,7 +1026,7 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
         locals_, needs = [], []
         for y in range(n_y):
             room = seats - sum(needs) - (n_y - 1 - y) * least_need
-            locals_.append(int(rng.integers(max(low, k - room), high + 1)))
+            locals_.append(draw(max(low, k - room), high))
             needs.append(max(0, k - locals_[-1]))
         remaining = [bs.servers for bs in instance.base_stations]
         block = []
@@ -995,10 +1034,10 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
             later = sum(needs[y + 1 :])
             offload = []
             for fi in range(n_f):
-                o = int(rng.integers(needs[y], remaining[fi] - later + 1)) if subs_row[fi] else 0
+                o = draw(needs[y], remaining[fi] - later) if subs_row[fi] else 0
                 offload.append(o)
                 remaining[fi] -= o
-            block.append(decision(local, offload))
+            block.append((local, offload))
         return block
 
     blocks = []
@@ -1014,7 +1053,7 @@ def _draw_random_plan(instance: NetworkInstance, seed: int) -> Phase2Plan:
                     f"random plan sampler exhausted {_UNIFORM_DRAWS} draws without a "
                     f"feasible block (demand scenario {li})"
                 )
-        blocks.append(block)
+        blocks.append([decision(local, offload) for local, offload in block])
 
     return _freeze_stage2_plan(
         instance,

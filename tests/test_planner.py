@@ -22,6 +22,7 @@ from uavplan.planner import (
     PlanningError,
     ResourceLimitError,
     Station,
+    _bounded_draws,
     _draw_random_plan,
     _mean_demand_and_shortfall,
     _phase2_warm_start,
@@ -512,6 +513,63 @@ class TestBaselines:
         monkeypatch.setattr(planner, "_UNIFORM_DRAWS", 0)
         with pytest.raises(PlanningError, match="exhausted 0 draws"):
             _draw_random_plan(inst, 0)
+
+    # sha256 of repr() of (subscriptions, sorted decisions, sorted
+    # residuals) of every plan below, on the bundled network; pinned while
+    # the sampler still called ``Generator.integers`` for each draw, so a
+    # sampler that reads the words itself must give NumPy's draws
+    DRAWS_SHA256 = "a20c22c966abb16c6839ffea9625b27d2e98787fb5a7b499391be40e1df80d8f"
+
+    def test_random_plan_draws_pinned(self, bundled_instance):
+        """Seeds 0-59 at local-copy caps None, 3, 4 and 5, and seeds 0-2
+        at caps 1 and 2, where every block spends the whole uniform
+        budget before its bounded draw."""
+        plans = []
+        for cap, seeds in [(None, 60), (3, 60), (4, 60), (5, 60), (1, 3), (2, 3)]:
+            inst = dataclasses.replace(bundled_instance, max_local_copies=cap)
+            for seed in range(seeds):
+                plan = _draw_random_plan(inst, seed)
+                plans.append(
+                    (
+                        plan.subscriptions,
+                        sorted(plan.decisions.items()),
+                        sorted(plan.residuals.items()),
+                    )
+                )
+        assert hashlib.sha256(repr(plans).encode()).hexdigest() == self.DRAWS_SHA256
+
+    @pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "default_chunk"])
+    def test_bounded_draws_match_numpy(self, monkeypatch, chunk):
+        """In lockstep with ``Generator.integers`` on the same seed over
+        three chunks of words: spans 0 (no word read), 1 and 2, the
+        bundled network's seat counts, negative lows, spans near 3 * 2**30
+        and 2**31, where a quarter to a half of the words are rejected,
+        and the widest span emulated, 2**32 - 2. A failure on a new NumPy
+        means its stream changed under the pinned draws."""
+        if chunk is not None:
+            monkeypatch.setattr(planner, "_WORD_CHUNK", chunk)
+        spans = [0, 1, 2, 3, 23, 24, 1000, 3 * 2**30, 3 * 2**30 + 7, 2**31, 2**32 - 2]
+        lows = [0, -1, 5, -(2**40), 2**40]
+        n_draws = 3 * planner._WORD_CHUNK
+        for seed in (0, 1, 2027):
+            draw, ref = _bounded_draws(seed), np.random.default_rng(seed)
+            for i in range(n_draws):
+                low, span = lows[i % len(lows)], spans[i % len(spans)]
+                assert draw(low, low + span) == int(ref.integers(low, low + span + 1)), i
+            # still in step once the sequence is over
+            assert draw(0, 2**32 - 2) == int(ref.integers(0, 2**32 - 1))
+
+    def test_bounded_draws_refuse_empty_and_wide_ranges(self):
+        draw = _bounded_draws(0)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(5, 5)
+        with pytest.raises(ValueError, match=r"cannot draw from \[5, 4\]"):
+            draw(5, 4)
+        with pytest.raises(ValueError, match="cannot draw"):
+            draw(0, 2**32 - 1)  # NumPy's own 32-bit path, not emulated
+        with pytest.raises(ValueError, match="cannot draw"):
+            draw(-(2**40), 2**40)
+        assert draw(7, 7) == 7
 
     def test_evf_freezes_recourse_at_zero(self):
         inst = small_instance(z3_tree())
