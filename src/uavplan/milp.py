@@ -3,29 +3,31 @@
 Three entry points:
 
 - :func:`solve_lp_relaxation`: bounded-variable simplex (dense,
-  revised, Bland's-rule fallback for anti-cycling). A cold solve starts
-  with every slack basic, so ``B^-1`` is ``I`` and each reduced cost is
-  the column's own cost, at a point where each boxed variable sits at
-  the bound its cost favours. Unless a cost points at an infinite bound,
-  that basis is dual feasible and a bounded dual simplex (largest bound
-  violation leaves, dual ratio test enters, Bland's rule on a stall)
-  solves in one phase or finds a row that proves the bounds and rows
-  have no point; otherwise only rows whose slack cannot absorb the
-  residual get an artificial, and primal phase 1 runs before phase 2.
+  revised, Bland's-rule fallback for anti-cycling) on ``[A | I] x = b``,
+  one slack per row. Every start reaches a feasible point one way: a
+  bounded dual simplex (largest bound violation leaves, dual ratio test
+  enters, Bland's rule on a stall) either ends primal feasible or finds
+  a row that proves the bounds and rows have no point. A start that is
+  not dual feasible first has the cost of each column that prices out
+  shifted until its reduced cost is 0 (dual phase 1 by cost
+  modification, Koberstein & Suhl 2007), and primal phase 2 then
+  restores the true costs. A cold solve starts with every slack basic,
+  so ``B^-1`` is ``I`` and each reduced cost is the column's own cost,
+  at a point where each boxed variable sits at the bound its cost
+  favours: only a cost that points at an infinite bound is shifted.
   A solve may instead start from a basis the caller passes, such as the
   optimal basis of an earlier solve of the same matrix
   (``Solution.basis``). It is checked once and inverted once; a point
   it fixes that meets every bound and row to 1e-9 goes straight to
-  phase 2, one that misses a bound while its reduced costs keep their
-  signs goes through the dual simplex, and any other start is dropped.
+  phase 2, any other through the dual simplex.
   The dual's reduced costs, updated at each step and priced afresh at
   each refactorization, close the solve unless a column prices out on
-  them; only then does primal phase 2 run.
-  Below ``_BLOCK_ROWS`` (38) rows the dense ``[A | I | I]`` is kept: a
+  them or they were shifted; only then does primal phase 2 run.
+  Below ``_BLOCK_ROWS`` (38) rows the dense ``[A | I]`` is kept: a
   basis is inverted whole, a pricing or dual pivot row is one product
   with it, and an exchange updates all of ``B^-1``. A larger LP inverts
-  only the block of its basic structurals on the rows no basic slack or
-  artificial covers, multiplies only ``A`` (``c - [y A | y | y]``), and
+  only the block of its basic structurals on the rows no basic slack
+  covers, multiplies only ``A`` (``c - [y A | y]``), and
   updates ``B^-1`` on the rows where the entering column is nonzero.
   Both loops share one basis exchange and one pair of rise/fall masks,
   built once per solve; in the primal ratio test only a row whose rate
@@ -121,9 +123,9 @@ class LinearConstraint:
 @dataclass(frozen=True)
 class Basis:
     """A simplex basis of one LP, held as values: the basic column of
-    each row, and the status of every column of
-    ``[A | I_slack | I_artificial]``. A later solve of a matrix with the
-    same rows and columns may start from it."""
+    each row, and the status of every column of ``[A | I_slack]``. A
+    later solve of a matrix with the same rows and columns may start
+    from it."""
 
     columns: np.ndarray  # (rows,) basic column per row
     status: np.ndarray  # (columns,) _AT_LOWER, _AT_UPPER, _FREE or _BASIC
@@ -150,8 +152,8 @@ class Solution:
     objective: float | None
     assignment: np.ndarray | None
     nodes_explored: int = 0
-    # entering steps over every LP solved: (steps that restore
-    # feasibility, by primal phase 1 or the dual simplex; phase-2 steps)
+    # entering steps over every LP solved: (dual simplex steps, which
+    # restore feasibility; primal phase-2 steps)
     simplex_pivots: tuple[int, int] = (0, 0)
     # the root LP's optimal basis: a start for the next solve of the matrix
     basis: Basis | None = None
@@ -332,7 +334,7 @@ class IPModel:
 
 
 # ---------------------------------------------------------------------------
-# bounded-variable simplex: bounded dual, and two-phase primal
+# bounded-variable simplex: bounded dual, then primal phase 2
 # ---------------------------------------------------------------------------
 
 _AT_LOWER = 0
@@ -384,16 +386,16 @@ def _prices_out(d: np.ndarray, can_rise: np.ndarray, can_fall: np.ndarray) -> np
 
 
 class _PreparedLP:
-    """Standard form [A | I_slack | I_artificial] x = b, reusable across
-    branch-and-bound nodes (only structural bounds change). A step reads
-    each structural column's nonzeros. Below ``_BLOCK_ROWS`` rows the
-    dense ``a_full`` is kept, and every product with ``[A | I | I]``
-    reads it; from there on ``a_full`` is None, those products read only
-    the structural block ``a`` and add the slack and artificial parts,
-    and ``_factor`` inverts only a block of ``a``.
+    """Standard form [A | I_slack] x = b, reusable across branch-and-bound
+    nodes (only structural bounds change). A step reads each structural
+    column's nonzeros. Below ``_BLOCK_ROWS`` rows the dense ``a_full`` is
+    kept, and every product with ``[A | I]`` reads it; from there on
+    ``a_full`` is None, those products read only the structural block
+    ``a`` and add the slack part, and ``_factor`` inverts only a block
+    of ``a``.
 
     Nothing here changes after construction: each solve keeps its own
-    bounds, basis and artificial signs, so solves of one prepared LP may
+    bounds, basis and costs, so solves of one prepared LP may
     interleave."""
 
     def __init__(self, model: IPModel) -> None:
@@ -403,21 +405,15 @@ class _PreparedLP:
         self.b = b
         self.a = a
         # the dense standard form, below _BLOCK_ROWS rows only (see _factor)
-        self.a_full = (
-            np.hstack((a, np.eye(self.m), np.eye(self.m))) if self.m < _BLOCK_ROWS else None
-        )
+        self.a_full = np.hstack((a, np.eye(self.m))) if self.m < _BLOCK_ROWS else None
         # each structural column's nonzeros: a step takes
         # b_inv[:, rows].dot(values), as .dot costs less than @ on tiny models
         self.col_rows = [col.nonzero()[0] for col in a.T]
         self.col_vals = [col[rows] for col, rows in zip(a.T, self.col_rows)]
-        # the bounds of the slacks, then of the artificials, pinned at 0
-        self.lo_tail = np.array([-math.inf if s == ">=" else 0.0 for s in senses] + [0.0] * self.m)
-        self.up_tail = np.array([math.inf if s == "<=" else 0.0 for s in senses] + [0.0] * self.m)
-        self.slack_lo, self.slack_up = self.lo_tail[: self.m], self.up_tail[: self.m]
-        # every slack starts at 0: its lower bound on <= and == rows, its
-        # upper bound on >= rows
-        self.slack_status = np.where(self.slack_lo == 0.0, _AT_LOWER, _AT_UPPER)
-        self.c_phase2 = np.concatenate((self.c_struct, np.zeros(2 * self.m)))
+        # the bounds of the slacks
+        self.lo_tail = np.array([-math.inf if s == ">=" else 0.0 for s in senses])
+        self.up_tail = np.array([math.inf if s == "<=" else 0.0 for s in senses])
+        self.c_phase2 = np.concatenate((self.c_struct, np.zeros(self.m)))
 
     def checked(self, start: Basis | None) -> Basis | None:
         """``start`` if it is a well-formed basis of this LP, else None:
@@ -430,7 +426,7 @@ class _PreparedLP:
         columns, status = start.columns, start.status
         if (
             columns.shape != (self.m,)
-            or status.shape != (self.n + 2 * self.m,)
+            or status.shape != (self.n + self.m,)
             or columns.dtype.kind not in "iu"
             or not np.array_equal(np.sort(columns), np.flatnonzero(status == _BASIC))
             or not np.isin(status, (_AT_LOWER, _AT_UPPER, _FREE, _BASIC)).all()
@@ -449,10 +445,11 @@ class _PreparedLP:
         earlier solve of this LP, resumed through ``_resume``. When that
         cannot use it, or there is none, the solve starts cold through
         ``_crash``. The dual simplex's reduced costs close the solve
-        unless a column prices out on them; else, and after any other
-        start, primal phase 2 runs. The optimal point must meet every structural
-        bound to ``_FEAS_TOL`` before it is clipped into them, or the
-        solve raises ``SolverError``."""
+        unless a column prices out on them or ``_dual_start`` shifted
+        them; else, and after a primal feasible start, primal phase 2
+        runs. The optimal point must meet every structural bound to
+        ``_FEAS_TOL`` before it is clipped into them, or the solve raises
+        ``SolverError``."""
         lo = np.concatenate((lo_struct, self.lo_tail))
         up = np.concatenate((up_struct, self.up_tail))
         resume = self._resume if isinstance(start, _State) else self._restart
@@ -464,9 +461,7 @@ class _PreparedLP:
 
         steps2 = 0
         if d is None or _prices_out(d, can_rise, can_fall).any():
-            outcome, steps2, d = self._simplex(
-                self.c_phase2, lo, up, basis, status, x, b_inv, can_rise, can_fall
-            )
+            outcome, steps2, d = self._simplex(lo, up, basis, status, x, b_inv, can_rise, can_fall)
             if outcome == "unbounded":
                 return "unbounded", None, None, (steps1, steps2), None
         x_struct = x[: self.n]
@@ -484,23 +479,21 @@ class _PreparedLP:
         )
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
-        """``[A | I | I] x``: each row's structural sum plus its slack and
-        artificial."""
+        """``[A | I] x``: each row's structural sum plus its slack."""
         if self.a_full is not None:
             return self.a_full @ x
-        n, m = self.n, self.m
-        return self.a @ x[:n] + x[n : n + m] + x[n + m :]
+        return self.a @ x[: self.n] + x[self.n :]
 
     def _row_times(self, v: np.ndarray) -> np.ndarray:
-        """``v [A | I | I]`` for a row vector ``v``: one product with
-        ``a_full`` below ``_BLOCK_ROWS`` rows, else ``[v A | v | v]``."""
+        """``v [A | I]`` for a row vector ``v``: one product with
+        ``a_full`` below ``_BLOCK_ROWS`` rows, else ``[v A | v]``."""
         if self.a_full is not None:
             return v @ self.a_full
-        return np.concatenate((v @ self.a, v, v))
+        return np.concatenate((v @ self.a, v))
 
     def _price(self, c: np.ndarray, basis: np.ndarray, b_inv: np.ndarray) -> np.ndarray:
         """Reduced costs of the basis under costs ``c``:
-        ``c - c_B B^-1 [A | I | I]``."""
+        ``c - c_B B^-1 [A | I]``."""
         return c - self._row_times(c[basis] @ b_inv)
 
     def _factor(self, basis: np.ndarray, x: np.ndarray, b_inv: np.ndarray) -> None:
@@ -508,14 +501,14 @@ class _PreparedLP:
         the basic entries of ``x``, the nonbasic ones held where they are.
 
         Below ``_BLOCK_ROWS`` rows the basis matrix is taken from
-        ``a_full`` and inverted whole. From there on, each basic slack or
-        artificial covers its own row, and only the block ``K = A[F, S]``
+        ``a_full`` and inverted whole. From there on, each basic slack
+        covers its own row, and only the block ``K = A[F, S]``
         of the basic structurals ``S`` on the rows ``F`` that no unit
         column covers is inverted: the position of a structural gets its
         row of ``K^-1`` on ``F``, and the unit column of row ``i`` gets
         ``e_i - A[i, S] K^-1`` (block elimination). Raises ``SolverError``
-        when the basis matrix is singular, or when the unit columns leave
-        other than ``|S|`` rows free."""
+        when the basis matrix is singular, or when the slacks leave other
+        than ``|S|`` rows free."""
         try:
             if self.a_full is not None:
                 b_inv[:, :] = np.linalg.inv(self.a_full[:, basis])
@@ -524,7 +517,7 @@ class _PreparedLP:
                 struct = basis < n
                 at, columns = struct.nonzero()[0], basis[struct]
                 unit_at = (~struct).nonzero()[0]
-                unit_rows = (basis[unit_at] - n) % m
+                unit_rows = basis[unit_at] - n
                 free = np.ones(m, dtype=bool)
                 free[unit_rows] = False
                 free = free.nonzero()[0]
@@ -542,34 +535,33 @@ class _PreparedLP:
 
     def _column(self, b_inv: np.ndarray, j: int) -> np.ndarray:
         """``B^-1 a_j``: from the stored nonzeros of a structural column,
-        or for a slack or artificial a view of a column of ``B^-1``, so
-        read it before ``b_inv`` changes."""
+        or for a slack a view of a column of ``B^-1``, so read it before
+        ``b_inv`` changes."""
         if j < self.n:
             return b_inv[:, self.col_rows[j]].dot(self.col_vals[j])
-        return b_inv[:, (j - self.n) % self.m]
+        return b_inv[:, j - self.n]
 
     def _restart(self, start: Basis, lo: np.ndarray, up: np.ndarray):
         """Start from a caller's basis ``start`` (or from the basis of a
         ``_State`` that ``_resume`` cannot use) under the bounds
         ``lo``/``up``: invert its basis matrix once, put the nonbasic
         variables at their marked bounds (free ones at 0) and solve the
-        rows for the basic ones.
+        rows for the basic ones. If that point meets every bound and row
+        to ``_START_TOL``, it is primal feasible: no step is needed, and
+        primal phase 2 prices it. Any other point goes on through
+        ``_dual_start``.
 
-        - If that point meets every bound and row to ``_START_TOL``, it is
-          primal feasible: no step is needed, and primal phase 2 prices it.
-        - Else, if its phase-2 reduced costs are dual feasible, as at a
-          branch-and-bound child whose parent's optimal basis lost primal
-          feasibility to one tightened bound, the dual simplex restores
-          feasibility.
-
-        Returns what ``_crash`` returns, or None when neither holds (or
-        the basis matrix is singular, or the point misses a row) and the
-        solve must start cold. Reads ``start`` and never writes it."""
+        Returns what ``_dual_simplex`` returns. Returns None, so that the
+        solve starts cold, only when a mark puts a variable at an
+        infinite bound or marks one with a finite bound free, the basis
+        matrix is singular, or the point misses a row. Reads ``start``
+        and never writes it."""
         basis = start.columns.astype(np.intp)  # a copy: the start is never written
         status = start.status.astype(np.int8)
         x = np.where(status == _AT_LOWER, lo, np.where(status == _AT_UPPER, up, 0.0))
         x[basis] = 0.0
-        if not np.isfinite(x).all():
+        bounded = (lo > -math.inf) | (up < math.inf)
+        if not np.isfinite(x).all() or (bounded & (status == _FREE)).any():
             return None
         b_inv = np.empty((self.m, self.m))
         try:
@@ -581,7 +573,7 @@ class _PreparedLP:
         can_rise, can_fall = _masks(lo, up, status)
         if (x >= lo - _START_TOL).all() and (x <= up + _START_TOL).all():
             return 0, (basis, status, x, b_inv, can_rise, can_fall, None, 0)
-        return self._dual_simplex(lo, up, basis, status, x, b_inv, can_rise, can_fall)
+        return self._dual_start(lo, up, basis, status, x, b_inv, can_rise, can_fall)
 
     def _resume(self, state: _State, lo: np.ndarray, up: np.ndarray):
         """Resume from ``state``, the final state of an earlier solve of
@@ -608,74 +600,43 @@ class _PreparedLP:
             b_inv, d, age = state.b_inv.copy(), state.d.copy(), state.age
         if not (np.abs(self._rows(x) - self.b) <= _START_TOL).all():
             return self._restart(state, lo, up)
-        return self._dual_simplex(lo, up, basis, status, x, b_inv, can_rise, can_fall, d, age)
+        return self._dual_simplex(
+            self.c_phase2, lo, up, basis, status, x, b_inv, can_rise, can_fall, d, age
+        )
 
     def _crash(self, lo: np.ndarray, up: np.ndarray):
         """Cold start. Every slack starts basic at the residual of the
         starting point, so ``B^-1`` is ``I``; no slack has a cost, so that
-        basis prices every column at its own cost. Unless a cost points
-        at an infinite bound it is dual feasible, and the dual simplex
-        solves from it in one phase. Only when the dual simplex
-        declines it does the solve crash to slacks and artificials and
-        run primal phase 1. Returns the steps that restored feasibility
-        and (basis, status, x, B^-1, can_rise, can_fall, reduced costs or
-        None, steps since B^-1 was factored) at a feasible point, or None
-        in its place when the rows cannot be met. Pins the artificials'
-        bounds at 0 again for phase 2, after widening those that phase 1
-        uses."""
+        basis prices every column at its own cost, and it is dual
+        feasible unless a cost points at an infinite bound. Goes on
+        through ``_dual_start``, and returns what it returns."""
         m, n = self.m, self.n
-        n_total = n + 2 * m
-        status = np.empty(n_total, dtype=np.int8)
-        x = np.zeros(n_total)
+        status = np.full(n + m, _BASIC, dtype=np.int8)
+        x = np.empty(n + m)
         status[:n], x[:n] = _starting_point(lo[:n], up[:n], self.c_struct)
-        residual = self.b - self.a @ x[:n]
-        slack_cols = np.arange(n, n + m)
-        art_cols = slack_cols + m
-        status[slack_cols] = _BASIC
-        status[art_cols] = _AT_LOWER
-        x[slack_cols] = residual
-        dual = self._dual_simplex(
-            lo, up, slack_cols.copy(), status, x, np.eye(m), *_masks(lo, up, status)
+        x[n:] = self.b - self.a @ x[:n]
+        masks = _masks(lo, up, status)
+        return self._dual_start(lo, up, np.arange(n, n + m), status, x, np.eye(m), *masks)
+
+    def _dual_start(self, lo, up, basis, status, x, b_inv, can_rise, can_fall):
+        """The dual simplex from a basis not yet priced, under the phase-2
+        costs less the reduced cost of each column that prices out
+        (``_prices_out``), which makes that reduced cost 0 (dual phase 1 by
+        cost modification, Koberstein & Suhl 2007). When no column prices
+        out, the basis is dual feasible and nothing is shifted. When one
+        does, the state the dual simplex reaches carries no reduced
+        costs, so that primal phase 2 prices it under the true costs. A
+        row that proves the bounds and rows cannot be met does so under
+        any costs. Returns what ``_dual_simplex`` returns."""
+        d = self._price(self.c_phase2, basis, b_inv)
+        out = _prices_out(d, can_rise, can_fall)
+        shift = np.where(out, d, 0.0)
+        steps, state = self._dual_simplex(
+            self.c_phase2 - shift, lo, up, basis, status, x, b_inv, can_rise, can_fall, d - shift
         )
-        if dual is not None:
-            return dual
-
-        # slack crash basis: a row whose slack can absorb the residual at
-        # the starting point starts with that slack basic; every other row
-        # gets a basic artificial. All these columns are unit columns, so
-        # B^-1 starts as I. An artificial's sign lives in its bounds and
-        # its phase-1 cost; unused artificials are fixed at 0, so they can
-        # never enter.
-        slack_fits = (self.slack_lo <= residual) & (residual <= self.slack_up)
-        used = ~slack_fits
-        sign = np.where(residual < 0.0, -1.0, 1.0)
-        status[slack_cols] = np.where(slack_fits, _BASIC, self.slack_status)
-        x[slack_cols] = np.where(slack_fits, residual, 0.0)
-        lo[art_cols] = np.where(used & (sign < 0), -math.inf, 0.0)
-        up[art_cols] = np.where(used & (sign > 0), math.inf, 0.0)
-        status[art_cols] = np.where(used, _BASIC, _AT_LOWER)
-        x[art_cols] = np.where(used, residual, 0.0)
-        basis = np.where(slack_fits, slack_cols, art_cols)
-        b_inv = np.eye(m)
-        c_phase1 = np.zeros(n_total)
-        c_phase1[art_cols] = np.where(used, sign, 0.0)
-        can_rise, can_fall = _masks(lo, up, status)
-
-        steps1 = 0
-        if used.any():
-            outcome, steps1, _ = self._simplex(
-                c_phase1, lo, up, basis, status, x, b_inv, can_rise, can_fall
-            )
-            if outcome == "unbounded":  # cannot happen for a bounded-below phase 1
-                raise SolverError("phase-1 simplex reported unbounded")
-            if float(c_phase1 @ x) > 1e-7:
-                return steps1, None
-            # pin artificials at zero for phase 2
-            lo[art_cols] = 0.0
-            up[art_cols] = 0.0
-            x[art_cols] = np.where(status[art_cols] == _BASIC, x[art_cols], 0.0)
-            can_rise, can_fall = _masks(lo, up, status)
-        return steps1, (basis, status, x, b_inv, can_rise, can_fall, None, _aged(0, steps1))
+        if state is None or not out.any():
+            return steps, state
+        return steps, (*state[:6], None, state[7])
 
     def _exchange(self, r, enter, step, w, to_upper, lo, up, basis, status, x, b_inv,
                   can_rise, can_fall) -> None:
@@ -704,18 +665,15 @@ class _PreparedLP:
             b_inv[nz] -= w[nz, None] * row
         b_inv[r] = row
 
-    def _dual_simplex(self, lo, up, basis, status, x, b_inv, can_rise, can_fall, d=None, age=0):
-        """Bounded dual simplex under the phase-2 costs, until every basic
-        variable meets its bounds to ``_START_TOL``. Without reduced costs
-        ``d``, it prices the basis and returns None at once when a column
-        prices out (``_prices_out``), as the basis is not dual feasible;
-        ``d`` passed in is trusted. ``d`` is updated at each step and
-        priced afresh at each refactorization, and ``age`` counts the
-        steps since ``b_inv`` was factored. Otherwise returns what
-        ``_crash`` returns: the steps taken and (basis, status, x, B^-1,
-        can_rise, can_fall, d, age) at a primal feasible point, or None in
-        its place when a row proves that the bounds and rows cannot be
-        met.
+    def _dual_simplex(self, c, lo, up, basis, status, x, b_inv, can_rise, can_fall, d, age=0):
+        """Bounded dual simplex under the costs ``c``, from the reduced
+        costs ``d``, which it trusts to keep their signs, until every
+        basic variable meets its bounds to ``_START_TOL``. ``d`` is
+        updated at each step and priced afresh at each refactorization,
+        and ``age`` counts the steps since ``b_inv`` was factored. Returns
+        the steps taken and (basis, status, x, B^-1, can_rise, can_fall,
+        d, age) at a primal feasible point, or None in its place when a
+        row proves that the bounds and rows cannot be met.
 
         The leaving row is the basic variable with the largest bound
         violation. The entering column minimises |d_j| / |alpha_rj| over
@@ -723,11 +681,7 @@ class _PreparedLP:
         its bound, with ties to the larger |alpha_rj|. After
         ``_STALL_LIMIT`` steps without a rise in the objective, both
         choices go to the smallest index (Bland's rule for the dual)."""
-        c, n, m = self.c_phase2, self.n, self.m
-        if d is None:
-            d = self._price(c, basis, b_inv)
-            if _prices_out(d, can_rise, can_fall).any():
-                return None
+        n, m = self.n, self.m
         bland = False
         stall = 0
         max_iter = 20000 + 50 * (m + n)
@@ -779,15 +733,15 @@ class _PreparedLP:
                     bland = True
         raise SolverError("dual simplex iteration limit exceeded")
 
-    def _simplex(self, c, lo, up, basis, status, x, b_inv, can_rise, can_fall):
-        """Run primal iterations to optimality on the current basis.
+    def _simplex(self, lo, up, basis, status, x, b_inv, can_rise, can_fall):
+        """Run primal phase 2 to optimality on the current basis.
 
         Returns the outcome, the number of entering steps taken (a bound
         flip counts as one) and the reduced costs of the last pricing,
         which at an optimum are those of the final basis. A row bounds a
         step only if its rate exceeds ``_PIVOT_TOL`` and 1e-9 of the
         largest, so no rounding-scale entry becomes the pivot."""
-        n, m = self.n, self.m
+        c, n, m = self.c_phase2, self.n, self.m
         bland = False
         stall = 0
         z_prev = float(c @ x)
@@ -881,9 +835,10 @@ def solve_lp_relaxation(model: IPModel, start_basis: Basis | None = None) -> Sol
     ``start_basis`` is a basis of an earlier solve of a model with the
     same rows and columns, such as its ``Solution.basis``. The solve
     starts from it when its point meets this model's bounds and rows,
-    or, through the dual simplex, when its reduced costs keep their
-    signs; cold otherwise. The result is the same optimum either way, up
-    to ties between optimal vertices."""
+    and through the dual simplex otherwise; cold only when the basis is
+    malformed or singular, marks a variable at an infinite bound or a
+    bounded one free, or its point misses a row. The result is the same
+    optimum either way, up to ties between optimal vertices."""
     if model.num_variables == 0:
         return Solution(
             status="optimal", objective=model.objective_constant, assignment=np.zeros(0)
@@ -962,8 +917,8 @@ def solve_exact(
     ``start_basis`` is offered to the root LP, as in
     ``solve_lp_relaxation``. Every other node resumes from its parent's
     final simplex state through the dual simplex, and cold only when
-    that state does not serve. The result's ``basis`` is the root LP's
-    optimal basis.
+    that state's basis is singular or misses a row. The result's
+    ``basis`` is the root LP's optimal basis.
     """
     if node_limit is not None and node_limit < 1:
         raise ValueError(f"node_limit must be at least 1, got {node_limit}")
@@ -1066,9 +1021,9 @@ def solve_exact(
             offer(node.x)
         else:
             j, val, state = node.branch, node.x[node.branch], node.state
-            # only the basic variable j changes bounds, so the children may
-            # resume from the parent's state; else they restart its basis
-            start = state if state.status[j] == _BASIC else Basis(state.columns, state.status)
+            # only j changes bounds, and j is basic: a nonbasic integer sits
+            # at a bound, which is integral, so j would not be fractional.
+            # Both children resume from the parent's state.
             for side in ("down", "up"):
                 lo_c, up_c = node.lo.copy(), node.up.copy()
                 if side == "down":
@@ -1079,7 +1034,7 @@ def solve_exact(
                     continue
                 if node_limit is not None and nodes >= node_limit:
                     return finish("node_limit")
-                st, x_c, obj_c, state_c = solve_node(lo_c, up_c, start)
+                st, x_c, obj_c, state_c = solve_node(lo_c, up_c, state)
                 if st != "optimal" or obj_c >= incumbent_obj - _ABS_GAP:
                     continue
                 branch_c = _fractional_index(x_c, int_ids, binary_mask)

@@ -181,21 +181,21 @@ class TestSweep:
         self, bundled_instance, monkeypatch, spec, restarted
     ):
         """Each phase-2 point offers its root the previous point's basis.
-        A point of the same model shape takes it and skips phase 1; a z
+        A point of the same model shape takes it and takes no dual step; a z
         point has another shape and starts cold. Either way every row is
         the one the point gives when swept alone."""
-        phase1_steps = []
+        dual_steps = []
         solve = planner.solve_exact
 
         def counted(model, **kwargs):
             sol = solve(model, **kwargs)
-            phase1_steps.append(sol.simplex_pivots[0])
+            dual_steps.append(sol.simplex_pivots[0])
             return sol
 
         monkeypatch.setattr(planner, "solve_exact", counted)
         rows = sweep(bundled_instance, spec)
-        assert phase1_steps[0] > 0
-        assert all((steps == 0) == restarted for steps in phase1_steps[1:])
+        assert dual_steps[0] > 0
+        assert all((steps == 0) == restarted for steps in dual_steps[1:])
         for value, row in zip(spec["grid"], rows):
             (alone,) = sweep(bundled_instance, {**spec, "grid": [value]})
             assert row == alone
@@ -313,7 +313,7 @@ class TestPriceComparison:
     def test_roots_restart_from_previous_multiplier(self, bundled_instance, monkeypatch):
         """Only the service fee changes between multipliers, so every root
         after the first of its kind starts from the previous optimal basis
-        and skips phase 1. Cold, the eight SIP roots take 690 entering
+        and takes no dual step. Cold, the eight SIP roots take 690 entering
         steps."""
         solves = []
         solve = planner.solve_exact

@@ -223,9 +223,7 @@ class TestKnownAnswers:
         m.add_constraint([(x, 5e-10)], "<=", 0.0)
         m.add_constraint([(x, 1e3)], "<=", 1e3)
         slack_basis = milp.Basis(
-            np.array([1, 2]),
-            np.array([milp._AT_LOWER, milp._BASIC, milp._BASIC, milp._AT_LOWER,
-                      milp._AT_LOWER], dtype=np.int8),
+            np.array([1, 2]), np.array([milp._AT_LOWER, milp._BASIC, milp._BASIC], dtype=np.int8)
         )
         sol = solve_lp_relaxation(m, start_basis=slack_basis)
         assert (sol.status, sol.objective, sol.simplex_pivots) == ("optimal", -1.0, (0, 1))
@@ -273,10 +271,9 @@ def as_basis(state):
 
 
 def full_matrix(prepared):
-    """The standard form ``[A | I_slack | I_artificial]`` of a prepared LP,
-    built here, as an LP on the block route holds no dense copy."""
-    eye = np.eye(prepared.m)
-    return np.hstack((prepared.a, eye, eye))
+    """The standard form ``[A | I_slack]`` of a prepared LP, built here,
+    as an LP on the block route holds no dense copy."""
+    return np.hstack((prepared.a, np.eye(prepared.m)))
 
 
 @pytest.fixture(params=["whole", "block"])
@@ -289,6 +286,12 @@ def route(request):
         yield request.param
 
 
+def full_bounds(prepared, lo, up):
+    """The bounds of every column of ``[A | I_slack]``: the structural
+    ones given, then the slacks'."""
+    return np.concatenate((lo, prepared.lo_tail)), np.concatenate((up, prepared.up_tail))
+
+
 def dual_feasible(prepared, lo, up, basis):
     """Whether the basis's reduced costs have the sign its statuses ask
     for under these bounds (fixed columns excepted)."""
@@ -296,8 +299,8 @@ def dual_feasible(prepared, lo, up, basis):
     full = full_matrix(prepared)
     b_inv = np.linalg.inv(full[:, basis.columns])
     d = c - (c[basis.columns] @ b_inv) @ full
-    movable = np.concatenate((lo < up, prepared.slack_lo < prepared.slack_up))
-    movable = np.concatenate((movable, np.zeros(prepared.m, dtype=bool)))
+    lo, up = full_bounds(prepared, lo, up)
+    movable = lo < up
     wrong = (
         ((basis.status == milp._AT_LOWER) & (d < -1e-9))
         | ((basis.status == milp._AT_UPPER) & (d > 1e-9))
@@ -489,7 +492,7 @@ class TestStartBasis:
 
     def test_restart_after_cost_change_matches_cold(self):
         rng = np.random.default_rng(5)
-        phase1_skipped = 0
+        cold_dual_steps = 0
         for i, model in enumerate(self.MODELS):
             first = solve_lp_relaxation(model)
             if first.status != "optimal":
@@ -500,7 +503,7 @@ class TestStartBasis:
             assert warm.status == cold.status == "optimal"
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9, rel=0)
             assert warm.simplex_pivots[0] == 0
-            phase1_skipped += cold.simplex_pivots[0] > 0
+            cold_dual_steps += cold.simplex_pivots[0] > 0
             if i >= 20:  # branch and bound on the rest would take seconds
                 continue
             # the exact solve takes the start at its root and agrees too
@@ -510,22 +513,22 @@ class TestStartBasis:
             assert exact_warm.objective == pytest.approx(
                 exact_cold.objective, abs=1e-9, rel=0
             )
-        assert phase1_skipped >= 20
+        assert cold_dual_steps >= 20
 
     def test_unfit_starts_fall_back_to_cold(self, bundled_instance, route):
-        """A wrong-size basis, a singular one, and the optimal basis of a
-        parent under negated costs at a child (neither primal nor dual
-        feasible there): each solve is the cold one. The bundled SIP is
-        the last model; its 224 rows take the block route, whose
-        singular start leaves two rows free for one structural."""
-        checked = {"size": 0, "singular": 0, "negated": 0}
+        """A wrong-size basis and a singular one: each solve is the cold
+        one. The singular start has a slack on every row but one, and in
+        that row's place a structural that is 0 on it. The bundled SIP is
+        the last model; its 224 rows take the block route, where that
+        structural and that row make a 1 x 1 block of 0."""
+        checked = {"size": 0, "singular": 0}
         bundled = build_phase2_sip(bundled_instance).model
         for model in [*self.MODELS, bundled]:
             prepared = milp._PreparedLP(model)
             if model is bundled:
                 assert prepared.a_full is None
             lo, up = model.bounds_arrays()
-            status, x, _, _, basis = prepared.solve(lo, up)
+            status, _, _, _, basis = prepared.solve(lo, up)
             if status != "optimal":
                 continue
             m, n = prepared.m, prepared.n
@@ -539,37 +542,81 @@ class TestStartBasis:
             )
             checked["size"] += 1
 
-            cold = prepared.solve(lo, up)
-            if m >= 2:
-                # slack 0 and artificial 0 are the same unit column
-                columns = np.array([n, n + m, *range(n + 1, n + m - 1)])
-                singular = np.full(n + 2 * m, milp._AT_LOWER, dtype=np.int8)
+            zeros = np.argwhere(prepared.a == 0.0)
+            if zeros.size:
+                row, j = zeros[0]
+                columns = np.array([j if i == row else n + i for i in range(m)])
+                singular = np.full(n + m, milp._AT_LOWER, dtype=np.int8)
                 singular[columns] = milp._BASIC
                 assert np.linalg.matrix_rank(full_matrix(prepared)[:, columns]) < m
                 with pytest.raises(SolverError, match="singular"):
-                    prepared._factor(columns, np.zeros(n + 2 * m), np.empty((m, m)))
+                    prepared._factor(columns, np.zeros(n + m), np.empty((m, m)))
                 start = milp.Basis(columns, singular)
-                assert_same_solve(prepared.solve(lo, up, start), cold)
+                assert_same_solve(prepared.solve(lo, up, start), prepared.solve(lo, up))
                 checked["singular"] += 1
-
-            frac = np.abs(x - np.round(x)) > 1e-6
-            if frac.any():
-                j = int(np.flatnonzero(frac)[0])
-                up_child = up.copy()
-                up_child[j] = math.floor(x[j])
-                negated = milp._PreparedLP(cost_negated(model))
-                if not dual_feasible(negated, lo, up_child, basis):
-                    assert_same_solve(
-                        negated.solve(lo, up_child, as_basis(basis)),
-                        negated.solve(lo, up_child),
-                    )
-                    checked["negated"] += 1
         assert min(checked.values()) >= 10, checked
+
+    def test_unfit_marks_fall_back_to_cold(self):
+        """A start that marks a variable at an infinite bound, or marks a
+        variable with a finite bound free, puts no nonbasic variable at a
+        bound of this LP: the solve is the cold one."""
+        m = mixed_rows_lp()
+        prepared = milp._PreparedLP(m)
+        lo, up = m.bounds_arrays()
+        basis = prepared.solve(lo, up)[4]
+        z = m.variable_id("z")
+        assert basis.status[z] == milp._AT_LOWER
+        lo_open = lo.copy()
+        lo_open[z] = -math.inf
+        for marked, lo_b in ((milp._AT_LOWER, lo_open), (milp._FREE, lo)):
+            status = basis.status.copy()
+            status[z] = marked
+            start = milp.Basis(basis.columns, status)
+            assert prepared._restart(start, *full_bounds(prepared, lo_b, up)) is None
+            assert_same_solve(prepared.solve(lo_b, up, start), prepared.solve(lo_b, up))
+
+    def test_start_neither_primal_nor_dual_feasible_shifts_costs(
+        self, bundled_instance, monkeypatch, route
+    ):
+        """The optimal basis of a parent under negated costs at a child is
+        neither primal nor dual feasible there. The solve does not start
+        cold: the dual simplex runs on shifted costs, and primal phase 2
+        restores the true ones. Status and objective (to 1e-9) are the
+        cold solve's."""
+        crashes = []
+        crash = milp._PreparedLP._crash
+        monkeypatch.setattr(
+            milp._PreparedLP,
+            "_crash",
+            lambda self, *args: crashes.append(None) or crash(self, *args),
+        )
+        checked = 0
+        for model in [*self.MODELS, build_phase2_sip(bundled_instance).model]:
+            lo, up = model.bounds_arrays()
+            status, x, _, _, basis = milp._PreparedLP(model).solve(lo, up)
+            frac = np.abs(x - np.round(x)) > 1e-6 if status == "optimal" else []
+            if not np.any(frac):
+                continue
+            j = int(np.flatnonzero(frac)[0])
+            up_child = up.copy()
+            up_child[j] = math.floor(x[j])
+            negated = milp._PreparedLP(cost_negated(model))
+            if dual_feasible(negated, lo, up_child, basis):
+                continue
+            crashes.clear()
+            warm = negated.solve(lo, up_child, as_basis(basis))
+            assert crashes == []
+            cold = negated.solve(lo, up_child)
+            assert warm[0] == cold[0]
+            if cold[0] == "optimal":
+                assert warm[2] == pytest.approx(cold[2], abs=1e-9, rel=0)
+            checked += 1
+        assert checked >= 10
 
     def test_warm_child_matches_cold_child(self, monkeypatch):
         """The parent's optimal basis at a child with one tightened bound:
-        the dual simplex restores feasibility, so no primal phase 1 runs,
-        and the solve agrees with the cold one on status and objective."""
+        the dual simplex restores feasibility, so the solve never starts
+        cold, and it agrees with the cold one on status and objective."""
         crashes = []
         crash = milp._PreparedLP._crash
 
@@ -604,7 +651,7 @@ class TestStartBasis:
         """Warm against cold at every child of every root: the floor and
         the ceil child of each fractional variable, and one fixing of a
         variable at a bound that leaves the rows no point, where the dual
-        simplex's row proof must agree with cold phase 1. The dual ratio
+        simplex's row proof must agree with the cold solve. The dual ratio
         test keeps the reduced costs' signs, so the primal phase-2 check
         after it takes no step."""
         seen = {"optimal": 0, "infeasible": 0, "empty": 0}
@@ -789,8 +836,7 @@ class TestResume:
             if state is None:
                 continue
             m = prepared.m
-            lo = np.concatenate((lo_struct, prepared.slack_lo, np.zeros(m)))
-            up = np.concatenate((up_struct, prepared.slack_up, np.zeros(m)))
+            lo, up = full_bounds(prepared, lo_struct, up_struct)
             movable, status = lo < up, state.status
             free = status == milp._FREE
             assert np.array_equal(
@@ -872,8 +918,8 @@ class TestBlockFactor:
             point = np.random.default_rng(len(checked)).normal(size=full.shape[1])
             assert np.allclose(prepared._rows(point), full @ point, rtol=1e-12, atol=1e-12)
             for basis in bases:
-                # nonbasic slacks and artificials sit at 0, their finite bound
-                x = np.zeros(prepared.n + 2 * prepared.m)
+                # nonbasic slacks sit at 0, their finite bound
+                x = np.zeros(prepared.n + prepared.m)
                 lo, up = model.bounds_arrays()
                 status = basis.status[: prepared.n]
                 x[: prepared.n] = np.where(
@@ -932,8 +978,8 @@ class TestBlockFactor:
     def test_prepared_lp_holds_no_dense_standard_form(self, bundled_instance):
         """The arrays of the bundled SIP's prepared LP take ``A`` plus a
         few vectors of length m or n and the column nonzeros (16 values
-        per row and column in all); the dense ``[A | I | I]`` alone
-        would take m (n + 2m) values."""
+        per row and column in all); the dense ``[A | I]`` alone would
+        take m (n + m) values."""
         prepared = milp._PreparedLP(build_phase2_sip(bundled_instance).model)
         m, n = prepared.m, prepared.n
         arrays = []
@@ -942,9 +988,40 @@ class TestBlockFactor:
                 arrays.append(value)
             elif isinstance(value, list):
                 arrays.extend(value)
-        assert all(array.shape != (m, n + 2 * m) for array in arrays)
+        assert all(array.shape != (m, n + m) for array in arrays)
         total = sum(array.nbytes for array in arrays)
         assert total <= prepared.a.nbytes + 16 * 8 * (m + n)
+
+
+@st.composite
+def mixed_lps(draw) -> IPModel:
+    """1 to 6 continuous variables, each boxed (possibly fixed), free, or
+    bounded on one side, and 1 to 5 rows of ``==``, ``<=`` and ``>=``
+    with small integer data. Most rows are met by one drawn integer
+    point; about one in four has a right-hand side drawn on its own, so
+    infeasible LPs occur, and so do unbounded ones."""
+    model = IPModel("drawn-lp")
+    n = draw(st.integers(1, 6))
+    point = []
+    for j in range(n):
+        low = draw(st.integers(-3, 2))
+        high = low + draw(st.integers(0, 4))
+        point.append(draw(st.integers(low, high)))
+        kind = draw(st.sampled_from(["box", "free", "lower", "upper"]))
+        lo = low if kind in ("box", "lower") else -math.inf
+        up = high if kind in ("box", "upper") else math.inf
+        model.add_variable(f"x{j}", lower=lo, upper=up)
+        model.add_objective_term(j, float(draw(st.integers(-3, 3))))
+    for _ in range(draw(st.integers(1, 5))):
+        coefs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        sense = draw(st.sampled_from(["<=", ">=", "=="]))
+        if draw(st.integers(0, 3)) == 0:
+            rhs = draw(st.integers(-6, 6))
+        else:
+            gap = 0 if sense == "==" else draw(st.integers(0, 3))
+            rhs = np.dot(coefs, point) + (gap if sense == "<=" else -gap)
+        model.add_constraint(list(enumerate(map(float, coefs))), sense, float(rhs))
+    return model
 
 
 def half_bounded_lp(upper_row: bool):
@@ -963,77 +1040,146 @@ def half_bounded_lp(upper_row: bool):
     return m
 
 
+def primal_feasible(prepared, lo, up, basis):
+    """Whether the point the basis fixes meets every bound to 1e-9,
+    solved with numpy."""
+    lo, up = full_bounds(prepared, lo, up)
+    x = np.where(basis.status == milp._AT_LOWER, lo, 0.0)
+    x = np.where(basis.status == milp._AT_UPPER, up, x)
+    full = full_matrix(prepared)
+    x[basis.columns] = np.linalg.solve(full[:, basis.columns], prepared.b - full @ x)
+    return bool((x >= lo - 1e-9).all() and (x <= up + 1e-9).all())
+
+
+def mixed_start(model, rng, tries=10):
+    """The optimal basis of the first of ``tries`` twins of the model
+    that is neither primal nor dual feasible for it; None if no twin
+    gives one. A twin has the model's costs moved by noise, every other
+    twin's negated first, and right-hand sides that a random point in
+    the bounds meets with equality, so it always has a point."""
+    prepared = milp._PreparedLP(model)
+    lo, up = model.bounds_arrays()
+    for k in range(tries):
+        twin = cost_shifted(cost_negated(model) if k % 2 else model, rng)
+        point = np.clip(3.0 * rng.normal(size=prepared.n), lo, up)
+        twin.constraints = [
+            dataclasses.replace(con, rhs=float(row @ point))
+            for con, row in zip(model.constraints, prepared.a)
+        ]
+        start = solve_lp_relaxation(twin).basis
+        if not (
+            start is None
+            or primal_feasible(prepared, lo, up, start)
+            or dual_feasible(prepared, lo, up, start)
+        ):
+            return start
+    return None
+
+
 class TestColdRoutes:
     """A cold solve starts at the all-slack basis through the dual
-    simplex and falls back to the slack crash basis and primal phase 1
-    when the dual simplex declines. Forcing the fallback everywhere,
-    both routes must agree on status and objective."""
+    simplex, on shifted costs when a cost points at an infinite bound.
+    A restart from a basis that is neither primal nor dual feasible,
+    the optimal one of a twin LP with other costs and right-hand sides,
+    reaches feasibility the same way from another basis, always on
+    shifted costs; the two must agree on status and objective."""
 
     @staticmethod
-    def both_routes(model, monkeypatch):
-        """The cold LP relaxation by each route, and whether the dual
-        simplex accepted the slack basis on the first."""
-        results = []
-        dual = milp._PreparedLP._dual_simplex
+    def both_routes(model, start, monkeypatch):
+        """The cold LP relaxation, and whether its dual simplex ran on
+        shifted costs; then, unless ``start`` is None, the solve
+        restarted from it, which must run the dual simplex on shifted
+        costs, never start cold, and agree with the cold solve."""
+        shifted, crashes = [], []
+        dual, crash = milp._PreparedLP._dual_simplex, milp._PreparedLP._crash
 
-        def spied(self, *args):
-            results.append(dual(self, *args))
-            return results[-1]
+        def spied(self, c, *args):
+            shifted.append(not np.array_equal(c, self.c_phase2))
+            return dual(self, c, *args)
 
         with monkeypatch.context() as patch:
             patch.setattr(milp._PreparedLP, "_dual_simplex", spied)
-            by_dual = solve_lp_relaxation(model)
-            patch.setattr(milp._PreparedLP, "_dual_simplex", lambda self, *args: None)
-            by_phase1 = solve_lp_relaxation(model)
-        assert by_dual.status == by_phase1.status
-        if by_dual.status == "optimal":
-            assert by_dual.objective == pytest.approx(by_phase1.objective, abs=1e-9, rel=0)
-        return by_dual, by_phase1, results[0] is not None
+            patch.setattr(
+                milp._PreparedLP,
+                "_crash",
+                lambda self, *args: crashes.append(None) or crash(self, *args),
+            )
+            cold = solve_lp_relaxation(model)
+            assert crashes == [None] and len(shifted) == 1
+            cold_shifted = shifted.pop()
+            if start is None:
+                return cold, cold_shifted, None
+            restarted = solve_lp_relaxation(model, start_basis=start)
+        assert crashes == [None] and shifted == [True]
+        assert restarted.status == cold.status
+        if cold.status == "optimal":
+            assert restarted.objective == pytest.approx(cold.objective, abs=1e-9, rel=0)
+        return cold, cold_shifted, restarted
 
     def test_gate3_roots(self, monkeypatch):
         """The root LPs of the first 60 gate-3 models, whose first 50 are
         ``TestStartBasis.MODELS``. Every cost sits on a boxed variable,
-        so every root takes the dual route."""
-        seen = {"optimal": 0, "infeasible": 0}
+        so every cold root runs the dual simplex on the true costs."""
+        rng = np.random.default_rng(7)
+        seen = {"optimal": 0, "infeasible": 0, "restarted": 0}
         for model in workloads.gate3_models(60):
-            by_dual, _, dual_route = self.both_routes(model, monkeypatch)
-            assert dual_route
-            seen[by_dual.status] += 1
-        assert min(seen.values()) >= 1, seen
+            start = mixed_start(model, rng)
+            cold, cold_shifted, _ = self.both_routes(model, start, monkeypatch)
+            assert not cold_shifted
+            seen[cold.status] += 1
+            seen["restarted"] += start is not None
+        assert min(seen.values()) >= 1 and seen["restarted"] >= 20, seen
 
     def test_bundled_roots(self, bundled_instance, monkeypatch):
-        """The bundled SIP and DIP roots take the dual route."""
+        """The bundled SIP and DIP roots take the dual simplex on the true
+        costs and no phase-2 step; restarted on shifted costs, phase 2
+        takes steps to restore the true ones."""
+        rng = np.random.default_rng(8)
         for model in (
             build_phase2_sip(bundled_instance).model,
             build_phase2_dip(
                 bundled_instance, *_mean_demand_and_shortfall(bundled_instance)
             ).model,
         ):
-            by_dual, by_phase1, dual_route = self.both_routes(model, monkeypatch)
-            assert dual_route and by_dual.status == "optimal"
-            assert by_dual.simplex_pivots[1] == 0 < by_phase1.simplex_pivots[0]
+            start = mixed_start(model, rng)
+            cold, cold_shifted, restarted = self.both_routes(model, start, monkeypatch)
+            assert not cold_shifted and cold.status == "optimal"
+            assert cold.simplex_pivots[1] == 0 < restarted.simplex_pivots[1]
 
     def test_infeasible_lp(self, monkeypatch):
+        """x in [0, 1] with x >= 2: the cold dual simplex proves the row
+        empty on the true costs, and so does the restart on shifted ones
+        from x at its upper bound, where its cost prices out."""
         m = IPModel("infeasible")
         x = m.add_variable("x", upper=1.0)
         m.add_objective_term(x, 1.0)
         m.add_constraint([(x, 1.0)], ">=", 2.0)
-        by_dual, _, dual_route = self.both_routes(m, monkeypatch)
-        assert dual_route and by_dual.status == "infeasible"
+        start = milp.Basis(np.array([1]), np.array([milp._AT_UPPER, milp._BASIC], dtype=np.int8))
+        cold, cold_shifted, _ = self.both_routes(m, start, monkeypatch)
+        assert not cold_shifted and cold.status == "infeasible"
 
     @pytest.mark.parametrize(
         "upper_row, status", [(True, "optimal"), (False, "unbounded")]
     )
-    def test_cost_toward_infinite_bound_takes_phase1(self, monkeypatch, upper_row, status):
-        by_dual, by_phase1, dual_route = self.both_routes(
-            half_bounded_lp(upper_row), monkeypatch
-        )
-        assert not dual_route
-        assert by_dual.status == status
-        assert by_dual.simplex_pivots == by_phase1.simplex_pivots
-        assert by_dual.simplex_pivots[0] > 0
+    def test_cost_toward_infinite_bound_shifts_costs(self, monkeypatch, upper_row, status):
+        """The cost of x points at its infinite bound: the cold dual
+        simplex runs on shifted costs, and primal phase 2 under the true
+        ones finds the optimum -5, or the ray without the upper row."""
+        cold, cold_shifted, _ = self.both_routes(half_bounded_lp(upper_row), None, monkeypatch)
+        assert cold_shifted
+        assert cold.status == status
+        assert cold.simplex_pivots[0] > 0
         if status == "optimal":
-            assert by_dual.objective == pytest.approx(-5.0, abs=1e-12)
+            assert cold.objective == pytest.approx(-5.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mixed_lps(), st.integers(0, 2**32 - 1))
+    def test_drawn_lps(self, model, seed):
+        """Drawn LPs, infeasible and unbounded ones among them, restarted
+        from a ``mixed_start`` wherever there is one."""
+        start = mixed_start(model, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            self.both_routes(model, start, patch)
 
 
 class TestCertificate:
@@ -1169,40 +1315,11 @@ class TestMaxViolation:
         assert no_rows.max_violation(np.array([math.nan])) == 0.0
 
 
-@st.composite
-def mixed_lps(draw) -> IPModel:
-    """1 to 6 continuous variables, each boxed (possibly fixed), free, or
-    bounded on one side, and 1 to 5 rows of ``==``, ``<=`` and ``>=``
-    with small integer data, all met by one drawn integer point, so no
-    LP is infeasible. Rows that the start point misses need an
-    artificial in phase 1; unbounded LPs occur."""
-    model = IPModel("drawn-lp")
-    n = draw(st.integers(1, 6))
-    point = []
-    for j in range(n):
-        low = draw(st.integers(-3, 2))
-        high = low + draw(st.integers(0, 4))
-        point.append(draw(st.integers(low, high)))
-        kind = draw(st.sampled_from(["box", "free", "lower", "upper"]))
-        lo = low if kind in ("box", "lower") else -math.inf
-        up = high if kind in ("box", "upper") else math.inf
-        model.add_variable(f"x{j}", lower=lo, upper=up)
-        model.add_objective_term(j, float(draw(st.integers(-3, 3))))
-    for _ in range(draw(st.integers(1, 5))):
-        coefs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-        sense = draw(st.sampled_from(["<=", ">=", "=="]))
-        gap = 0 if sense == "==" else draw(st.integers(0, 3))
-        rhs = np.dot(coefs, point) + (gap if sense == "<=" else -gap)
-        model.add_constraint(list(enumerate(map(float, coefs))), sense, float(rhs))
-    return model
-
-
 class TestOptimalBasis:
     """The optimal basis a solve returns, checked with numpy's own
-    solves on [A | I_slack | I_artificial] rather than the kernel's
-    B^-1, so the slacks' reduced costs and the unit entering columns are
-    checked without the kernel's arithmetic. (An artificial is fixed at
-    the optimum, so its pricing shows only in phase 1's path.)"""
+    solves on [A | I_slack] rather than the kernel's B^-1, so the
+    slacks' reduced costs and the unit entering columns are checked
+    without the kernel's arithmetic."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(mixed_lps())
@@ -1212,12 +1329,12 @@ class TestOptimalBasis:
             return
         a, b, senses = model.constraint_matrix()
         m, n = a.shape
-        full = np.hstack((a, np.eye(m), np.eye(m)))
+        full = np.hstack((a, np.eye(m)))
         lo_x, up_x = model.bounds_arrays()
         slack_lo = [-math.inf if sense == ">=" else 0.0 for sense in senses]
         slack_up = [math.inf if sense == "<=" else 0.0 for sense in senses]
-        lo = np.concatenate((lo_x, slack_lo, np.zeros(m)))
-        up = np.concatenate((up_x, slack_up, np.zeros(m)))
+        lo = np.concatenate((lo_x, slack_lo))
+        up = np.concatenate((up_x, slack_up))
         columns, status = sol.basis.columns, sol.basis.status
         nonbasic = status != milp._BASIC
         x = np.where(status == milp._AT_LOWER, lo, 0.0)
@@ -1227,10 +1344,9 @@ class TestOptimalBasis:
         assert (x >= lo - 1e-9).all() and (x <= up + 1e-9).all()
         assert np.allclose(x[:n], sol.assignment, rtol=0.0, atol=1e-9)
 
-        c = np.concatenate((model.objective_vector(), np.zeros(2 * m)))
+        c = np.concatenate((model.objective_vector(), np.zeros(m)))
         d = c - np.linalg.solve(full[:, columns].T, c[columns]) @ full
-        # a fixed column (an artificial, an == row's slack) may price
-        # either way
+        # a fixed column (an == row's slack) may price either way
         free_to_move = nonbasic & (lo < up)
         at_lower = free_to_move & (status == milp._AT_LOWER)
         at_upper = free_to_move & (status == milp._AT_UPPER)
