@@ -30,10 +30,14 @@ from .planner import (
     InfeasibleModelError,
     NetworkInstance,
     Phase1Plan,
+    Phase2Model,
     Phase2Plan,
+    _Bill,
     _draw_random_plan,
-    _Pricing,
-    evf_plan,
+    _evf_model,
+    _evf_solve,
+    _phase2_model,
+    _solve_built,
     solve_phase1,
     solve_phase2,
 )
@@ -308,28 +312,30 @@ def sweep(
 
 
 def _compare_drawn(
-    instance: NetworkInstance,
-    random_plans: Sequence[Phase2Plan],
+    models: tuple[tuple[Phase2Model, np.ndarray | None], ...],
+    bills: Sequence[_Bill],
     node_limit: int | None,
     starts: tuple[Basis | None, Basis | None],
 ) -> tuple[dict[str, float], bool, tuple[Basis | None, Basis | None]]:
-    """The three-way comparison over all ``time_slots`` with the random
-    plans already drawn, whether every phase-2 solve in it was proven
-    optimal, and the root bases of the SIP and DIP solves. ``starts``
-    holds the bases those solves start from. One set of cost tables
-    prices the random plans; ``decode_phase2`` has already checked the
-    SIP objective against its exact tree expectation."""
-    pricing = _Pricing.of(instance)
-    sip = solve_phase2(instance, "sip", node_limit=node_limit, start_basis=starts[0])
+    """The three-way comparison over all ``time_slots`` at the prices the
+    SIP and the mean-value DIP in ``models`` were last priced at, each
+    with its warm start, whether every phase-2 solve in it was proven
+    optimal, and the root bases of the two solves. ``starts`` holds the
+    bases those solves start from. The SIP's pricing charges the random
+    plans' ``bills``; ``decode_phase2`` has already checked the SIP
+    objective against its exact tree expectation."""
+    (sip_model, sip_warm), (dip_model, dip_warm) = models
+    pricing = sip_model.pricing
+    sip = _solve_built(sip_model, sip_warm, node_limit, starts[0])
     try:
-        evf = evf_plan(instance, node_limit=node_limit, start_basis=starts[1])
+        evf = _evf_solve(dip_model, dip_warm, pricing, node_limit, starts[1])
     except InfeasibleModelError:
         # no expected-value plan exists; branch and bound proved it
         evf_cost, evf_optimal, evf_basis = math.inf, True, None
     else:
         evf_cost, evf_optimal, evf_basis = evf.expected_cost, evf.optimal, evf.basis
-    rand_costs = [pricing.expectation(plan)[0] for plan in random_plans]
-    slots = instance.time_slots
+    rand_costs = [pricing.charge(bill)[0] for bill in bills]
+    slots = pricing.instance.time_slots
     costs = {
         "sip_cost": slots * sip.expected_cost,
         "evf_cost": slots * evf_cost,
@@ -356,12 +362,14 @@ def offload_price_comparison(
     expectations (no sampling noise). The random baseline is averaged
     over the seed list, which must hold at least 30 seeds for the
     average to mean anything; the random plans read no price, so each
-    seed's plan is drawn once and priced at every multiplier.
-    ``node_limit`` caps the SIP solve and the expected-value plan's
-    deterministic solve. ``evf_cost`` is ``inf`` when that
-    deterministic program has no feasible point, so no expected-value
-    plan exists. Only the costs change between multipliers, so each SIP
-    and DIP solve starts from the previous multiplier's optimal basis."""
+    seed's plan is drawn and billed once and its bill charged at every
+    multiplier. ``node_limit`` caps the SIP solve and the
+    expected-value plan's deterministic solve. ``evf_cost`` is ``inf``
+    when that deterministic program has no feasible point, so no
+    expected-value plan exists. Only the costs change between
+    multipliers, so the SIP and the mean-value DIP are built once and
+    priced anew at each multiplier, and each solve starts from the
+    previous multiplier's optimal basis."""
     multipliers = _grid(
         multipliers,
         "multipliers",
@@ -373,6 +381,8 @@ def offload_price_comparison(
     if len(seeds) < 30:
         raise ValueError(f"random baseline needs >= 30 seeds, got {len(seeds)}")
     drawn = [_draw_random_plan(instance, s) for s in seeds]
+    models = (_phase2_model(instance, "sip"), _evf_model(instance))
+    bills = [models[0][0].pricing.bill(plan) for plan in drawn]
     rows, starts = [], (None, None)
     for mult in multipliers:
         inst = dataclasses.replace(
@@ -381,6 +391,8 @@ def offload_price_comparison(
                 instance.costs, service_fee=instance.costs.service_fee * mult
             ),
         )
-        costs, optimal, starts = _compare_drawn(inst, drawn, node_limit, starts)
+        for built, _ in models:
+            built.price(dataclasses.replace(built.pricing, instance=inst))
+        costs, optimal, starts = _compare_drawn(models, bills, node_limit, starts)
         rows.append({"multiplier": mult, **costs, "optimal": optimal})
     return rows

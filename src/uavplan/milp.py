@@ -236,6 +236,11 @@ class IPModel:
             raise ValueError(f"non-finite objective constant {value}")
         self.objective_constant += float(value)
 
+    def clear_objective(self) -> None:
+        """Drop every objective term and the constant."""
+        self._objective = {}
+        self.objective_constant = 0.0
+
     def variable_id(self, name: str) -> int:
         return self._by_name[name]
 

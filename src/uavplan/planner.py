@@ -29,17 +29,21 @@ Key structural choices:
   subscribed and provisioned to at least k - local copies.
 
 A plan carries the fleet it was made for, and its cost is priced in one
-place, ``_Pricing.expectation``: a (terminal path x stage) cost array
-from that fleet's cost tables, weighed by the path probabilities, which
-the decoder's stage breakdown and ``exact_expected_cost`` both read;
-another fleet's tables refuse the plan with ``PlanningError``. Its one
-completion-penalty rule: a (path, station) pays the penalty when its
-cumulative copies fall short of k + exposure * stage-2 offload
-indicator, or when the plan's residual flag is set there. Coverage
-alone prices a plan on another tree of the same shape; the flag keeps
-an incumbent that buys out coverage it already meets priced as its
-objective. On every plan the library returns for its own instance the
-two agree, so the model objective equals the exact tree expectation.
+place, ``_Pricing.expectation``, which bills the plan, then charges the
+bill. ``bill`` weighs what the plan buys on each terminal path by the
+path probabilities, per stage and (demand scenario, station), and reads
+no price; ``charge`` multiplies a bill by the fleet's cost tables. The
+decoder's stage breakdown and ``exact_expected_cost`` both read it, and
+a price comparison bills each plan once and charges the bill at every
+price. Another fleet's tables refuse the plan's bill with
+``PlanningError``. Its one completion-penalty rule: a (path, station)
+pays the penalty when its cumulative copies fall short of k + exposure
+* stage-2 offload indicator, or when the plan's residual flag is set
+there. Coverage alone prices a plan on another tree of the same shape;
+the flag keeps an incumbent that buys out coverage it already meets
+priced as its objective. On every plan the library returns for its own
+instance the two agree, so the model objective equals the exact tree
+expectation.
 """
 
 from __future__ import annotations
@@ -466,21 +470,63 @@ class Phase2Model:
     A decision is keyed (stage, demand scenario, loss prefix, station),
     and stage 2 is the stage whose loss prefix is empty; an offload
     count adds the base-station index. A residual binary is keyed
-    (demand scenario, loss indices, station) by its terminal path."""
+    (demand scenario, loss indices, station) by its terminal path.
+
+    The rows, bounds and warm starts read no price: ``price`` alone
+    writes the objective, so a built model re-priced for other costs or
+    another fleet equals a model built for them."""
 
     def __init__(self, formulation: str, pricing: _Pricing) -> None:
-        self.instance = instance = pricing.instance
+        self.formulation = formulation  # "dip" | "sip"
         self.pricing = pricing
-        self.model = IPModel(f"phase2_{formulation}")  # formulation "dip" | "sip"
+        self.model = IPModel(f"phase2_{formulation}")
         self.sub_ids: dict[int, int] = {}  # bs index -> vid
         self.local_ids: dict[tuple, int] = {}
         self.offload_ids: dict[tuple, int] = {}
         self.indicator_ids: dict[tuple, int] = {}
         self.residual_ids: dict[tuple, int] = {}
-        for fi, bs in enumerate(instance.base_stations):
-            vid = self.model.add_variable(f"M_s[bs={bs.id}]", kind="binary")
-            self.model.add_objective_term(vid, instance.costs.subscription_fee)
-            self.sub_ids[fi] = vid
+        # (stage, demand, prefix, probability, wait gated) per decision block
+        self.blocks: list[tuple[int, int, tuple[int, ...], float, bool]] = []
+        for fi, bs in enumerate(pricing.instance.base_stations):
+            self.sub_ids[fi] = self.model.add_variable(f"M_s[bs={bs.id}]", kind="binary")
+
+    @property
+    def instance(self) -> NetworkInstance:
+        return self.pricing.instance
+
+    def price(self, pricing: _Pricing) -> None:
+        """Replace the objective with ``pricing``'s: the subscription
+        fees, every decision block's probability times its station's cost
+        table, and every residual's path probability times the completion
+        penalty. The hover wait is an indicator term where the block is
+        wait-gated, a constant otherwise; stage 2 also carries the
+        decoding constant. A pricing of other paths raises
+        ``PlanningError``."""
+        if pricing.paths != self.pricing.paths or pricing.demand != self.pricing.demand:
+            raise PlanningError("pricing covers other paths than the model")
+        model, costs = self.model, pricing.instance.costs
+        model.clear_objective()
+        self.pricing = pricing
+        for vid in self.sub_ids.values():
+            model.add_objective_term(vid, costs.subscription_fee)
+        for stage, demand, prefix, p, wait_gated in self.blocks:
+            for y, tab in enumerate(pricing.tables[demand]):
+                key = (stage, demand, prefix, y)
+                model.add_objective_term(self.local_ids[key], p * tab.local)
+                if wait_gated:
+                    model.add_objective_term(self.indicator_ids[key], p * tab.wait)
+                else:
+                    model.add_objective_constant(p * tab.wait)
+                for fi, cost in enumerate(tab.offload):
+                    model.add_objective_term(self.offload_ids[(*key, fi)], p * cost)
+                if not prefix:
+                    model.add_objective_constant(p * tab.decode)
+        for path in pricing.paths:
+            p = path.probability
+            for y in range(len(self.instance.stations)):
+                rv = self.residual_ids.get((path.demand_index, path.loss_indices, y))
+                if rv is not None:
+                    model.add_objective_term(rv, p * costs.completion_penalty)
 
     def add_decisions(
         self,
@@ -493,31 +539,21 @@ class Phase2Model:
     ) -> None:
         """Local count, offload-route indicator and per-BS offload counts
         of every station at one (stage, demand scenario, loss prefix),
-        priced at ``probability`` times the station's cost table. The
-        hover wait is an indicator term when ``wait_gated``, a constant
-        otherwise; stage 2 also carries the decoding constant."""
+        which ``price`` weighs by ``probability``; ``wait_gated`` makes
+        the hover wait an indicator term there."""
         model = self.model
+        self.blocks.append((stage, demand, prefix, probability, wait_gated))
         for y, st in enumerate(self.instance.stations):
             key = (stage, demand, prefix, y)
             tag = f"{_block_tag(stage, demand, prefix)}[station={st.id}]"
-            tab = self.pricing.tables[demand][y]
-            lv = model.add_variable(f"M_L{tag}", kind="integer", upper=local_ub[y])
-            model.add_objective_term(lv, probability * tab.local)
-            self.local_ids[key] = lv
-            th = model.add_variable(f"M_TH{tag}", kind="binary")
-            self.indicator_ids[key] = th
-            if wait_gated:
-                model.add_objective_term(th, probability * tab.wait)
-            else:
-                model.add_objective_constant(probability * tab.wait)
+            self.local_ids[key] = model.add_variable(
+                f"M_L{tag}", kind="integer", upper=local_ub[y]
+            )
+            self.indicator_ids[key] = model.add_variable(f"M_TH{tag}", kind="binary")
             for fi, bs in enumerate(self.instance.base_stations):
-                ov = model.add_variable(
+                self.offload_ids[(*key, fi)] = model.add_variable(
                     f"M_O{tag}[bs={bs.id}]", kind="integer", upper=bs.servers
                 )
-                model.add_objective_term(ov, probability * tab.offload[fi])
-                self.offload_ids[(*key, fi)] = ov
-            if not prefix:
-                model.add_objective_constant(probability * tab.decode)
 
     def add_rows(self, stage: int, demand: int, prefix: tuple[int, ...]) -> None:
         """Link rows of one (stage, demand scenario, loss prefix): the
@@ -643,15 +679,13 @@ def build_phase2_sip(
 
     for path in built.pricing.paths:
         for y, st in enumerate(instance.stations):
-            rv = built.model.add_variable(
-                f"rho[scenario={path.demand_index}]"
-                f"[path={_path_label(path.loss_indices)}][station={st.id}]",
-                kind="binary",
+            built.residual_ids[path.demand_index, path.loss_indices, y] = (
+                built.model.add_variable(
+                    f"rho[scenario={path.demand_index}]"
+                    f"[path={_path_label(path.loss_indices)}][station={st.id}]",
+                    kind="binary",
+                )
             )
-            built.model.add_objective_term(
-                rv, path.probability * instance.costs.completion_penalty
-            )
-            built.residual_ids[path.demand_index, path.loss_indices, y] = rv
 
     for block in blocks:
         built.add_rows(*block)
@@ -673,6 +707,7 @@ def build_phase2_sip(
                 name=f"coverage[scenario={li}][path={_path_label(losses)}]"
                 f"[station={y}]",
             )
+    built.price(built.pricing)
     return built
 
 
@@ -699,13 +734,11 @@ def build_phase2_dip(
         if s < 0:
             raise ValueError(f"shortfall must be non-negative, got {s!r}")
 
-    ids = _resolve_type_ids(instance, type_ids)
-    tables = _stage_cost_tables(instance, ids, [[int(d) for d in demand]])
     k = instance.split.k
     local_ub = [instance.local_cap(k + math.ceil(s)) for s in shortfall]
 
     built = Phase2Model(
-        "dip", _Pricing(instance, ids, [ScenarioPath(0, (), 1.0)], tables)
+        "dip", _Pricing.of(instance, type_ids, demand=tuple(int(d) for d in demand))
     )
     built.add_decisions(
         2, 0, (), 1.0, local_ub, wait_gated=instance.wait_cost_gated_by_offload
@@ -724,6 +757,7 @@ def build_phase2_dip(
         built.model.add_constraint(
             provided, ">=", float(shortfall[y]), name=f"restoration[station={y}]"
         )
+    built.price(built.pricing)
     return built
 
 
@@ -819,23 +853,44 @@ def solve_phase2(
     incumbent where one fits. ``start_basis``, such as the ``basis`` of a
     plan solved for the same model shape at other prices, is offered to
     the root LP (see ``solve_exact``)."""
+    built, warm = _phase2_model(instance, formulation, demand, shortfall, type_ids)
+    return _solve_built(built, warm, node_limit, start_basis)
+
+
+def _phase2_model(
+    instance: NetworkInstance,
+    formulation: str,
+    demand: Sequence[int] | None = None,
+    shortfall: Sequence[float] | None = None,
+    type_ids: Sequence[int] | None = None,
+) -> tuple[Phase2Model, np.ndarray | None]:
+    """One slot's SIP or DIP and its all-local warm start, None where
+    none fits; neither depends on prices."""
     if formulation == "sip":
         built = build_phase2_sip(instance, type_ids=type_ids)
-        warm = _phase2_warm_start(built)
-    elif formulation == "dip":
+        return built, _phase2_warm_start(built)
+    if formulation == "dip":
         if demand is None:
             raise ValueError("dip formulation requires a demand vector")
         if shortfall is None:
             shortfall = [0.0] * len(instance.stations)
         built = build_phase2_dip(instance, demand, shortfall, type_ids=type_ids)
-        warm = _dip_warm_start(built, shortfall)
-    else:
-        raise ValueError(f"unknown formulation {formulation!r}")
+        return built, _dip_warm_start(built, shortfall)
+    raise ValueError(f"unknown formulation {formulation!r}")
+
+
+def _solve_built(
+    built: Phase2Model,
+    warm: np.ndarray | None,
+    node_limit: int | None = None,
+    start_basis: Basis | None = None,
+) -> Phase2Plan:
+    """Solve a built SIP or DIP at its current prices and decode it."""
     sol = solve_exact(
         built.model, node_limit=node_limit, warm_start=warm, start_basis=start_basis
     )
     if sol.status == "infeasible":
-        raise InfeasibleModelError(f"phase-2 {formulation} model infeasible")
+        raise InfeasibleModelError(f"phase-2 {built.formulation} model infeasible")
     if sol.status == "node_limit" and sol.assignment is None:
         raise ResourceLimitError("phase-2 node limit hit before any incumbent")
     return decode_phase2(built, sol)
@@ -885,18 +940,30 @@ def evf_plan(
     variables, so its coverage rows can ask for more copies than the
     local cap and the base-station seats supply)."""
     pricing = _Pricing.of(instance, type_ids)
+    built, warm = _evf_model(instance, pricing.type_ids)
+    return _evf_solve(built, warm, pricing, node_limit, start_basis)
+
+
+def _evf_model(
+    instance: NetworkInstance, type_ids: Sequence[int] | None = None
+) -> tuple[Phase2Model, np.ndarray | None]:
+    """The mean-value DIP behind ``evf_plan`` and its warm start."""
     mean_dims, mean_short = _mean_demand_and_shortfall(instance)
-    dip = solve_phase2(
-        instance,
-        "dip",
-        demand=mean_dims,
-        shortfall=mean_short,
-        type_ids=pricing.type_ids,
-        node_limit=node_limit,
-        start_basis=start_basis,
-    )
+    return _phase2_model(instance, "dip", mean_dims, mean_short, type_ids)
+
+
+def _evf_solve(
+    built: Phase2Model,
+    warm: np.ndarray | None,
+    pricing: _Pricing,
+    node_limit: int | None = None,
+    start_basis: Basis | None = None,
+) -> Phase2Plan:
+    """Solve the mean-value DIP ``built`` and freeze its decisions on the
+    tree, priced by ``pricing``, the tree's pricing at the DIP's prices."""
+    dip = _solve_built(built, warm, node_limit, start_basis)
     plan = _freeze_stage2_plan(
-        instance,
+        pricing.instance,
         pricing.type_ids,
         subscriptions=dip.subscriptions,
         decision_for=lambda li, y: dip.decisions[2, 0, (), y],
@@ -1122,84 +1189,118 @@ def _decision(plan: Phase2Plan, key: tuple) -> StageDecision:
         raise PlanningError(f"plan has no stage-{stage} decision for {key!r}") from None
 
 
-def _decision_cost(tab: CopyPrices, dec: StageDecision, wait: float) -> float:
-    cost = tab.local * dec.local
-    cost += sum(c * o for c, o in zip(tab.offload, dec.offload))
-    return cost + tab.wait * wait
+@dataclass(frozen=True)
+class _Bill:
+    """What one plan buys on a pricing's paths, weighed by the path
+    probabilities, at no price: per stage column from stage 2 on, the
+    counts each (demand scenario, station) pays a unit price of
+    ``_Pricing.units`` for; the subscriptions, which every path pays;
+    and the (path, station) pairs that pay the completion penalty."""
+
+    type_ids: tuple[int, ...]  # the fleet of the plan
+    subscribed: float
+    counts: np.ndarray  # (stage column, unit price)
+    short: float
 
 
 @dataclass(frozen=True)
 class _Pricing:
     """The paths and cost tables of one instance and fleet: the terminal
-    paths of its tree, or the one path of a deterministic program. Built
-    once, they price any number of plans made for that fleet, and
-    refuse a plan made for another."""
+    paths of its tree, or the one path of a deterministic program with
+    the known ``demand``. Built once, they price any number of plans
+    made for that fleet, and refuse a plan made for another."""
 
     instance: NetworkInstance
     type_ids: tuple[int, ...]
     paths: list[ScenarioPath]
-    tables: list[list[CopyPrices]]
+    demand: tuple[int, ...] | None = None
+    tables: list[list[CopyPrices]] = field(init=False, repr=False, compare=False)
+    # local, per-BS offload, wait and decode price per (demand, station)
+    units: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        demand = self.instance.tree.demand
+        dims = [d.dims for d in demand] if self.demand is None else [self.demand]
+        tables = _stage_cost_tables(self.instance, self.type_ids, dims)
+        object.__setattr__(self, "tables", tables)
+        units = [[t.local, *t.offload, t.wait, t.decode] for row in tables for t in row]
+        object.__setattr__(self, "units", np.ravel(units))
 
     @classmethod
     def of(
-        cls, instance: NetworkInstance, type_ids: Sequence[int] | None = None
+        cls,
+        instance: NetworkInstance,
+        type_ids: Sequence[int] | None = None,
+        demand: tuple[int, ...] | None = None,
     ) -> "_Pricing":
+        """The pricing of ``instance``'s tree, or with ``demand`` of the
+        deterministic program on that demand vector."""
         ids = _resolve_type_ids(instance, type_ids)
-        dims = [d.dims for d in instance.tree.demand]
-        return cls(
-            instance,
-            ids,
-            enumerate_terminal_paths(instance.tree),
-            _stage_cost_tables(instance, ids, dims),
+        if demand is None:
+            return cls(instance, ids, enumerate_terminal_paths(instance.tree))
+        return cls(instance, ids, [ScenarioPath(0, (), 1.0)], demand)
+
+    def bill(self, plan: Phase2Plan) -> _Bill:
+        """The plan's bill on these paths. A decision's counts are
+        weighed by the probability of the paths through it; a (path,
+        station) pays the penalty by the rule in the module docstring."""
+        instance, paths = self.instance, self.paths
+        tree, k = instance.tree, instance.split.k
+        gated = instance.wait_cost_gated_by_offload
+        n_y = len(instance.stations)
+        n_recourse = len(paths[0].loss_indices) if paths else 0
+        reach: dict[tuple, float] = {}  # decision block -> its paths' probability
+        short = 0.0
+        for path in paths:
+            li, losses, p = path.demand_index, path.loss_indices, path.probability
+            blocks = [(zz, li, losses[: zz - 2]) for zz in range(2, n_recourse + 3)]
+            for block in blocks:
+                reach[block] = reach.get(block, 0.0) + p
+            for y in range(n_y):
+                provided = sum(_decision(plan, (*block, y)).total for block in blocks)
+                indicator = plan.decisions[2, li, (), y].offload_indicator
+                if plan.residuals.get((li, losses, y)) or _falls_short(
+                    tree, k, provided, indicator, losses, y
+                ):
+                    short += p
+        n_d = len(self.tables)
+        weights = np.zeros(((n_recourse + 1) * n_d, len(reach)))
+        counts = []
+        for j, ((zz, li, prefix), p) in enumerate(reach.items()):
+            weights[(zz - 2) * n_d + li, j] = p
+            for y in range(n_y):
+                dec = plan.decisions[zz, li, prefix, y]
+                wait = dec.offload_indicator if zz > 2 or gated else 1
+                counts.append([dec.local, *dec.offload, wait, zz == 2])
+        table = weights @ np.array(counts, dtype=float).reshape(len(reach), -1)
+        return _Bill(
+            plan.type_ids,
+            plan.subscription_count() * sum(p.probability for p in paths),
+            table.reshape(n_recourse + 1, -1),
+            short,
         )
+
+    def charge(self, bill: _Bill) -> tuple[float, dict[str, float]]:
+        """The bill's one-slot cost at these prices, in total and per
+        stage (stage1, stage2, stage3.., terminal). A bill for another
+        fleet raises ``PlanningError``."""
+        if bill.type_ids != self.type_ids:
+            raise PlanningError(
+                f"plan made for fleet {bill.type_ids} priced with fleet {self.type_ids}"
+            )
+        costs = self.instance.costs
+        stages = (bill.counts @ self.units).tolist()
+        parts = [
+            costs.subscription_fee * bill.subscribed,
+            *stages,
+            costs.completion_penalty * bill.short,
+        ]
+        labels = ("stage1", *(f"stage{zz}" for zz in range(2, len(stages) + 2)), "terminal")
+        return sum(parts), dict(zip(labels, parts))
 
     def expectation(self, plan: Phase2Plan) -> tuple[float, dict[str, float]]:
-        """The plan's one-slot expected cost, in total and per stage
-        (stage1, stage2, stage3.., terminal).
-
-        Weighs a paths x stages array, the cost the plan pays on each
-        path, by the path probabilities. Subscriptions are charged on
-        every path; the terminal column follows the completion-penalty
-        rule in the module docstring. A plan made for another fleet
-        raises ``PlanningError``."""
-        if plan.type_ids != self.type_ids:
-            raise PlanningError(
-                f"plan made for fleet {plan.type_ids} priced with fleet {self.type_ids}"
-            )
-        instance, paths = self.instance, self.paths
-        tree = instance.tree
-        k = instance.split.k
-        gated = instance.wait_cost_gated_by_offload
-        penalty = instance.costs.completion_penalty
-        n_recourse = len(paths[0].loss_indices) if paths else 0
-        labels = (
-            "stage1",
-            *(f"stage{zz}" for zz in range(2, n_recourse + 3)),
-            "terminal",
-        )
-        stage1 = instance.costs.subscription_fee * plan.subscription_count()
-        rows = []
-        for path in paths:
-            li, losses = path.demand_index, path.loss_indices
-            row = [stage1] + [0.0] * (n_recourse + 2)
-            for y, tab in enumerate(self.tables[li]):
-                dec = _decision(plan, (2, li, (), y))
-                wait = dec.offload_indicator if gated else 1.0
-                row[1] += _decision_cost(tab, dec, wait) + tab.decode
-                provided = dec.total
-                for zz in range(3, n_recourse + 3):
-                    rdec = _decision(plan, (zz, li, losses[: zz - 2], y))
-                    row[zz - 1] += _decision_cost(tab, rdec, rdec.offload_indicator)
-                    provided += rdec.total
-                if plan.residuals.get((li, losses, y)) or _falls_short(
-                    tree, k, provided, dec.offload_indicator, losses, y
-                ):
-                    row[-1] += penalty
-            rows.append(row)
-        costs = np.array(rows, dtype=float).reshape(len(paths), len(labels))
-        probs = np.array([p.probability for p in paths])
-        total = float(probs @ costs.sum(axis=1))
-        return total, dict(zip(labels, (probs @ costs).tolist()))
+        """The plan's one-slot expected cost, in total and per stage."""
+        return self.charge(self.bill(plan))
 
     def price(self, plan: Phase2Plan) -> Phase2Plan:
         """Set the plan's expected cost and stage breakdown; returns it."""
@@ -1271,15 +1372,19 @@ def plan_both_phases(
     slots times the sum of the phase-1 cost and the probability-weighted
     phase-2 costs, each of them one slot's. Each phase-2 plan carries
     the effective fleet it was solved for. Identical effective type
-    vectors share one solve.
+    vectors share one solve. A fleet changes only the prices, so one SIP
+    is built and priced anew for each fleet, and each solve starts cold.
     """
     p1 = solve_phase1(instance)
     weather = instance.tree.weather
     fleets = [effective_station_types(instance, p1, mu) for mu in range(len(weather))]
-    solved = {
-        ids: solve_phase2(instance, "sip", type_ids=ids, node_limit=node_limit)
-        for ids in dict.fromkeys(fleets)
-    }
+    distinct = list(dict.fromkeys(fleets))
+    built, warm = _phase2_model(instance, "sip", type_ids=distinct[0])
+    solved = {}
+    for ids in distinct:
+        if ids != built.pricing.type_ids:
+            built.price(_Pricing.of(instance, ids))
+        solved[ids] = _solve_built(built, warm, node_limit)
     plans = {mu: solved[ids] for mu, ids in enumerate(fleets)}
     phase2 = sum(w.probability * plans[mu].expected_cost for mu, w in enumerate(weather))
     return p1, plans, instance.time_slots * (p1.expected_cost + phase2)

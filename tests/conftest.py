@@ -139,6 +139,14 @@ def zero_stage(n_stations: int) -> tuple[ShortfallScenario, ...]:
     )
 
 
+def scaled_fee(instance: NetworkInstance, mult: float) -> NetworkInstance:
+    """The instance with its service fee scaled by ``mult``, as a price
+    comparison scales it."""
+    fee = instance.costs.service_fee * mult
+    costs = dataclasses.replace(instance.costs, service_fee=fee)
+    return dataclasses.replace(instance, costs=costs)
+
+
 def small_instance(
     tree: ScenarioTree,
     n_stations: int = 1,

@@ -23,6 +23,7 @@ from conftest import (
     branching_instance,
     dip_infeasible_instance,
     make_costs,
+    scaled_fee,
     small_instance,
     tree_z2,
 )
@@ -241,11 +242,6 @@ class TestCompare:
         assert row["optimal"] is True
 
 
-def scaled_fee(inst, mult: float):
-    fee = inst.costs.service_fee * mult
-    return dataclasses.replace(inst, costs=dataclasses.replace(inst.costs, service_fee=fee))
-
-
 class TestPriceComparison:
     @pytest.mark.parametrize(
         "multipliers, seeds, match",
@@ -297,8 +293,9 @@ class TestPriceComparison:
     def test_cost_tables_built_per_multiplier_not_per_plan(
         self, bundled_instance, monkeypatch
     ):
-        """Per multiplier: the SIP and DIP builds, the expected-value
-        plan's pricing and one pricing shared by all 30 drawn plans."""
+        """One pricing per model at the build and one per model at each
+        of the 8 multipliers. The SIP's pricing also prices the
+        expected-value plan, and the drawn plans' bills read no price."""
         calls = []
         tables = planner._stage_cost_tables
 
@@ -308,7 +305,39 @@ class TestPriceComparison:
 
         monkeypatch.setattr(planner, "_stage_cost_tables", counted)
         offload_price_comparison(bundled_instance)
-        assert len(calls) <= 32
+        assert len(calls) == 2 + 2 * 8
+
+    def test_builds_each_model_once_and_bills_each_plan_once(
+        self, bundled_instance, monkeypatch
+    ):
+        """Over the 8 default multipliers, the SIP and the mean-value DIP
+        are built once and re-priced, and each drawn plan is billed once;
+        only the solved plans are billed again, on decode."""
+        calls, drawn = [], []
+        spied = [
+            (planner, "build_phase2_sip"),
+            (planner, "build_phase2_dip"),
+            (planner._Pricing, "bill"),
+        ]
+        for owner, name in spied:
+
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls.append((_name, args[-1]))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        draw = evaluate._draw_random_plan
+        monkeypatch.setattr(
+            evaluate, "_draw_random_plan", lambda *a: drawn.append(draw(*a)) or drawn[-1]
+        )
+        offload_price_comparison(bundled_instance)
+        names = [name for name, _ in calls]
+        assert names.count("build_phase2_sip") == names.count("build_phase2_dip") == 1
+        billed = [id(plan) for name, plan in calls if name == "bill"]
+        assert len(drawn) == 30
+        assert [billed.count(id(plan)) for plan in drawn] == [1] * 30
+        # each multiplier bills the SIP, DIP and expected-value plans it solves
+        assert len(billed) == 30 + 3 * 8
 
     def test_roots_restart_from_previous_multiplier(self, bundled_instance, monkeypatch):
         """Only the service fee changes between multipliers, so every root

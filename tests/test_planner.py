@@ -15,6 +15,7 @@ import pytest
 
 import uavplan.planner as planner
 from uavplan.coding import CodeSplit
+from uavplan.evaluate import DEFAULT_PRICE_MULTIPLIERS
 from uavplan.milp import solve_enumerate, solve_exact
 from uavplan.planner import (
     BaseStation,
@@ -45,6 +46,7 @@ from uavplan.scenario import (
     ShortfallScenario,
     WeatherScenario,
     enumerate_terminal_paths,
+    flag_product_exposure,
     model_size_phase1,
 )
 
@@ -55,6 +57,7 @@ from conftest import (
     guaranteed_stage,
     make_costs,
     phase1_instance,
+    scaled_fee,
     small_instance,
     tree_z2,
 )
@@ -335,6 +338,86 @@ class TestPhase2Model:
         assert digests == PINNED_MODEL_HASHES[z]
 
     @pytest.mark.parametrize(
+        "make, pinned",
+        [
+            (
+                lambda bundled: bundled,
+                ("0x1.d5c839c643e8ap+6", "0x1.a26d1164305a5p+5"),
+            ),
+            (
+                lambda bundled: branching_instance(),
+                ("0x1.bbf69701ebba6p+1", "0x1.4f562d4385a89p+1"),
+            ),
+        ],
+        ids=["bundled", "branching"],
+    )
+    def test_objective_constants_pinned(self, bundled_instance, make, pinned):
+        """The SIP and DIP constants to the last bit: the LP text rounds
+        them, and the price comparison's CSV reads them. Each block adds
+        its stations' constants in order, wait before decode."""
+        inst = make(bundled_instance)
+        sip = build_phase2_sip(inst)
+        dip = build_phase2_dip(inst, *_mean_demand_and_shortfall(inst))
+        constants = (sip.model.objective_constant, dip.model.objective_constant)
+        assert constants == tuple(float.fromhex(h) for h in pinned)
+
+    @staticmethod
+    def assert_same_objective(built, fresh):
+        assert np.array_equal(built.model.objective_vector(), fresh.model.objective_vector())
+        assert built.model.objective_constant == fresh.model.objective_constant
+        assert built.model.to_lp_text() == fresh.model.to_lp_text()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bundled: bundled,
+            lambda bundled: z4_point(bundled),
+            lambda bundled: branching_instance(),
+        ],
+        ids=["bundled", "z4", "branching"],
+    )
+    def test_repriced_model_equals_fresh_build(self, bundled_instance, make):
+        """The SIP and the mean-value DIP built at the first of the
+        default multipliers, re-priced at each in turn, equal the models
+        built at that multiplier, bit for bit."""
+        first = scaled_fee(make(bundled_instance), DEFAULT_PRICE_MULTIPLIERS[0])
+        sip = build_phase2_sip(first)
+        dip = build_phase2_dip(first, *_mean_demand_and_shortfall(first))
+        for mult in DEFAULT_PRICE_MULTIPLIERS:
+            target = scaled_fee(make(bundled_instance), mult)
+            for built in (sip, dip):
+                built.price(dataclasses.replace(built.pricing, instance=target))
+            self.assert_same_objective(sip, build_phase2_sip(target))
+            self.assert_same_objective(
+                dip, build_phase2_dip(target, *_mean_demand_and_shortfall(target))
+            )
+
+    @pytest.mark.parametrize(
+        "make, fleets",
+        [
+            (lambda bundled: bundled, [(3,) * 6, (1, 2, 3, 1, 2, 3), (1,) * 6]),
+            (lambda bundled: branching_instance(), [(3,), (1,), (2,)]),
+        ],
+        ids=["bundled", "branching"],
+    )
+    def test_repriced_fleet_equals_fresh_build(self, bundled_instance, make, fleets):
+        inst = make(bundled_instance)
+        sip = build_phase2_sip(inst, type_ids=fleets[0])
+        for ids in fleets[1:]:
+            sip.price(_Pricing.of(inst, ids))
+            self.assert_same_objective(sip, build_phase2_sip(inst, type_ids=ids))
+            assert sip.pricing.type_ids == ids
+
+    def test_price_refuses_other_paths(self):
+        inst = branching_instance()
+        sip = build_phase2_sip(inst)
+        dip = build_phase2_dip(inst, *_mean_demand_and_shortfall(inst))
+        with pytest.raises(PlanningError, match="other paths"):
+            sip.price(dip.pricing)
+        with pytest.raises(PlanningError, match="other paths"):
+            dip.price(sip.pricing)
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda: build_phase2_sip(small_instance(z3_tree())),
@@ -580,7 +663,83 @@ class TestBaselines:
             assert dec.local == 0 and sum(dec.offload) == 0
 
 
+def per_path_expectation(pricing: _Pricing, plan) -> tuple[float, dict[str, float]]:
+    """The plan's expected cost, priced path by path: a (path x stage)
+    array of what the plan pays on each terminal path, weighed by the
+    path probabilities. A reference for ``_Pricing.expectation``."""
+    instance, paths = pricing.instance, pricing.paths
+    tree, k, costs = instance.tree, instance.split.k, instance.costs
+    gated = instance.wait_cost_gated_by_offload
+    n_recourse = len(paths[0].loss_indices)
+
+    def cost(tab, dec, wait):
+        offload = sum(c * o for c, o in zip(tab.offload, dec.offload))
+        return tab.local * dec.local + offload + tab.wait * wait
+
+    rows = []
+    for path in paths:
+        li, losses = path.demand_index, path.loss_indices
+        row = [costs.subscription_fee * plan.subscription_count()] + [0.0] * (n_recourse + 2)
+        for y, tab in enumerate(pricing.tables[li]):
+            dec = plan.decisions[2, li, (), y]
+            row[1] += cost(tab, dec, dec.offload_indicator if gated else 1.0) + tab.decode
+            provided = dec.total
+            for zz in range(3, n_recourse + 3):
+                rdec = plan.decisions[zz, li, losses[: zz - 2], y]
+                row[zz - 1] += cost(tab, rdec, rdec.offload_indicator)
+                provided += rdec.total
+            need = k + flag_product_exposure(tree, losses, y) * dec.offload_indicator
+            if plan.residuals.get((li, losses, y)) or provided < need:
+                row[-1] += costs.completion_penalty
+        rows.append(row)
+    table = np.array(rows)
+    probs = np.array([p.probability for p in paths])
+    labels = ("stage1", *(f"stage{zz}" for zz in range(2, n_recourse + 3)), "terminal")
+    return float(probs @ table.sum(axis=1)), dict(zip(labels, (probs @ table).tolist()))
+
+
 class TestRealizedCosts:
+    @staticmethod
+    def assert_priced_as_per_path(pricing, plans):
+        for plan in plans:
+            total, parts = pricing.expectation(plan)
+            ref_total, ref_parts = per_path_expectation(pricing, plan)
+            assert total == pytest.approx(ref_total, rel=1e-12)
+            assert tuple(parts) == tuple(ref_parts)
+            assert parts == pytest.approx(ref_parts, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [None, 3, 4])
+    def test_random_plans_priced_as_per_path(self, bundled_instance, cap):
+        inst = dataclasses.replace(bundled_instance, max_local_copies=cap)
+        plans = [_draw_random_plan(inst, seed) for seed in range(60)]
+        self.assert_priced_as_per_path(_Pricing.of(inst), plans)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bundled: bundled,
+            lambda bundled: z4_point(bundled),
+            lambda bundled: branching_instance(),
+        ],
+        ids=["bundled", "z4", "branching"],
+    )
+    def test_solved_plans_priced_as_per_path(self, bundled_instance, make):
+        """SIP, expected-value and random plans; the SIP's residual flags
+        and the recourse of the deeper trees are billed as they fall."""
+        inst = make(bundled_instance)
+        plans = [solve_phase2(inst, "sip"), evf_plan(inst)]
+        plans += [_draw_random_plan(inst, seed) for seed in range(5)]
+        self.assert_priced_as_per_path(_Pricing.of(inst), plans)
+
+    def test_charge_refuses_another_fleets_bill(self):
+        inst = small_instance(z3_tree())
+        plan = solve_phase2(inst, "sip", type_ids=(1,))
+        own = _Pricing.of(inst, (1,))
+        bill = own.bill(plan)
+        assert own.charge(bill) == own.expectation(plan)
+        with pytest.raises(PlanningError, match="fleet"):
+            _Pricing.of(inst, (3,)).charge(bill)
+
     def test_parts_sum_and_keys(self):
         inst = small_instance(z3_tree())
         plan = solve_phase2(inst, "sip")
@@ -864,6 +1023,28 @@ class TestComposition:
         # the composition alone counts the slots
         _, _, three = plan_both_phases(dataclasses.replace(inst, time_slots=3))
         assert three == pytest.approx(3 * composed, rel=1e-12)
+
+    def test_fleets_share_one_build(self, monkeypatch):
+        """Two distinct fleets re-price one SIP, and each solve still
+        starts cold, so both plans equal a solve of their own."""
+        tree = tree_z2(1, [(240,)], [1.0], p_strong=0.3)
+        inst = small_instance(tree)
+        builds = []
+        build = planner.build_phase2_sip
+        monkeypatch.setattr(
+            planner, "build_phase2_sip", lambda *a, **kw: builds.append(a) or build(*a, **kw)
+        )
+        _, plans, _ = plan_both_phases(inst)
+        assert len(builds) == 1
+        assert [plans[mu].type_ids for mu in range(2)] == [(3,), (1,)]
+        monkeypatch.undo()
+        for plan in plans.values():
+            alone = solve_phase2(inst, "sip", type_ids=plan.type_ids)
+            assert dataclasses.replace(plan, basis=None) == dataclasses.replace(
+                alone, basis=None
+            )
+            assert np.array_equal(plan.basis.columns, alone.basis.columns)
+            assert np.array_equal(plan.basis.status, alone.basis.status)
 
     @pytest.mark.parametrize("slots", [1, 3], ids=["one-slot", "three-slot"])
     def test_every_plan_priced_for_its_fleet(self, slots):
